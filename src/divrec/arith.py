@@ -8,11 +8,10 @@ witness set with a proven range, never a probabilistic verdict.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
-
-import numpy as np
 
 __all__ = [
     "CapacityError",
@@ -255,11 +254,13 @@ class FactorSieve:
             raise ContractViolation("sieve limit must be at least 3")
         if limit > (1 << 31):
             raise CapacityError("sieve limit above 2**31; factorize directly")
-        spf = np.zeros(limit, dtype=np.int32)
-        for p in range(2, isqrt(limit - 1) + 1):
-            if spf[p] == 0:
-                seg = spf[p * p :: p]
-                seg[seg == 0] = p
+        # Even entries start at 2 and odd primes stay 0.  Each odd prime p
+        # marks the odd multiples from p*p on; going largest first lets the
+        # smallest factor write last.
+        spf = array("i", [2, 0]) * ((limit + 1) // 2)
+        for p in reversed(primes_upto(isqrt(limit - 1) + 1)[1:]):
+            count = len(range(p * p, len(spf), 2 * p))
+            spf[p * p :: 2 * p] = array("i", [p]) * count
         self._spf = spf
         self.limit = limit
 
@@ -270,7 +271,7 @@ class FactorSieve:
         pairs = []
         m = n
         while m > 1:
-            p = int(spf[m]) or m
+            p = spf[m] or m
             e = 0
             while m % p == 0:
                 m //= p

@@ -16,9 +16,9 @@ patched to absorb an oracle disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
-from .arith import ContractViolation, Factorization, factorize, isqrt_exact
+from .arith import ContractViolation, Factorization, factorize
 from .fit import verify_params
 from .profiles import DivisorProfile
 
@@ -165,22 +165,35 @@ def classify_small(
     return out
 
 
+def _s7_solution(p: int, q: int) -> tuple[int, int, int] | None:
+    """(r, a, b) with r = p*q - sqrt(den*(p^2 - q)), den = q^2 - p^3, or None.
+
+    a = p*(p*q - r)/den and b = (r*q - p^4)/den must be integers; the caller
+    checks that r > p^2 is prime.
+    """
+    p2 = p * p
+    den = q * q - p * p2
+    rad = den * (p2 - q)
+    if den <= 0 or rad <= 0:  # needs p^3 < q^2 and q < p^2
+        return None
+    root = isqrt(rad)
+    if root * root != rad:
+        return None
+    r = p * q - root
+    if not (_divides(den, p * q - r) and _divides(den, r * q - p2 * p2)):
+        return None
+    return r, p * (p * q - r) // den, (r * q - p2 * p2) // den
+
+
 def _small_form_10(n: int, p: int, q: int, r: int) -> FormMatch | None:
     """p^2*q*r with p < q < p^2 < r < p*q plus the square-root equation."""
-    p2, p3, p4 = p * p, p**3, p**4
+    p2 = p * p
     if not (q < p2 and p2 < r < p * q):
         return None
-    den = q * q - p3
-    if den <= 0:  # the radicand needs q^2 above p^3
+    sol = _s7_solution(p, q)
+    if sol is None or sol[0] != r:
         return None
-    rad = den * (p2 - q)
-    root, exact = isqrt_exact(rad)
-    if not exact or r != p * q - root:
-        return None
-    if not (_divides(den, p * q - r) and _divides(den, r * q - p4)):
-        return None
-    a = p * (p * q - r) // den
-    b = (r * q - p4) // den
+    _, a, b = sol
     pset = (p, q, p2, r, p * q)
     return _match(SMALL, 10, n, {"p": p, "q": q, "r": r}, pset,
                   (p, q, a, b))

@@ -20,6 +20,7 @@ from .harness import (
     canonical_json,
     default_jobs,
     erratum_record,
+    ledger_keys,
     load_allowlist,
     profile_sweep_failures,
     split_errata,
@@ -31,6 +32,9 @@ from .profiles import profile
 from .search import search_large5, search_s7
 
 __all__ = ["main"]
+
+# The oracle grid of a vacuous set lists all (2*bound + 1)^2 points.
+_MAX_GRID_BOUND = 300
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force recurrence verdicts for one n")
     p.add_argument("n", type=int)
     p.add_argument("--bound", type=int, default=None,
-                   help="also scan the |a|,|b| <= bound grid on both sets")
+                   help="also scan the |a|,|b| <= bound grid on both sets "
+                        f"(1 to {_MAX_GRID_BOUND})")
     _add_format(p)
 
     p = sub.add_parser("validate", help="cross-validate a range against the forms")
@@ -226,6 +231,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.bound is not None and not 1 <= args.bound <= _MAX_GRID_BOUND:
+        raise ContractViolation(f"--bound must be in [1, {_MAX_GRID_BOUND}]")
     n = args.n
     fac = factorize(n)
     prof = profile(n, fac=fac)
@@ -277,13 +284,15 @@ def _report_paths(out):
 
 def _cmd_validate(args) -> int:
     jobs = args.jobs if args.jobs is not None else default_jobs()
+    allowlist = load_allowlist(args.allowlist)
+    if args.out:
+        summary_path, ledger_path = _report_paths(args.out)
+        ledger_keys(ledger_path)  # reject a malformed ledger before any output
     summary, errata = validate_range(args.lo, args.hi, jobs=jobs,
                                      report_path=args.out)
-    allowlist = load_allowlist(args.allowlist)
     documented, violations = split_errata(errata, allowlist)
 
     if args.out:
-        summary_path, ledger_path = _report_paths(args.out)
         write_summary_csv(summary_path, summary)
         append_ledger(ledger_path, errata)
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .arith import ContractViolation, _guard
 
 __all__ = [
@@ -175,50 +173,35 @@ def verify_params(seq: Sequence[int], a: int, b: int) -> bool:
     )
 
 
-_GRID_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _grid(bound: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _GRID_CACHE.get(bound)
-    if cached is None:
-        vals = np.arange(-bound, bound + 1, dtype=np.int64)
-        # a-major layout, so surviving indices come out lexicographically
-        a = np.repeat(vals, vals.size)
-        b = np.tile(vals, vals.size)
-        cached = _GRID_CACHE[bound] = (a, b)
-    return cached
+def _box(bound: int) -> list[tuple[int, int]]:
+    """Every (a, b) with |a|, |b| <= bound, in a-major order."""
+    vals = range(-bound, bound + 1)
+    return [(a, b) for a in vals for b in vals]
 
 
 def brute_force_fit(seq: Sequence[int], bound: int) -> list[tuple[int, int]]:
     """Every (a, b) with |a|, |b| <= bound satisfying all constraints.
 
-    Independent oracle for ``solve_fit``: it decides each grid point from
-    the raw constraints and never touches the gcd machinery.
+    Independent oracle for ``solve_fit``: a column scan of the grid that
+    decides each point from the raw constraints and never touches the gcd
+    machinery.  For each a, the first constraint e3 = a*e2 + b*e1 with
+    e1 >= 1 admits at most one b, so only that point of the column is
+    checked against the remaining constraints.
     """
     _check_sequence(seq)
     if bound < 1:
         raise ContractViolation("bound must be >= 1")
     cons = constraints_of(seq)
     if not cons:
-        a, b = _grid(bound)
-        return list(zip(a.tolist(), b.tolist()))
-
-    # int64 is safe as long as |coef * bound| sums stay below 2**62
-    if seq[-1] * bound < 1 << 61:
-        a, b = _grid(bound)
-        ca, cb, rhs = cons[0]
-        alive = ca * a + cb * b == rhs
-        sa, sb = a[alive], b[alive]
-        for ca, cb, rhs in cons[1:]:
-            keep = ca * sa + cb * sb == rhs
-            sa, sb = sa[keep], sb[keep]
-        return list(zip(sa.tolist(), sb.tolist()))
-
+        return _box(bound)
+    (ca, cb, rhs), rest = cons[0], cons[1:]
     hits = []
     for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if all(ca * a + cb * b == rhs for ca, cb, rhs in cons):
-                hits.append((a, b))
+        b, rem = divmod(rhs - ca * a, cb)
+        if rem == 0 and -bound <= b <= bound and all(
+            x * a + y * b == z for x, y, z in rest
+        ):
+            hits.append((a, b))
     return hits
 
 
@@ -244,8 +227,7 @@ def solutions_in_box(verdict: FitVerdict, bound: int) -> list[tuple[int, int]]:
         a, b = verdict.point
         return [(a, b)] if abs(a) <= bound and abs(b) <= bound else []
     if verdict.kind is FitKind.VACUOUS:
-        a, b = _grid(bound)
-        return list(zip(a.tolist(), b.tolist()))
+        return _box(bound)
     a0, b0 = verdict.line_base
     du, dv = verdict.line_dir
     r1 = _t_range(a0, du, bound)

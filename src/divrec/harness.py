@@ -27,7 +27,7 @@ from pathlib import Path
 from .arith import ContractViolation, FactorSieve, Factorization, _guard, factorize
 from .classify import LARGE, SMALL, classify_large, classify_small, verify_prediction
 from .oracle import verdict_for_sequence
-from .profiles import _SIEVE_CAP, profile
+from .profiles import _SIEVE_CAP, profile, tau_identity_holds
 
 __all__ = [
     "AllowlistEntry",
@@ -44,6 +44,7 @@ __all__ = [
     "erratum_record",
     "evaluate_single",
     "jsonable",
+    "ledger_keys",
     "load_allowlist",
     "profile_sweep_failures",
     "record_line",
@@ -94,10 +95,9 @@ class ValidationSummary:
 def default_jobs() -> int:
     env = os.environ.get(JOBS_ENV)
     if env:
-        jobs = int(env)
-        if jobs < 1:
+        if not env.strip().isdecimal() or int(env) < 1:
             raise ContractViolation(f"{JOBS_ENV} must be a positive integer")
-        return jobs
+        return int(env)
     return os.cpu_count() or 1
 
 
@@ -228,16 +228,22 @@ def write_summary_csv(path, summary: ValidationSummary) -> None:
         writer.writerow([getattr(summary, c) for c in columns])
 
 
+def ledger_keys(path) -> set[tuple[int, str]]:
+    """The (n, theorem) keys of an errata ledger; empty if it does not exist."""
+    path = Path(path)
+    if not path.exists():
+        return set()
+    try:
+        with open(path) as fh:
+            objs = [json.loads(line) for line in fh if line.strip()]
+        return {(int(obj["n"]), obj["theorem"]) for obj in objs}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ContractViolation(f"malformed ledger {path}: {exc}") from None
+
+
 def append_ledger(path, errata) -> int:
     """Append entries not already present, keyed by (n, theorem)."""
-    path = Path(path)
-    seen = set()
-    if path.exists():
-        with open(path) as fh:
-            for line in fh:
-                if line.strip():
-                    obj = json.loads(line)
-                    seen.add((int(obj["n"]), obj["theorem"]))
+    seen = ledger_keys(path)
     written = 0
     with open(path, "a") as fh:
         for e in errata:
@@ -362,12 +368,9 @@ def _scan_profile_block(task):
     reflect_bad: list[int] = []
     for n in range(lo, hi_excl):
         prof = profile(n, fac=_block_factorize(n))
-        base = 3 if prof.is_square else 2
-        small, large = prof.small_strict, prof.large_strict
-        if (prof.tau != 2 * len(small) + base
-                or prof.tau != 2 * len(large) + base):
+        if not tau_identity_holds(prof):
             tau_bad.append(n)
-        if tuple(n // d for d in reversed(large)) != small:
+        if tuple(n // d for d in reversed(prof.large_strict)) != prof.small_strict:
             reflect_bad.append(n)
     return lo, tau_bad, reflect_bad
 
@@ -419,13 +422,17 @@ def load_allowlist(path=None) -> tuple[AllowlistEntry, ...]:
         )
     else:
         text = Path(path).read_text()
-    entries = []
-    for obj in json.loads(text):
-        entry = AllowlistEntry(obj["theorem"], obj["pattern"], obj["justification"])
-        if entry.pattern not in _FAMILIES:
-            raise ContractViolation(f"unknown allowlist pattern {entry.pattern!r}")
-        entries.append(entry)
-    return tuple(entries)
+    try:
+        entries = tuple(
+            AllowlistEntry(obj["theorem"], obj["pattern"], obj["justification"])
+            for obj in json.loads(text)
+        )
+        unknown = [e.pattern for e in entries if e.pattern not in _FAMILIES]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ContractViolation(f"malformed allowlist: {exc}") from None
+    if unknown:
+        raise ContractViolation(f"unknown allowlist pattern {unknown[0]!r}")
+    return entries
 
 
 def _allowed(e: ErrataEntry, allowlist) -> bool:

@@ -26,6 +26,7 @@ __all__ = [
     "check_tau_identity",
     "profile",
     "profiles_in_range",
+    "tau_identity_holds",
 ]
 
 # Above this, a smallest-factor table would not be worth the memory.
@@ -35,7 +36,6 @@ _SIEVE_CAP = 20_000_000
 @dataclass(frozen=True)
 class DivisorProfile:
     n: int
-    divisors: tuple[int, ...]
     small_strict: tuple[int, ...]
     large_strict: tuple[int, ...]
     tau: int
@@ -51,21 +51,21 @@ def profile(n: int, *, fac: Factorization | None = None) -> DivisorProfile:
     small = tuple(d for d in divs if 1 < d and d * d < n)
     large = tuple(d for d in divs if d < n and d * d > n)
     _, exact = isqrt_exact(n)
-    return DivisorProfile(n, tuple(divs), small, large, tau(f), exact)
+    return DivisorProfile(n, small, large, tau(f), exact)
 
 
-def check_tau_identity(n: int) -> bool:
-    """Divisor count vs set sizes: 2|S'| + 2 (+1 more if n is a square).
-
-    Must hold for every n >= 2; a False return signals an implementation
-    bug, not a property of n.
-    """
-    prof = profile(n)
+def tau_identity_holds(prof: DivisorProfile) -> bool:
+    """Divisor count vs set sizes: 2|S'| + 2 (+1 more if n is a square)."""
     base = 3 if prof.is_square else 2
     return (
         prof.tau == 2 * len(prof.small_strict) + base
         and prof.tau == 2 * len(prof.large_strict) + base
     )
+
+
+def check_tau_identity(n: int) -> bool:
+    """The divisor-count identity for n; False signals a bug, not a property of n."""
+    return tau_identity_holds(profile(n))
 
 
 def profiles_in_range(

@@ -12,8 +12,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from multiprocessing import get_context
 
-from .arith import ContractViolation, _guard, is_prime, isqrt_exact, primes_upto
-from .classify import _divides
+from .arith import ContractViolation, _guard, is_prime, primes_upto
+from .classify import _divides, _s7_solution
 from .oracle import large_verdict, small_verdict
 
 __all__ = ["L5Pair", "S7Triple", "search_large5", "search_s7"]
@@ -44,29 +44,15 @@ class L5Pair:
 
 def _s7_scan_p(task: tuple[int, tuple[int, ...]]) -> list[S7Triple]:
     p, window = task
-    p2, p3, p4 = p * p, p**3, p**4
+    p2 = p * p
     hits = []
     for q in window:
-        den = q * q - p3
-        if den <= 0:
+        sol = _s7_solution(p, q)
+        if sol is None or sol[0] <= p2 or not is_prime(sol[0]):
             continue
-        rad = den * (p2 - q)
-        if rad <= 0:
-            continue
-        root, exact = isqrt_exact(rad)
-        if not exact:
-            continue
-        r = p * q - root
-        if r <= p2:
-            continue
-        if not (_divides(den, p * q - r) and _divides(den, r * q - p4)):
-            continue
-        if not is_prime(r):
-            continue
+        r, a, b = sol
         n = p2 * q * r
         _guard(n)
-        a = p * (p * q - r) // den
-        b = (r * q - p4) // den
         hits.append(S7Triple(p, q, r, n, a, b, small_verdict(n).recurrent))
     return hits
 

@@ -1,3 +1,7 @@
+import itertools
+import random
+from math import isqrt
+
 import pytest
 
 from divrec.arith import (
@@ -157,6 +161,23 @@ def test_factor_sieve_agrees_with_factorize():
         assert sieve.factorize(n) == factorize(n)
     with pytest.raises(ContractViolation):
         sieve.factorize(6000)
+
+
+def test_factor_sieve_matches_factorize_at_scale():
+    # one even and one odd limit: the table is laid out in (even, odd) pairs
+    sieves = [FactorSieve(2_000_000), FactorSieve(2_000_003)]
+    rng = random.Random(20221001)
+    probes = itertools.chain(
+        range(1, 10**5),
+        (rng.randrange(10**5, 2_000_000) for _ in range(20_000)),
+        (p * p for p in primes_upto(isqrt(1_999_999) + 1)),
+        (1_999_999, 2_000_002),
+    )
+    for n in probes:
+        expected = factorize(n)
+        for sieve in sieves:
+            if n < sieve.limit:
+                assert sieve.factorize(n) == expected, (sieve.limit, n)
 
 
 def test_factorization_value_type():

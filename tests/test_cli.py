@@ -142,3 +142,34 @@ def test_validate_rejects_reversed_range(capsys):
     code, _, err = run(capsys, "validate", "--from", "50", "--to", "10")
     assert code == 1
     assert "error" in err
+
+
+def test_oracle_bound_outside_range_exits_one(capsys):
+    for bound in ("0", "-3", "301", "10000"):
+        code, out, err = run(capsys, "oracle", "6", "--bound", bound)
+        assert code == 1 and out == ""
+        assert "--bound" in err
+    code, out, _ = run(capsys, "oracle", "100", "--bound", "300", "--format", "json")
+    assert code == 0
+    assert [2, 0] in json.loads(out)["large_grid"]
+
+
+def test_validate_bad_jobs_env_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("DIVREC_JOBS", "abc")
+    code, out, err = run(capsys, "validate", "--from", "2", "--to", "50")
+    assert code == 1 and out == ""
+    assert "DIVREC_JOBS" in err
+
+
+def test_validate_malformed_ledger_exits_one_before_output(capsys, tmp_path):
+    ledger = tmp_path / "report.errata.jsonl"
+    ledger.write_text('{"n": 100, "theorem": "Large"}\n{not json\n')
+    before = ledger.read_bytes()
+    code, out, err = run(
+        capsys, "validate", "--from", "2", "--to", "300",
+        "--jobs", "1", "--out", str(tmp_path / "report.jsonl"),
+    )
+    assert code == 1 and out == ""
+    assert "malformed ledger" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.errata.jsonl"]
+    assert ledger.read_bytes() == before

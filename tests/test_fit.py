@@ -81,9 +81,9 @@ def test_brute_force_no_constraints_returns_grid():
     assert grid == sorted(grid)
 
 
-def test_brute_force_python_fallback_matches_numpy():
-    # scaling a sequence leaves its solution set unchanged, but pushes the
-    # values past the int64-safe threshold into the pure-python path
+def test_brute_force_huge_values_match_small():
+    # scaling a sequence leaves its solution set unchanged; the scaled
+    # values need more than 64 bits, so the scan must stay exact
     seq = [2, 3, 4, 5, 6]
     huge = [x << 59 for x in seq]
     assert brute_force_fit(seq, 5) == brute_force_fit(huge, 5) == [(2, -1)]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import divrec
 from divrec.arith import ContractViolation
 from divrec.fit import verify_params
 from divrec.harness import (
@@ -184,6 +189,14 @@ def test_allowlist_rejects_unknown_pattern(tmp_path):
         load_allowlist(path)
 
 
+def test_allowlist_rejects_malformed_file(tmp_path):
+    path = tmp_path / "allow.json"
+    for text in ("[{", '[{"theorem": "Large"}]', "[1]", "7"):
+        path.write_text(text)
+        with pytest.raises(ContractViolation):
+            load_allowlist(path)
+
+
 def test_profile_sweep():
     tau_bad, reflect_bad = profile_sweep_failures(2, 20000, jobs=2)
     assert tau_bad == [] and reflect_bad == []
@@ -206,3 +219,13 @@ def test_validate_range_contract():
         validate_range(10, 2)
     with pytest.raises(ContractViolation):
         validate_range(2, 10, jobs=0)
+
+
+def test_import_and_check_single_leave_numpy_unloaded():
+    code = "import sys, divrec; divrec.check_single(60); print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(divrec.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"
