@@ -11,6 +11,7 @@ import csv
 import io
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 from .arith import CapacityError, ContractViolation, factorize
 from .classify import classify_large, classify_small, verify_prediction
@@ -277,6 +278,13 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _check_out_dir(out):
+    # fail before any work, not when the finished run opens the file
+    parent = Path(out).parent
+    if not parent.is_dir():
+        raise ContractViolation(f"--out directory {parent} does not exist")
+
+
 def _report_paths(out):
     base = out[:-6] if out.endswith(".jsonl") else out
     return f"{base}.summary.csv", f"{base}.errata.jsonl"
@@ -286,6 +294,7 @@ def _cmd_validate(args) -> int:
     jobs = args.jobs if args.jobs is not None else default_jobs()
     allowlist = load_allowlist(args.allowlist)
     if args.out:
+        _check_out_dir(args.out)
         summary_path, ledger_path = _report_paths(args.out)
         ledger_keys(ledger_path)  # reject a malformed ledger before any output
     summary, errata = validate_range(args.lo, args.hi, jobs=jobs,
@@ -325,6 +334,8 @@ def _cmd_validate(args) -> int:
 
 def _search_common(args, runner, order):
     jobs = args.jobs if args.jobs is not None else default_jobs()
+    if args.out:
+        _check_out_dir(args.out)
     hits = runner(args.pmax, jobs=jobs)
     records = [asdict(h) for h in hits]
     if args.out:

@@ -421,7 +421,10 @@ def load_allowlist(path=None) -> tuple[AllowlistEntry, ...]:
             resources.files("divrec").joinpath("data/allowlist.json").read_text()
         )
     else:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ContractViolation(f"cannot read allowlist {path}: {exc.strerror}") from None
     try:
         entries = tuple(
             AllowlistEntry(obj["theorem"], obj["pattern"], obj["justification"])

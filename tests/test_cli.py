@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from divrec import cli
 from divrec.cli import main
 from divrec.harness import check_single, validation_record_dict
 
@@ -173,3 +174,41 @@ def test_validate_malformed_ledger_exits_one_before_output(capsys, tmp_path):
     assert "malformed ledger" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.errata.jsonl"]
     assert ledger.read_bytes() == before
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the paths were checked")
+
+
+def test_validate_missing_paths_exit_one_before_work(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "validate_range", _no_work)
+    for extra in (
+        ["--allowlist", str(tmp_path / "missing.json")],
+        ["--out", str(tmp_path / "missing" / "r.jsonl")],
+    ):
+        code, out, err = run(capsys, "validate", "--from", "2", "--to", "50", *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("divrec: error:")
+        assert "missing" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,runner", [
+    ("search-s7", "search_s7"), ("search-large5", "search_large5"),
+])
+def test_search_missing_out_dir_exits_one_before_work(
+    capsys, tmp_path, monkeypatch, command, runner
+):
+    monkeypatch.setattr(cli, runner, _no_work)
+    code, out, err = run(
+        capsys, command, "--pmax", "50", "--out", str(tmp_path / "missing" / "h.jsonl")
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("divrec: error:") and "missing" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_search_large5_hostile_pmax_exits_one(capsys):
+    code, out, err = run(capsys, "search-large5", "--pmax", str(10**12))
+    assert code == 1 and out == ""
+    assert err.startswith("divrec: error:") and "input bound" in err

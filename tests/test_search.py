@@ -1,13 +1,48 @@
 import json
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 import pytest
 
-from divrec.arith import ContractViolation, FactorSieve, is_prime
-from divrec.classify import classify_small
+from divrec.arith import CapacityError, ContractViolation, FactorSieve, is_prime, primes_upto
+from divrec.classify import _divides, _s7_solution, classify_small
+from divrec.oracle import large_verdict, small_verdict
 from divrec.search import L5Pair, S7Triple, search_large5, search_s7
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _window(primes, lo, hi):
+    return primes[bisect_right(primes, lo) : bisect_left(primes, hi)]
+
+
+def window_scan_s7(p_max):
+    """Reference: try every prime q in p < q < p^2 for every prime p <= p_max."""
+    qs = primes_upto(p_max * p_max)
+    hits = []
+    for p in primes_upto(p_max + 1):
+        p2 = p * p
+        for q in _window(qs, p, p2):
+            sol = _s7_solution(p, q)
+            if sol is None or sol[0] <= p2 or not is_prime(sol[0]):
+                continue
+            r, a, b = sol
+            n = p2 * q * r
+            hits.append(S7Triple(p, q, r, n, a, b, small_verdict(n).recurrent))
+    return sorted(hits, key=lambda t: (t.p, t.q, t.r))
+
+
+def window_scan_large5(p_max):
+    """Reference: try every prime q in p^2 < q < p^3 for every prime p <= p_max."""
+    qs = primes_upto(p_max**3)
+    hits = []
+    for p in primes_upto(p_max + 1):
+        for q in _window(qs, p * p, p**3):
+            d = p**5 - q * q
+            if _divides(d, p * p - q) and _divides(d, p**3 - q):
+                n = p**4 * q
+                hits.append(L5Pair(p, q, n, large_verdict(n).recurrent))
+    return sorted(hits, key=lambda t: (t.p, t.q))
 
 
 def test_known_triple_found():
@@ -101,3 +136,46 @@ def test_rejects_tiny_pmax():
         search_s7(1)
     with pytest.raises(ContractViolation):
         search_large5(0)
+
+
+@pytest.mark.parametrize("p_max", [*range(2, 61), 300])
+def test_s7_matches_window_scan(p_max):
+    assert search_s7(p_max) == window_scan_s7(p_max)
+
+
+@pytest.mark.parametrize("p_max", [*range(2, 61), 150])
+def test_large5_matches_window_scan(p_max):
+    assert search_large5(p_max) == window_scan_large5(p_max)
+
+
+def test_s7_fixture_pmax10000():
+    got = [
+        {"p": h.p, "q": h.q, "r": h.r, "n": h.n, "a": h.a, "b": h.b,
+         "oracle_confirmed": h.oracle_confirmed}
+        for h in search_s7(10000)
+    ]
+    text = (FIXTURES / "search_s7_pmax10000.jsonl").read_text()
+    assert got == [json.loads(line) for line in text.splitlines() if line]
+    assert [(h["p"], h["q"], h["r"]) for h in got] == [(2, 3, 5)]
+
+
+def test_large5_fixture_pmax10000_empty():
+    assert (FIXTURES / "search_large5_pmax10000.jsonl").read_text() == ""
+    assert search_large5(10000) == []
+
+
+def test_hostile_pmax_raises_before_any_table(monkeypatch):
+    # isqrt(p_max^5) + 1 bounds every q tried; it must pass the input bound
+    # (2^62 by default) before the prime table is built
+    import divrec.search as search
+
+    built = []
+    monkeypatch.setattr(search, "primes_upto", lambda limit: built.append(limit) or [])
+    for runner in (search_s7, search_large5):
+        for p_max in (10**12, 29_210_830):  # the smallest p_max over 2^62
+            with pytest.raises(CapacityError):
+                runner(p_max)
+        assert built == []
+        assert runner(29_210_829) == []
+        assert built == [29_210_830]
+        built.clear()
