@@ -9,9 +9,12 @@ witness set with a proven range, never a probabilistic verdict.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
+from typing import Iterator
 
 __all__ = [
     "CapacityError",
@@ -20,6 +23,7 @@ __all__ = [
     "Factorization",
     "FactorSieve",
     "divisors_sorted",
+    "factor_range",
     "factorize",
     "input_bound",
     "is_prime",
@@ -40,6 +44,10 @@ _FULL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _FULL_WITNESS_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _TRIAL_LIMIT = 1 << 16
+
+# factor_range sieves with the primes up to min(isqrt(hi), 2**20)
+_SEGMENT_PRIME_LIMIT = 1 << 20
+_MIN_SEGMENT = 512
 
 
 class CapacityError(Exception):
@@ -212,6 +220,77 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(pairs))
 
 
+@lru_cache(maxsize=1)
+def _segment_prime_table() -> array:
+    """Every prime <= 2**20 (82 025 of them), from an odd-only sieve."""
+    half = _SEGMENT_PRIME_LIMIT // 2  # index i stands for 2*i + 1
+    odd = bytearray([1]) * half
+    odd[0] = 0
+    for i in range(1, isqrt(_SEGMENT_PRIME_LIMIT) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            odd[start::p] = bytes(len(range(start, half, p)))
+    table = array("i", [2])
+    table.extend(compress(range(1, _SEGMENT_PRIME_LIMIT, 2), odd))  # no list of ints
+    return table
+
+
+def _segment_primes(t: int) -> array:
+    """The primes <= t, for t <= 2**20."""
+    table = _segment_prime_table()
+    return table[: bisect_right(table, t)]
+
+
+def factor_range(lo: int, hi_excl: int) -> Iterator[Factorization]:
+    """``factorize(n)`` for lo <= n < hi_excl, in order, by a segmented sieve.
+
+    Each prime p <= top = min(isqrt(hi_excl - 1), 2**20) visits only its
+    multiples in the current segment and divides itself out.  A cofactor
+    m > 1 then has no prime factor <= top, so it is prime when
+    m < (top + 1)**2, which always holds below 2**40; a larger one goes to
+    the Miller-Rabin and Brent-rho tail of ``factorize``.
+
+    Finding a prime's first multiple costs one division per segment, so a
+    segment spans at least an eighth as many n as there are sieving primes
+    (at most 10 253 n); short segments keep the working set small when
+    there are few primes.
+    """
+    if not 1 <= lo <= hi_excl:
+        raise ContractViolation("factor_range requires 1 <= lo <= hi_excl")
+    if lo == hi_excl:
+        return
+    _guard(hi_excl - 1)
+    top = min(isqrt(hi_excl - 1), _SEGMENT_PRIME_LIMIT)
+    primes = _segment_primes(top)
+    proven = (top + 1) ** 2
+    segment = max(_MIN_SEGMENT, len(primes) // 8)
+    for start in range(lo, hi_excl, segment):
+        size = min(segment, hi_excl - start)
+        rem = list(range(start, start + size))
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        for p in primes:
+            i = -start % p
+            while i < size:
+                m = rem[i] // p
+                e = 1
+                while not m % p:
+                    m //= p
+                    e += 1
+                rem[i] = m
+                pairs[i].append((p, e))
+                i += p
+        for i, m in enumerate(rem):
+            f = pairs[i]
+            if m >= proven:
+                acc: dict[int, int] = {}
+                _factor_into(m, acc)
+                f.extend(sorted(acc.items()))
+            elif m > 1:
+                f.append((m, 1))
+            yield Factorization(start + i, tuple(f))
+
+
 def isqrt_exact(n: int) -> tuple[int, bool]:
     """(floor sqrt, whether n is a perfect square); exact for any size."""
     if n < 0:
@@ -245,8 +324,10 @@ def tau(f: Factorization) -> int:
 class FactorSieve:
     """Smallest-prime-factor table for fast factorization below a limit.
 
-    Meant for range scans: build once, then ``factorize`` runs in
-    O(number of prime factors) with no trial division.
+    A lookup table for repeated factorization of scattered n: build once,
+    then ``factorize`` runs in O(number of prime factors) with no trial
+    division.  Range scans use ``factor_range``, which needs no table of
+    size n.
     """
 
     def __init__(self, limit: int):

@@ -18,16 +18,18 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from multiprocessing import get_context
 from pathlib import Path
 
-from .arith import ContractViolation, FactorSieve, Factorization, _guard, factorize
+from .arith import ContractViolation, Factorization, _guard, factor_range, factorize
 from .classify import LARGE, SMALL, classify_large, classify_small, verify_prediction
 from .oracle import verdict_for_sequence
-from .profiles import _SIEVE_CAP, profile, tau_identity_holds
+from .profiles import profile, tau_identity_holds
 
 __all__ = [
     "AllowlistEntry",
@@ -59,7 +61,7 @@ KIND_CLASSIFIER_ONLY = "OracleNoClassifierYes"
 KIND_PREDICTION = "PredictionMismatch"
 
 JOBS_ENV = "DIVREC_JOBS"
-_BLOCK = 65536  # contiguous work unit; keeps sieved factorization cache-local
+_BLOCK = 65536  # largest contiguous work unit, one task of the parallel map
 
 
 @dataclass(frozen=True)
@@ -215,6 +217,20 @@ def erratum_record(e: ErrataEntry) -> dict:
     return {"n": e.n, "theorem": e.theorem, "kind": e.kind, "detail": e.detail}
 
 
+@contextmanager
+def _replace_when_done(path, mode="w", **kwargs):
+    """Open a temp file beside ``path``; move it onto ``path`` only once the
+    block completes, so an interrupted write leaves no partial file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_summary_csv(path, summary: ValidationSummary) -> None:
     columns = [
         "range_lo", "range_hi",
@@ -222,7 +238,7 @@ def write_summary_csv(path, summary: ValidationSummary) -> None:
         "count_large_recurrent", "count_large_vacuous",
         "errata_small", "errata_large",
     ]
-    with open(path, "w", newline="") as out:
+    with _replace_when_done(path, newline="") as out:
         writer = csv.writer(out)
         writer.writerow(columns)
         writer.writerow([getattr(summary, c) for c in columns])
@@ -243,29 +259,32 @@ def ledger_keys(path) -> set[tuple[int, str]]:
 
 def append_ledger(path, errata) -> int:
     """Append entries not already present, keyed by (n, theorem)."""
+    path = Path(path)
     seen = ledger_keys(path)
-    written = 0
-    with open(path, "a") as fh:
-        for e in errata:
-            key = (e.n, e.theorem)
-            if key in seen:
-                continue
-            seen.add(key)
-            fh.write(canonical_json(erratum_record(e)) + "\n")
-            written += 1
-    return written
+    lines = []
+    for e in errata:
+        key = (e.n, e.theorem)
+        if key in seen:
+            continue
+        seen.add(key)
+        lines.append(canonical_json(erratum_record(e)) + "\n")
+    old = path.read_bytes() if path.exists() else b""
+    with _replace_when_done(path, "wb") as fh:
+        fh.write(old)
+        fh.write("".join(lines).encode())
+    return len(lines)
 
 
 # ----------------------------------------------------------------------
 # block scans
 
-_worker_sieve: FactorSieve | None = None
 
-
-def _block_factorize(n: int) -> Factorization:
-    if _worker_sieve is not None and n < _worker_sieve.limit:
-        return _worker_sieve.factorize(n)
-    return factorize(n)
+def _parallel_map(worker, tasks, jobs, *, chunksize=None) -> list:
+    """``[worker(t) for t in tasks]``, on up to ``jobs`` forked workers."""
+    if jobs <= 1 or len(tasks) <= 1:
+        return [worker(t) for t in tasks]
+    with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
+        return pool.map(worker, tasks, chunksize=chunksize)
 
 
 def _scan_validation_block(task):
@@ -274,8 +293,8 @@ def _scan_validation_block(task):
     errata: list[ErrataEntry] = []
     lines: list[str] = []
     collect = part is not None
-    for n in range(lo, hi_excl):
-        rec, errs, small_vac, large_vac = _evaluate_full(n, _block_factorize(n))
+    for f in factor_range(lo, hi_excl):
+        rec, errs, small_vac, large_vac = _evaluate_full(f.n, f)
         counts[0] += rec.small_oracle
         counts[1] += small_vac
         counts[2] += rec.large_oracle
@@ -286,24 +305,13 @@ def _scan_validation_block(task):
     if collect:
         with open(part, "w") as fh:
             fh.writelines(lines)
-    return lo, tuple(counts), errata
+    return counts, errata
 
 
-def _run_blocks(lo, hi, jobs, worker, tasks):
-    global _worker_sieve
-    _worker_sieve = FactorSieve(hi + 1) if hi + 1 <= _SIEVE_CAP else None
-    try:
-        if jobs <= 1 or len(tasks) <= 1:
-            return [worker(t) for t in tasks]
-        with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
-            return pool.map(worker, tasks, chunksize=1)
-    finally:
-        _worker_sieve = None
-
-
-def _blocks(lo: int, hi: int) -> list[tuple[int, int]]:
-    edges = list(range(lo, hi + 1, _BLOCK)) + [hi + 1]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+def _blocks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
+    """[start, end) spans covering [lo, hi]: one per worker, at most _BLOCK n each."""
+    size = min(_BLOCK, -(-(hi - lo + 1) // jobs))
+    return [(start, min(start + size, hi + 1)) for start in range(lo, hi + 1, size)]
 
 
 def validate_range(
@@ -324,7 +332,7 @@ def validate_range(
         raise ContractViolation("jobs must be >= 1")
     _guard(hi)
 
-    spans = _blocks(lo, hi)
+    spans = _blocks(lo, hi, jobs)
     with tempfile.TemporaryDirectory() as tmp:
         if report_path is not None:
             tasks = [
@@ -333,18 +341,17 @@ def validate_range(
             ]
         else:
             tasks = [(b_lo, b_hi, None) for b_lo, b_hi in spans]
-        results = _run_blocks(lo, hi, jobs, _scan_validation_block, tasks)
-        results.sort(key=lambda r: r[0])
+        results = _parallel_map(_scan_validation_block, tasks, jobs, chunksize=1)
 
         if report_path is not None:
-            with open(report_path, "wb") as out:
-                for _, (_, _, part) in zip(results, tasks):
+            with _replace_when_done(report_path, "wb") as out:
+                for _, _, part in tasks:
                     with open(part, "rb") as fh:
-                        out.write(fh.read())
+                        shutil.copyfileobj(fh, out)
 
     counts = [0, 0, 0, 0]
     errata: list[ErrataEntry] = []
-    for _, block_counts, block_errata in results:
+    for block_counts, block_errata in results:
         for i in range(4):
             counts[i] += block_counts[i]
         errata.extend(block_errata)
@@ -363,16 +370,16 @@ def validate_range(
 
 
 def _scan_profile_block(task):
-    lo, hi_excl, _ = task
+    lo, hi_excl = task
     tau_bad: list[int] = []
     reflect_bad: list[int] = []
-    for n in range(lo, hi_excl):
-        prof = profile(n, fac=_block_factorize(n))
+    for f in factor_range(lo, hi_excl):
+        prof = profile(f.n, fac=f)
         if not tau_identity_holds(prof):
-            tau_bad.append(n)
-        if tuple(n // d for d in reversed(prof.large_strict)) != prof.small_strict:
-            reflect_bad.append(n)
-    return lo, tau_bad, reflect_bad
+            tau_bad.append(f.n)
+        if tuple(f.n // d for d in reversed(prof.large_strict)) != prof.small_strict:
+            reflect_bad.append(f.n)
+    return tau_bad, reflect_bad
 
 
 def profile_sweep_failures(
@@ -381,11 +388,11 @@ def profile_sweep_failures(
     """(tau-identity failures, reflection failures) over [lo, hi]; expect ([], [])."""
     if not 2 <= lo <= hi:
         raise ContractViolation("need 2 <= lo <= hi")
-    tasks = [(b_lo, b_hi, None) for b_lo, b_hi in _blocks(lo, hi)]
-    results = _run_blocks(lo, hi, jobs, _scan_profile_block, tasks)
-    results.sort(key=lambda r: r[0])
-    tau_bad = [n for _, bad, _ in results for n in bad]
-    reflect_bad = [n for _, _, bad in results for n in bad]
+    if jobs < 1:
+        raise ContractViolation("jobs must be >= 1")
+    results = _parallel_map(_scan_profile_block, _blocks(lo, hi, jobs), jobs, chunksize=1)
+    tau_bad = [n for bad, _ in results for n in bad]
+    reflect_bad = [n for _, bad in results for n in bad]
     return tau_bad, reflect_bad
 
 

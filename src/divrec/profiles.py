@@ -14,8 +14,8 @@ from typing import Iterator
 from .arith import (
     ContractViolation,
     Factorization,
-    FactorSieve,
     divisors_sorted,
+    factor_range,
     factorize,
     isqrt_exact,
     tau,
@@ -28,9 +28,6 @@ __all__ = [
     "profiles_in_range",
     "tau_identity_holds",
 ]
-
-# Above this, a smallest-factor table would not be worth the memory.
-_SIEVE_CAP = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -68,14 +65,9 @@ def check_tau_identity(n: int) -> bool:
     return tau_identity_holds(profile(n))
 
 
-def profiles_in_range(
-    lo: int, hi: int, *, sieve: FactorSieve | None = None
-) -> Iterator[DivisorProfile]:
-    """Yield profile(n) for lo <= n <= hi using shared sieved factorization."""
+def profiles_in_range(lo: int, hi: int) -> Iterator[DivisorProfile]:
+    """Yield profile(n) for lo <= n <= hi, factorized by a segmented sieve."""
     if lo < 2 or hi < lo:
         raise ContractViolation("need 2 <= lo <= hi")
-    if sieve is None and hi + 1 <= _SIEVE_CAP:
-        sieve = FactorSieve(hi + 1)
-    for n in range(lo, hi + 1):
-        f = sieve.factorize(n) if sieve is not None else factorize(n)
-        yield profile(n, fac=f)
+    for f in factor_range(lo, hi + 1):
+        yield profile(f.n, fac=f)

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from multiprocessing import get_context
 
 from .arith import ContractViolation, _guard, is_prime, primes_upto
 from .classify import _divides, _s7_solution
+from .harness import _parallel_map
 from .oracle import large_verdict, small_verdict
 
 __all__ = ["L5Pair", "S7Triple", "search_large5", "search_s7"]
@@ -95,15 +95,6 @@ def _l5_scan_p(p: int) -> list[L5Pair]:
     return hits
 
 
-def _run_tasks(tasks, worker, jobs):
-    if jobs <= 1 or len(tasks) <= 1:
-        batches = [worker(t) for t in tasks]
-    else:
-        with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
-            batches = pool.map(worker, tasks)
-    return [hit for batch in batches for hit in batch]
-
-
 def _primes_to_scan(p_max: int) -> list[int]:
     # isqrt(p_max^5) + 1 is the largest large5 q; reject a p_max whose
     # candidates exceed the input bound before building any table.
@@ -121,7 +112,8 @@ def search_s7(p_max: int, *, jobs: int = 1) -> list[S7Triple]:
     forced by the square-root equation, so the work per p is about
     sqrt(p)/2 primality tests.
     """
-    hits = _run_tasks(_primes_to_scan(p_max), _s7_scan_p, jobs)
+    batches = _parallel_map(_s7_scan_p, _primes_to_scan(p_max), jobs)
+    hits = [hit for batch in batches for hit in batch]
     hits.sort(key=lambda t: (t.p, t.q, t.r))
     return hits
 
@@ -131,6 +123,7 @@ def search_large5(p_max: int, *, jobs: int = 1) -> list[L5Pair]:
 
     Only q = isqrt(p^5) and isqrt(p^5) + 1 can qualify (see ``_l5_scan_p``).
     """
-    hits = _run_tasks(_primes_to_scan(p_max), _l5_scan_p, jobs)
+    batches = _parallel_map(_l5_scan_p, _primes_to_scan(p_max), jobs)
+    hits = [hit for batch in batches for hit in batch]
     hits.sort(key=lambda t: (t.p, t.q))
     return hits

@@ -10,7 +10,6 @@ import json
 import random
 import time
 from contextlib import contextmanager
-from multiprocessing import get_context
 
 import pytest
 
@@ -21,6 +20,7 @@ from divrec.harness import (
     KIND_CLASSIFIER_ONLY,
     KIND_ORACLE_ONLY,
     KIND_PREDICTION,
+    _parallel_map,
     default_jobs,
     load_allowlist,
     profile_sweep_failures,
@@ -141,11 +141,7 @@ def test_criterion_4_fit_solver_oracle_equivalence(jobs):
             for length in (3, 4, 5, 6)
             for offset in range(jobs)
         ]
-        if jobs <= 1:
-            batches = [_c4_worker(t) for t in tasks]
-        else:
-            with get_context("fork").Pool(jobs) as pool:
-                batches = pool.map(_c4_worker, tasks, chunksize=1)
+        batches = _parallel_map(_c4_worker, tasks, jobs, chunksize=1)
         mismatches = [m for batch in batches for m in batch]
         assert mismatches == []
 

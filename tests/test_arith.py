@@ -5,11 +5,14 @@ from math import isqrt
 import pytest
 
 from divrec.arith import (
+    _MIN_SEGMENT,
     CapacityError,
     ContractViolation,
     Factorization,
     FactorSieve,
+    _segment_primes,
     divisors_sorted,
+    factor_range,
     factorize,
     input_bound,
     is_prime,
@@ -183,3 +186,46 @@ def test_factor_sieve_matches_factorize_at_scale():
 def test_factorization_value_type():
     f = Factorization(12, ((2, 2), (3, 1)))
     assert f == factorize(12)
+
+
+# the first two primes above 2**20: past 2**40 a cofactor left by the
+# sieve can be composite
+_P1, _P2 = 1_048_583, 1_048_589
+
+
+def _random_blocks(seed, lo, hi, count, length):
+    rng = random.Random(seed)
+    return [(a, a + length) for a in (rng.randrange(lo, hi) for _ in range(count))]
+
+
+@pytest.mark.parametrize("lo, hi_excl", [
+    (1, 2 * _MIN_SEGMENT + 17),
+    (2, 3_000),
+    # segment edges far from the origin: 3 401 sieving primes give
+    # segments of 512 n, and 9 592 give segments of 1 199 n
+    (10**9 - 100, 10**9 + 1_000),
+    (10**10 - 50, 10**10 + 1_300),
+    *_random_blocks(4, 2 * 10**7, 10**10, 3, 600),
+    *_random_blocks(5, 10**12, 10**12 + 10**9, 2, 600),
+    (2**40 - 400, 2**40 + 400),
+    (_P1 * _P1 - 100, _P1 * _P1 + 100),
+    (_P1 * _P2 - 100, _P1 * _P2 + 100),
+    (2**62 - 149, 2**62 + 1),
+])
+def test_factor_range_matches_factorize(lo, hi_excl):
+    assert list(factor_range(lo, hi_excl)) == [factorize(n) for n in range(lo, hi_excl)]
+
+
+def test_factor_range_edges():
+    assert list(factor_range(7, 7)) == []
+    assert list(factor_range(1, 2)) == [Factorization(1, ())]
+    for lo, hi_excl in ((0, 5), (5, 4)):
+        with pytest.raises(ContractViolation):
+            list(factor_range(lo, hi_excl))
+    with pytest.raises(CapacityError):
+        list(factor_range(2**62, 2**62 + 2))
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 100, 10**6, 2**20])
+def test_segment_primes_match_primes_upto(t):
+    assert _segment_primes(t).tolist() == primes_upto(t + 1)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from divrec import cli
+from divrec import cli, harness
 from divrec.cli import main
 from divrec.harness import check_single, validation_record_dict
 
@@ -212,3 +212,57 @@ def test_search_large5_hostile_pmax_exits_one(capsys):
     code, out, err = run(capsys, "search-large5", "--pmax", str(10**12))
     assert code == 1 and out == ""
     assert err.startswith("divrec: error:") and "input bound" in err
+
+
+def _fail_part_way(src, dst, *args):
+    dst.write(src.read(100))
+    raise OSError("disk full")
+
+
+def test_validate_interrupted_report_leaves_no_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness.shutil, "copyfileobj", _fail_part_way)
+    with pytest.raises(OSError, match="disk full"):
+        main(["validate", "--from", "2", "--to", "300", "--jobs", "1",
+              "--out", str(tmp_path / "report.jsonl")])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_validate_interrupted_summary_and_ledger_keep_old_files(
+    capsys, tmp_path, monkeypatch
+):
+    argv = ["validate", "--from", "2", "--to", "300", "--jobs", "1",
+            "--out", str(tmp_path / "report.jsonl")]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == [
+        "report.errata.jsonl", "report.jsonl", "report.summary.csv",
+    ]
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def writerow(self, row):
+            self.fh.write("partial,")
+            raise OSError("disk full")
+
+    monkeypatch.setattr(harness.csv, "writer", HalfWriter)
+    with pytest.raises(OSError, match="disk full"):
+        main(argv)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    real_replace = harness.os.replace
+
+    def fail_ledger(src, dst):
+        if str(dst).endswith(".errata.jsonl"):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    # a wider range has one more erratum (n = 484) to append
+    monkeypatch.setattr(harness.os, "replace", fail_ledger)
+    with pytest.raises(OSError, match="disk full"):
+        main([*argv[:4], "500", *argv[5:]])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+    assert (tmp_path / "report.errata.jsonl").read_bytes() == before["report.errata.jsonl"]
+    assert (tmp_path / "report.summary.csv").read_bytes() != before["report.summary.csv"]

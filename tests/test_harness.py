@@ -10,6 +10,8 @@ import divrec
 from divrec.arith import ContractViolation
 from divrec.fit import verify_params
 from divrec.harness import (
+    _BLOCK,
+    _blocks,
     KIND_CLASSIFIER_ONLY,
     KIND_ORACLE_ONLY,
     KIND_PREDICTION,
@@ -109,6 +111,28 @@ def test_report_bytes_identical_across_jobs(tmp_path):
     assert paths[0] == paths[1] == paths[2]
     first = json.loads(paths[0].decode().splitlines()[0])
     assert first["n"] == 2
+
+
+def test_report_near_1e12_identical_across_jobs_and_to_single_n(tmp_path):
+    lo, hi = 10**12 + 4_000, 10**12 + 6_999
+    paths = []
+    for jobs in (1, 2):
+        path = tmp_path / f"report-{jobs}.jsonl"
+        validate_range(lo, hi, jobs=jobs, report_path=path)
+        paths.append(path.read_bytes())
+    assert paths[0] == paths[1]
+    # the sieved block scan against per-n factorize
+    expected = "".join(record_line(check_single(n)) for n in range(lo, hi + 1))
+    assert paths[0].decode() == expected
+
+
+def test_blocks_give_every_worker_a_share():
+    assert _blocks(2, 3001, 1) == [(2, 3002)]
+    assert _blocks(2, 3001, 2) == [(2, 1502), (1502, 3002)]
+    assert _blocks(10, 12, 5) == [(10, 11), (11, 12), (12, 13)]
+    spans = _blocks(1, 3 * _BLOCK, 2)
+    assert [b - a for a, b in spans] == [_BLOCK] * 3
+    assert spans[0][0] == 1 and spans[-1][1] == 3 * _BLOCK + 1
 
 
 def test_record_json_round_trip():
@@ -219,13 +243,19 @@ def test_validate_range_contract():
         validate_range(10, 2)
     with pytest.raises(ContractViolation):
         validate_range(2, 10, jobs=0)
+    with pytest.raises(ContractViolation):
+        profile_sweep_failures(2, 10, jobs=0)
 
 
 def test_import_and_check_single_leave_numpy_unloaded():
-    code = "import sys, divrec; divrec.check_single(60); print('numpy' in sys.modules)"
+    # nor the prime table of range scans, which only factor_range builds
+    code = (
+        "import sys, divrec; divrec.check_single(60); print('numpy' in sys.modules,"
+        " divrec.arith._segment_prime_table.cache_info().currsize)"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(divrec.__file__).resolve().parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=60, check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False 0"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from divrec.arith import ContractViolation, factorize
@@ -74,6 +76,13 @@ def test_conjugate_fit_identity_sample():
 def test_profiles_in_range_matches_single_calls():
     got = list(profiles_in_range(2, 300))
     assert got == [profile(n) for n in range(2, 301)]
+
+
+def test_profiles_in_range_matches_single_calls_above_2e7():
+    # the sieved factorization feeds profile(n, fac=f); it must equal profile(n)
+    lo = random.Random(7).randrange(2 * 10**7, 10**11)
+    got = list(profiles_in_range(lo, lo + 1_500))
+    assert got == [profile(n) for n in range(lo, lo + 1_501)]
 
 
 def test_profile_accepts_precomputed_factorization():
