@@ -28,7 +28,7 @@ from .harness import (
     validate_range,
     write_summary_csv,
 )
-from .oracle import large_verdict, small_verdict
+from .oracle import verdict_for_sequence
 from .profiles import profile
 from .search import search_large5, search_s7
 
@@ -130,10 +130,14 @@ def _match_dict(m) -> dict:
     }
 
 
+def _verdicts(prof):
+    return verdict_for_sequence(prof.small_strict), verdict_for_sequence(prof.large_strict)
+
+
 def _classify_payload(n: int) -> dict:
     fac = factorize(n)
     prof = profile(n, fac=fac)
-    sv, lv = small_verdict(n, fac=fac), large_verdict(n, fac=fac)
+    sv, lv = _verdicts(prof)
     sm, lm = classify_small(n, fac=fac), classify_large(n, fac=fac)
     return {
         "n": n,
@@ -159,16 +163,12 @@ def _u_string(seq, witness) -> str:
     return f"  => U({seq[0]}, {seq[1]}, {a}, {b})"
 
 
-def _fac_string(fac) -> str:
-    return " * ".join(
-        f"{p}^{e}" if e > 1 else f"{p}" for p, e in fac.factors
-    )
+def _fac_string(factors) -> str:
+    return " * ".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in factors)
 
 
 def _print_classify_text(payload, out):
-    n = payload["n"]
-    fac = factorize(n)
-    print(f"n = {n} = {_fac_string(fac)}", file=out)
+    print(f"n = {payload['n']} = {_fac_string(payload['factorization'])}", file=out)
     print(f"tau = {payload['tau']}  square = {'yes' if payload['is_square'] else 'no'}",
           file=out)
     for side, label in (("small", "S'"), ("large", "L'")):
@@ -235,9 +235,8 @@ def _cmd_oracle(args) -> int:
     if args.bound is not None and not 1 <= args.bound <= _MAX_GRID_BOUND:
         raise ContractViolation(f"--bound must be in [1, {_MAX_GRID_BOUND}]")
     n = args.n
-    fac = factorize(n)
-    prof = profile(n, fac=fac)
-    sv, lv = small_verdict(n, fac=fac), large_verdict(n, fac=fac)
+    prof = profile(n, fac=factorize(n))
+    sv, lv = _verdicts(prof)
     payload = {
         "n": n,
         "small_divisors": list(prof.small_strict),

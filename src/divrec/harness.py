@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .arith import ContractViolation, Factorization, _guard, factor_range, factorize
 from .classify import LARGE, SMALL, classify_large, classify_small, verify_prediction
-from .oracle import verdict_for_sequence
+from .oracle import _verdict
 from .profiles import profile, tau_identity_holds
 
 __all__ = [
@@ -120,8 +120,9 @@ def _evaluate_full(
 ) -> tuple[ValidationRecord, list[ErrataEntry], bool, bool]:
     f = fac if fac is not None else factorize(n)
     prof = profile(n, fac=f)
-    sv = verdict_for_sequence(prof.small_strict)
-    lv = verdict_for_sequence(prof.large_strict)
+    # divisor sets of n are sorted, positive and below n, which is guarded
+    sv = _verdict(prof.small_strict)
+    lv = _verdict(prof.large_strict)
     sm = classify_small(n, fac=f)
     lm = classify_large(n, fac=f)
 
@@ -209,8 +210,27 @@ def validation_record_dict(rec: ValidationRecord) -> dict:
     }
 
 
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _json_int(v: int) -> str:
+    return str(v) if abs(v) <= _BIG else f'"{v}"'
+
+
 def record_line(rec: ValidationRecord) -> str:
-    return canonical_json(validation_record_dict(rec)) + "\n"
+    """One report line, byte-identical to
+    ``canonical_json(validation_record_dict(rec)) + "\\n"``.
+
+    The six keys are written directly, in sorted order.
+    """
+    return (
+        f'{{"large_forms":[{",".join(map(_json_int, rec.large_forms))}],'
+        f'"large_oracle":{_JSON_BOOL[rec.large_oracle]},'
+        f'"n":{_json_int(rec.n)},'
+        f'"prediction_ok":{_JSON_BOOL[rec.prediction_ok]},'
+        f'"small_forms":[{",".join(map(_json_int, rec.small_forms))}],'
+        f'"small_oracle":{_JSON_BOOL[rec.small_oracle]}}}\n'
+    )
 
 
 def erratum_record(e: ErrataEntry) -> dict:
@@ -390,6 +410,7 @@ def profile_sweep_failures(
         raise ContractViolation("need 2 <= lo <= hi")
     if jobs < 1:
         raise ContractViolation("jobs must be >= 1")
+    _guard(hi)
     results = _parallel_map(_scan_profile_block, _blocks(lo, hi, jobs), jobs, chunksize=1)
     tau_bad = [n for bad, _ in results for n in bad]
     reflect_bad = [n for _, bad in results for n in bad]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import ContractViolation, Factorization
-from .fit import FitKind, FitVerdict, solve_fit
+from .fit import FitKind, FitVerdict, _check_sequence, constraints_of, solve_constraints
 from .profiles import profile
 
 __all__ = [
@@ -54,12 +54,27 @@ def canonical_witness(fit: FitVerdict) -> tuple[int, int] | None:
     return best[1]
 
 
+# Every set of at most two terms satisfies every (a, b): one shared verdict.
+_VACUOUS = RecurrenceVerdict(True, True, FitVerdict(FitKind.VACUOUS), None)
+
+
 def verdict_for_sequence(seq) -> RecurrenceVerdict:
-    fit = solve_fit(list(seq))
-    vacuous = fit.kind is FitKind.VACUOUS
-    recurrent = fit.kind is not FitKind.EMPTY
-    witness = canonical_witness(fit) if recurrent and not vacuous else None
-    return RecurrenceVerdict(recurrent, vacuous, fit, witness)
+    """Verdict for a strictly increasing positive sequence within the input bound."""
+    seq = list(seq)
+    _check_sequence(seq)
+    return _verdict(seq)
+
+
+def _verdict(seq) -> RecurrenceVerdict:
+    """``verdict_for_sequence`` for a sequence already known to pass its checks,
+    such as a strict divisor set of a guarded n."""
+    if len(seq) <= 2:
+        return _VACUOUS
+    # positive coefficients: the solution set is never vacuous here
+    fit = solve_constraints(constraints_of(seq))
+    if fit.kind is FitKind.EMPTY:
+        return RecurrenceVerdict(False, False, fit, None)
+    return RecurrenceVerdict(True, False, fit, canonical_witness(fit))
 
 
 def small_verdict(n: int, *, fac: Factorization | None = None) -> RecurrenceVerdict:

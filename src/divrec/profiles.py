@@ -8,6 +8,7 @@ comparing d*d against n, never through floating point.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -45,9 +46,12 @@ def profile(n: int, *, fac: Factorization | None = None) -> DivisorProfile:
         raise ContractViolation("profile requires n >= 2")
     f = fac if fac is not None else factorize(n)
     divs = divisors_sorted(f)
-    small = tuple(d for d in divs if 1 < d and d * d < n)
-    large = tuple(d for d in divs if d < n and d * d > n)
-    _, exact = isqrt_exact(n)
+    root, exact = isqrt_exact(n)
+    # d*d < n iff d <= root - exact, and d*d > n iff d > root; each set is
+    # cut from the sorted divisors on its own, so the tau identity and the
+    # reflection test still check two independent slices.
+    small = tuple(divs[1 : bisect_left(divs, root + 1 - exact)])
+    large = tuple(divs[bisect_right(divs, root) : -1])
     return DivisorProfile(n, small, large, tau(f), exact)
 
 

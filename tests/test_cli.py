@@ -124,6 +124,38 @@ def test_tau_check_cli(capsys):
     assert "0 tau-identity failures" in out
 
 
+def test_tau_check_out_of_bound_exits_one_before_work(capsys, monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("_blocks called before the input bound was checked")
+
+    monkeypatch.setattr(harness, "_blocks", no_blocks)
+    code, out, err = run(capsys, "tau-check", "--from", "2", "--to", str(2**63))
+    assert code == 1 and out == ""
+    assert "exceeds the input bound" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "oracle"])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_single_n_commands_build_one_profile(capsys, monkeypatch, command, fmt):
+    # one factorization and one profile per call, in every format
+    from divrec import oracle
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "factorize", counting("factorize", cli.factorize))
+    monkeypatch.setattr(cli, "profile", counting("profile", cli.profile))
+    monkeypatch.setattr(oracle, "profile", counting("profile", oracle.profile))
+    code, out, _ = run(capsys, command, "360", "--format", fmt)
+    assert code == 0 and out
+    assert sorted(calls) == ["factorize", "profile"]
+
+
 def test_bad_arguments_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify"])  # missing n

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import divrec
-from divrec.arith import ContractViolation
+from divrec import harness
+from divrec.arith import CapacityError, ContractViolation
 from divrec.fit import verify_params
 from divrec.harness import (
     _BLOCK,
@@ -143,6 +145,17 @@ def test_record_json_round_trip():
     assert parsed["small_forms"] == [10]
 
 
+def test_record_line_matches_canonical_json():
+    # the direct writer against the generic encoder it replaces, around the
+    # 2**53 cut where integers turn into strings
+    forms = [(), (1,), (2, 7, 9)]
+    for n in (2, 2**53 - 1, 2**53, 2**53 + 1, 2**62):
+        for small_forms, large_forms in itertools.product(forms, forms):
+            for small, large, ok in itertools.product((False, True), repeat=3):
+                rec = ValidationRecord(n, small, small_forms, large, large_forms, ok)
+                assert record_line(rec) == canonical_json(validation_record_dict(rec)) + "\n"
+
+
 def test_big_integers_serialize_as_strings():
     obj = {"n": 1 << 61, "small": 7}
     encoded = json.loads(canonical_json(obj))
@@ -224,6 +237,19 @@ def test_allowlist_rejects_malformed_file(tmp_path):
 def test_profile_sweep():
     tau_bad, reflect_bad = profile_sweep_failures(2, 20000, jobs=2)
     assert tau_bad == [] and reflect_bad == []
+
+
+def test_profile_sweep_guards_before_cutting_blocks(monkeypatch):
+    # an out-of-bound range must fail before the block list is built: at
+    # hi = 2**63 that list alone would hold about 1.4e14 spans
+    def no_blocks(*args):
+        raise AssertionError("_blocks called before the input bound was checked")
+
+    monkeypatch.setattr(harness, "_blocks", no_blocks)
+    with pytest.raises(CapacityError):
+        profile_sweep_failures(2, 2**63)
+    with pytest.raises(CapacityError):
+        validate_range(2, 2**63)
 
 
 def test_default_jobs_env_override(monkeypatch):

@@ -1,8 +1,17 @@
+import dataclasses
+
 import pytest
 
-from divrec.arith import ContractViolation, primes_upto, set_input_bound
-from divrec.fit import FitKind, verify_params
-from divrec.oracle import canonical_witness, large_verdict, small_verdict
+from divrec.arith import CapacityError, ContractViolation, primes_upto, set_input_bound
+from divrec.fit import FitKind, solve_fit, verify_params
+from divrec.oracle import (
+    RecurrenceVerdict,
+    _verdict,
+    canonical_witness,
+    large_verdict,
+    small_verdict,
+    verdict_for_sequence,
+)
 from divrec.profiles import profile, profiles_in_range
 
 
@@ -91,3 +100,45 @@ def test_canonical_witness_prefers_small_a_then_b():
     v = large_verdict(100)
     assert v.fit.kind is FitKind.LINE
     assert canonical_witness(v.fit) == (2, 0)
+
+
+def verdict_by_solve_fit(seq):
+    """Reference: the verdict as built from ``solve_fit`` on every call."""
+    fit = solve_fit(list(seq))
+    vacuous = fit.kind is FitKind.VACUOUS
+    recurrent = fit.kind is not FitKind.EMPTY
+    witness = canonical_witness(fit) if recurrent and not vacuous else None
+    return RecurrenceVerdict(recurrent, vacuous, fit, witness)
+
+
+def test_core_matches_public_verdict_over_range():
+    # equality compares recurrent, vacuous, fit and witness
+    for prof in profiles_in_range(2, 20_000):
+        for seq in (prof.small_strict, prof.large_strict):
+            assert _verdict(seq) == verdict_for_sequence(seq) == verdict_by_solve_fit(seq), seq
+
+
+def test_short_sequences_share_one_frozen_vacuous_verdict():
+    v = _verdict(())
+    assert v is _verdict((2,)) is _verdict((2, 3)) is verdict_for_sequence([5, 7])
+    assert v == verdict_by_solve_fit(())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.recurrent = False
+
+
+@pytest.mark.parametrize("seq", [
+    [3, 3], [2, 1], [1, 2, 2, 5], [2, 3, 5, 4],  # not strictly increasing
+    [0], [-1, 2], [0, 1, 2, 3],  # not positive
+])
+def test_public_verdict_rejects_bad_sequences(seq):
+    with pytest.raises(ContractViolation):
+        verdict_for_sequence(seq)
+    with pytest.raises(ContractViolation):
+        verdict_for_sequence(tuple(seq))
+
+
+@pytest.mark.parametrize("seq", [[2**62 + 1], [1, 2**62 + 1], [1, 2, 2**63]])
+def test_public_verdict_rejects_over_bound_sequences(seq):
+    # the input bound has its own error, as everywhere in the package
+    with pytest.raises(CapacityError):
+        verdict_for_sequence(seq)

@@ -2,9 +2,29 @@ import random
 
 import pytest
 
-from divrec.arith import ContractViolation, factorize
+from divrec.arith import (
+    ContractViolation,
+    divisors_sorted,
+    factorize,
+    isqrt_exact,
+    primes_upto,
+    tau,
+)
 from divrec.fit import FitKind, solve_fit
-from divrec.profiles import check_tau_identity, profile, profiles_in_range
+from divrec.profiles import (
+    DivisorProfile,
+    check_tau_identity,
+    profile,
+    profiles_in_range,
+)
+
+
+def profile_by_filter(n, fac):
+    """Reference: each strict set by filtering every divisor on d*d against n."""
+    divs = divisors_sorted(fac)
+    small = tuple(d for d in divs if 1 < d and d * d < n)
+    large = tuple(d for d in divs if d < n and d * d > n)
+    return DivisorProfile(n, small, large, tau(fac), isqrt_exact(n)[1])
 
 
 def test_profile_60():
@@ -88,3 +108,18 @@ def test_profiles_in_range_matches_single_calls_above_2e7():
 def test_profile_accepts_precomputed_factorization():
     f = factorize(360)
     assert profile(360, fac=f) == profile(360)
+
+
+def test_profile_slices_match_filter_reference():
+    for p in profiles_in_range(2, 20_000):
+        assert p == profile_by_filter(p.n, factorize(p.n))
+    for p in primes_upto(100):
+        pk = p
+        while pk <= 10**12:
+            assert profile(pk) == profile_by_filter(pk, factorize(pk)), pk
+            pk *= p
+    rng = random.Random(20_262)
+    for _ in range(2_000):
+        n = rng.randrange(2, 2**62 + 1)
+        f = factorize(n)
+        assert profile(n, fac=f) == profile_by_filter(n, f), n

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from divrec import harness
 from divrec.arith import CapacityError, ContractViolation, FactorSieve, is_prime, primes_upto
 from divrec.classify import _divides, _s7_solution, classify_small
 from divrec.oracle import large_verdict, small_verdict
@@ -89,6 +90,28 @@ def test_s7_fixture():
 
 def test_s7_parallel_determinism():
     assert search_s7(60, jobs=1) == search_s7(60, jobs=2) == search_s7(60, jobs=5)
+
+
+def test_small_searches_start_no_pool(monkeypatch):
+    # below _POOL_MIN_PRIMES primes a pool costs more than the scan
+    expected = (search_s7(100), search_large5(100))
+
+    def no_pool(*args):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(harness, "get_context", no_pool)
+    assert search_s7(100, jobs=2) == expected[0]
+    assert search_large5(100, jobs=2) == expected[1]
+
+
+def test_large_searches_run_on_a_pool(monkeypatch):
+    # 2 262 primes up to 20 000, above _POOL_MIN_PRIMES
+    started = []
+    fork = harness.get_context
+    monkeypatch.setattr(harness, "get_context", lambda m: started.append(m) or fork(m))
+    assert search_s7(20_000, jobs=2) == search_s7(20_000, jobs=1)
+    assert search_large5(20_000, jobs=2) == search_large5(20_000, jobs=1) == []
+    assert started == ["fork", "fork"]
 
 
 def test_s7_matches_form_10_classification():
