@@ -17,6 +17,7 @@ from .arith import CapacityError, ContractViolation, factorize
 from .classify import classify_large, classify_small, verify_prediction
 from .fit import FitVerdict, brute_force_fit
 from .harness import (
+    _replace_when_done,
     append_ledger,
     canonical_json,
     default_jobs,
@@ -338,7 +339,7 @@ def _search_common(args, runner, order):
     hits = runner(args.pmax, jobs=jobs)
     records = [asdict(h) for h in hits]
     if args.out:
-        with open(args.out, "w") as fh:
+        with _replace_when_done(args.out) as fh:
             for rec in records:
                 fh.write(canonical_json(rec) + "\n")
     if args.format == "json":

@@ -2,12 +2,14 @@
 
 Neither form has a closed-form answer, so both searches try, for every
 prime p <= p_max, each q that the form's divisibility conditions leave
-open.  Those conditions pin q near p^{3/2} (s7) or p^{5/2} (large5), so a
-search tests O(sqrt(p)) or two candidates per p and needs no prime table
-beyond the primes up to p_max; the bounds are proved in the docstrings of
-``_s7_scan_p`` and ``_l5_scan_p``.  Every hit is confirmed against the
-brute-force oracle, and results are deterministic regardless of how the
-work is split across processes.
+open.  Those conditions pin q near p^{3/2} (s7) or p^{5/2} (large5): s7
+solves one quadratic per integer j up to about p^{1/4}/sqrt(2), large5
+keeps q in {isqrt(p^5), isqrt(p^5) + 1} only if p^5 - q^2 divides p - 1,
+and only the survivors get a primality test.  The only table is the primes
+up to p_max; the proofs are in the docstrings of ``_s7_candidates`` and
+``_l5_candidates``.  Every hit is confirmed by the brute-force oracle from
+its known factorization, and results are deterministic regardless of how
+the work is split across processes.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import ContractViolation, _guard, is_prime, primes_upto
+from .arith import ContractViolation, Factorization, _guard, is_prime, primes_upto
 from .classify import _divides, _s7_solution
 from .harness import _parallel_map
-from .oracle import large_verdict, small_verdict
+from .oracle import _verdict
+from .profiles import profile
 
 __all__ = ["L5Pair", "S7Triple", "search_large5", "search_s7"]
 
@@ -46,61 +49,96 @@ class L5Pair:
     oracle_confirmed: bool
 
 
-def _s7_scan_p(p: int) -> list[S7Triple]:
-    """Every s7 triple (p, q, r) for this p.
+def _s7_candidates(p: int) -> list[int]:
+    """Every q > 0 for which ``_s7_solution(p, q)`` can succeed, and a few more.
 
     Let den = q^2 - p^3 and root = p*q - r.  ``_s7_solution`` requires
-    den > 0, q < p^2, den | root and root^2 = den*(p^2 - q) > 0.  Then
-    den^2 | den*(p^2 - q), so den | p^2 - q > 0 and den <= p^2 - q, that
-    is q^2 + q <= p^3 + p^2.  Hence p^3 < q^2 <= p^3 + p^2: the only
-    candidates are q in [isqrt(p^3) + 1, isqrt(p^3 + p^2)], about
-    sqrt(p)/2 integers, all above p and, as p + 1 < p^2, below p^2.
+    den > 0, q < p^2, den | root and root^2 = den*(p^2 - q) > 0.  So
+    root = j*den for an integer j >= 1, and p^2 - q = j^2*den: q is the
+    positive root of j^2*q^2 + q - (j^2*p^3 + p^2) = 0, an integer only
+    when 1 + 4*j^2*(j^2*p^3 + p^2) is a square whose root t has
+    2*j^2 | t - 1, and then q = (t - 1) / (2*j^2).
+
+    Let s = isqrt(p^3), so p^3 <= s^2 + 2s; den > 0 means q >= s + 1, and
+    q = s + 1 is a candidate on its own.  For q >= s + 2,
+    den >= (s + 2)^2 - s^2 - 2s = 2s + 4 and j^2*den = p^2 - q <= p^2 - s - 2,
+    so j^2 <= (p^2 - s - 2) // (2s + 4): about p^{1/4}/sqrt(2) values of j,
+    one ``isqrt`` each.  Nothing here assumes p prime.
+    """
+    p2 = p * p
+    p3 = p2 * p
+    s = isqrt(p3)
+    qs = [s + 1]
+    for j in range(1, isqrt((p2 - s - 2) // (2 * s + 4)) + 1):
+        j2 = j * j
+        q = (isqrt(1 + 4 * j2 * (j2 * p3 + p2)) - 1) // (2 * j2)
+        if q > s + 1 and j2 * (q * q - p3) == p2 - q:
+            qs.append(q)
+    return qs
+
+
+def _s7_scan_p(p: int) -> list[S7Triple]:
+    """Every s7 triple (p, q, r) for this p, from ``_s7_candidates``.
+
+    The checks are conjunctive, so they run cheapest first: the arithmetic
+    of ``_s7_solution`` before any primality test.  Each hit is confirmed
+    by the oracle from its known factorization, so n is never factorized
+    or held to the input bound.
     """
     p2 = p * p
     hits = []
-    for q in range(isqrt(p2 * p) + 1, isqrt(p2 * p + p2) + 1):
-        if not is_prime(q):
-            continue
+    for q in _s7_candidates(p):
         sol = _s7_solution(p, q)
-        if sol is None or sol[0] <= p2 or not is_prime(sol[0]):
+        if sol is None or sol[0] <= p2 or not (is_prime(q) and is_prime(sol[0])):
             continue
         r, a, b = sol
         n = p2 * q * r
-        _guard(n)
-        hits.append(S7Triple(p, q, r, n, a, b, small_verdict(n).recurrent))
+        prof = profile(n, fac=Factorization(n, ((p, 2), (q, 1), (r, 1))))
+        hits.append(S7Triple(p, q, r, n, a, b, _verdict(prof.small_strict).recurrent))
     return hits
 
 
-def _l5_scan_p(p: int) -> list[L5Pair]:
-    """Every large5 pair (p, q) for this p, p^2 < q < p^3.
+def _l5_candidates(p: int) -> list[int]:
+    """The q in {isqrt(p^5), isqrt(p^5) + 1} with p^5 - q^2 | p - 1.
 
-    Let d = p^5 - q^2; d != 0 because p^5 is not a square.  The form
-    requires d | p^2 - q, and p^2 - q != 0, so |p^5 - q^2| <= q - p^2 < q.
-    With s = isqrt(p^5): if q >= s + 2 then q^2 - p^5 > q^2 - (q - 1)^2
-    = 2q - 1 >= q, and if q <= s - 1 then p^5 - q^2 >= s^2 - (s - 1)^2
-    = 2s - 1 > q.  Hence |q - p^{5/2}| < 1 and q is s or s + 1.
+    Let d = p^5 - q^2; d != 0 unless p is a square.  The form requires
+    d | p^2 - q and d | p^3 - q, so d | (p^3 - q) - (p^2 - q) = p^2*(p - 1).
+    For prime p and prime q > p, p does not divide q^2, so d is prime to p
+    and d | p - 1.  A composite q fails the primality test anyway, so the
+    filter loses no hit.
+
+    Why q is one of the two: the form has p^2 < q < p^3, so p^2 - q != 0
+    and |p^5 - q^2| <= q - p^2 < q.  With s = isqrt(p^5): if q >= s + 2
+    then q^2 - p^5 > q^2 - (q - 1)^2 = 2q - 1 >= q, and if q <= s - 1 then
+    p^5 - q^2 >= s^2 - (s - 1)^2 = 2s - 1 > q.  Hence |q - p^{5/2}| < 1.
+    For p >= 2 both lie in p^2 < q < p^3, since (p^2 + 1)^2 <= p^5 and
+    p^{5/2} + 1 < p^3.
     """
-    p2, p3 = p * p, p**3
-    d_base = p**5
-    s = isqrt(d_base)
+    p5 = p**5
+    s = isqrt(p5)
+    return [q for q in (s, s + 1) if _divides(p5 - q * q, p - 1)]
+
+
+def _l5_scan_p(p: int) -> list[L5Pair]:
+    """Every large5 pair (p, q) for this p, checked as in ``_s7_scan_p``."""
+    p2 = p * p
     hits = []
-    for q in (s, s + 1):
-        if not (p2 < q < p3 and is_prime(q)):
-            continue
-        d = d_base - q * q
-        if _divides(d, p2 - q) and _divides(d, p3 - q):
-            n = p**4 * q
-            _guard(n)
-            hits.append(L5Pair(p, q, n, large_verdict(n).recurrent))
+    for q in _l5_candidates(p):
+        d = p**5 - q * q
+        if _divides(d, p2 - q) and _divides(d, p2 * p - q) and is_prime(q):
+            n = p2 * p2 * q
+            prof = profile(n, fac=Factorization(n, ((p, 4), (q, 1))))
+            hits.append(L5Pair(p, q, n, _verdict(prof.large_strict).recurrent))
     return hits
 
 
 # Fewer primes than this are scanned in this process whatever ``jobs`` says:
 # starting a fork pool costs more than it saves.  Best of three on a 2-CPU
-# VM, jobs=1 against jobs=2: 1 229 primes (p_max = 10^4) took 50 vs 47 ms
-# for search_s7 and 12 vs 25 ms for search_large5; 4 203 primes
-# (p_max = 4*10^4) took 400 vs 254 ms and 57 vs 60 ms.
-_POOL_MIN_PRIMES = 2000
+# VM, jobs=1 against jobs=2: 7 837 primes (p_max = 8*10^4) took 75 vs 70 ms
+# for search_s7 and 30 vs 49 ms for search_large5; 11 301 primes
+# (p_max = 1.2*10^5) took 147 vs 107 ms and 41 vs 54 ms; large5 gains from
+# the pool only beyond about 26 000 primes (p_max = 3*10^5: 110 vs 110 ms).
+_POOL_MIN_PRIMES = 10_000
 
 
 def _scan_primes(scan_p, p_max: int, jobs: int) -> list:
@@ -119,10 +157,11 @@ def _scan_primes(scan_p, p_max: int, jobs: int) -> list:
 def search_s7(p_max: int, *, jobs: int = 1) -> list[S7Triple]:
     """Every qualifying triple with p <= p_max, sorted by (p, q, r).
 
-    For each prime p the divisibility conditions leave only the q with
-    p^3 < q^2 <= p^3 + p^2 (see ``_s7_scan_p``), and the third prime r is
-    forced by the square-root equation, so the work per p is about
-    sqrt(p)/2 primality tests.
+    For each prime p the divisibility conditions leave q = isqrt(p^3) + 1
+    and at most one q per integer j <= about p^{1/4}/sqrt(2), each found
+    with one ``isqrt`` (see ``_s7_candidates``); the third prime r is forced
+    by the square-root equation, and only a q and r that pass every
+    arithmetic check get a primality test.
     """
     hits = _scan_primes(_s7_scan_p, p_max, jobs)
     hits.sort(key=lambda t: (t.p, t.q, t.r))
@@ -132,7 +171,8 @@ def search_s7(p_max: int, *, jobs: int = 1) -> list[S7Triple]:
 def search_large5(p_max: int, *, jobs: int = 1) -> list[L5Pair]:
     """Every qualifying pair with p <= p_max, p^2 < q < p^3, sorted by (p, q).
 
-    Only q = isqrt(p^5) and isqrt(p^5) + 1 can qualify (see ``_l5_scan_p``).
+    Only q = isqrt(p^5) or isqrt(p^5) + 1 with p^5 - q^2 | p - 1 can qualify
+    (see ``_l5_candidates``).
     """
     hits = _scan_primes(_l5_scan_p, p_max, jobs)
     hits.sort(key=lambda t: (t.p, t.q))

@@ -298,3 +298,29 @@ def test_validate_interrupted_summary_and_ledger_keep_old_files(
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
     assert (tmp_path / "report.errata.jsonl").read_bytes() == before["report.errata.jsonl"]
     assert (tmp_path / "report.summary.csv").read_bytes() != before["report.summary.csv"]
+
+
+def test_search_interrupted_out_leaves_no_file_or_the_old_one(
+    capsys, tmp_path, monkeypatch
+):
+    out = tmp_path / "hits.jsonl"
+    argv = ["search-s7", "--pmax", "20", "--jobs", "1", "--format", "csv",
+            "--out", str(out)]
+
+    def fail(rec):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "canonical_json", fail)
+    with pytest.raises(OSError, match="disk full"):
+        main(argv)
+    assert list(tmp_path.iterdir()) == []
+
+    out.write_text("old\n")
+    with pytest.raises(OSError, match="disk full"):
+        main(argv)
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text() == "old\n"
+
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert out.read_text() == '{"a":2,"b":-1,"n":60,"oracle_confirmed":true,"p":2,"q":3,"r":5}\n'

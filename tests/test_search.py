@@ -1,14 +1,30 @@
 import json
 from bisect import bisect_left, bisect_right
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
 from divrec import harness
-from divrec.arith import CapacityError, ContractViolation, FactorSieve, is_prime, primes_upto
+from divrec.arith import (
+    CapacityError,
+    ContractViolation,
+    FactorSieve,
+    input_bound,
+    is_prime,
+    primes_upto,
+    set_input_bound,
+)
 from divrec.classify import _divides, _s7_solution, classify_small
 from divrec.oracle import large_verdict, small_verdict
-from divrec.search import L5Pair, S7Triple, search_large5, search_s7
+from divrec.search import (
+    L5Pair,
+    S7Triple,
+    _l5_candidates,
+    _s7_candidates,
+    search_large5,
+    search_s7,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -105,12 +121,12 @@ def test_small_searches_start_no_pool(monkeypatch):
 
 
 def test_large_searches_run_on_a_pool(monkeypatch):
-    # 2 262 primes up to 20 000, above _POOL_MIN_PRIMES
+    # 11 301 primes up to 120 000, above _POOL_MIN_PRIMES
     started = []
     fork = harness.get_context
     monkeypatch.setattr(harness, "get_context", lambda m: started.append(m) or fork(m))
-    assert search_s7(20_000, jobs=2) == search_s7(20_000, jobs=1)
-    assert search_large5(20_000, jobs=2) == search_large5(20_000, jobs=1) == []
+    assert search_s7(120_000, jobs=2) == search_s7(120_000, jobs=1)
+    assert search_large5(120_000, jobs=2) == search_large5(120_000, jobs=1) == []
     assert started == ["fork", "fork"]
 
 
@@ -202,3 +218,61 @@ def test_hostile_pmax_raises_before_any_table(monkeypatch):
         assert runner(29_210_829) == []
         assert built == [29_210_830]
         built.clear()
+
+
+def test_s7_fixture_pmax1000000():
+    got = [
+        {"p": h.p, "q": h.q, "r": h.r, "n": h.n, "a": h.a, "b": h.b,
+         "oracle_confirmed": h.oracle_confirmed}
+        for h in search_s7(1_000_000)
+    ]
+    text = (FIXTURES / "search_s7_pmax1000000.jsonl").read_text()
+    assert got == [json.loads(line) for line in text.splitlines() if line]
+    assert [(h["p"], h["q"], h["r"]) for h in got] == [(2, 3, 5)]
+
+
+def test_large5_fixture_pmax1000000_empty():
+    assert (FIXTURES / "search_large5_pmax1000000.jsonl").read_text() == ""
+    assert search_large5(1_000_000) == []
+
+
+def test_s7_candidates_cover_the_window():
+    # every integer p, not only primes: the derivation never uses primality.
+    # Below 3 000 only (2, 3) and (21, 98) pass _s7_solution; 98 comes from
+    # j = 1, 3 from the separate q = isqrt(p^3) + 1.
+    accepted = []
+    for p in range(2, 3000):
+        s = isqrt(p**3)
+        window = range(s + 1, isqrt(p**3 + p * p) + 1)
+        ok = [q for q in window if _s7_solution(p, q) is not None]
+        cands = _s7_candidates(p)
+        assert set(ok) <= set(cands), p
+        assert len(cands) == len(set(cands)) and min(cands) > s, p
+        accepted += [(p, q) for q in ok]
+    assert accepted == [(2, 3), (21, 98)]
+
+
+def test_large5_filter_keeps_every_passing_q():
+    # every integer p, not only primes; no q passes both checks below 3 000,
+    # so this guards the filter against dropping one, not the hits
+    for p in range(2, 3000):
+        s = isqrt(p**5)
+        passing = [
+            q for q in (s, s + 1)
+            if _divides(p**5 - q * q, p * p - q) and _divides(p**5 - q * q, p**3 - q)
+        ]
+        assert set(passing) <= set(_l5_candidates(p)) <= {s, s + 1}, p
+
+
+@pytest.fixture
+def input_bound_59():
+    old = input_bound()
+    set_input_bound(59)
+    yield
+    set_input_bound(old)
+
+
+def test_hit_above_input_bound_is_reported(input_bound_59):
+    # n = 60 exceeds the bound; the hit is confirmed from its known
+    # factorization, so n is never factorized or guarded
+    assert search_s7(2) == [S7Triple(p=2, q=3, r=5, n=60, a=2, b=-1, oracle_confirmed=True)]
