@@ -59,6 +59,9 @@ class FitVerdict:
         return self.kind.value
 
 
+_EMPTY_FIT = FitVerdict(FitKind.EMPTY)  # frozen: every empty result shares it
+
+
 def _check_sequence(seq: Sequence[int]) -> None:
     for i, v in enumerate(seq):
         if v < 1:
@@ -104,24 +107,24 @@ def _canonical_base(a0: int, b0: int, du: int, dv: int) -> tuple[int, int]:
 def solve_constraints(constraints: Iterable[tuple[int, int, int]]) -> FitVerdict:
     """Solve {ca*a + cb*b = rhs} exactly over the integers.
 
-    The first constraint fixes a line via extended gcd; each later one
-    either keeps the whole line (proportional and consistent), pins the
-    line parameter to one integer, or kills the system.
+    The first constraint with a nonzero coefficient fixes a line via
+    extended gcd; each later one either keeps the whole line (proportional
+    and consistent), pins the line parameter to one integer, or kills the
+    system.  The constraints are read once, in order, and no further than
+    the first contradiction.
     """
-    live = []
-    for ca, cb, rhs in constraints:
-        if ca == 0 and cb == 0:
-            if rhs != 0:
-                return FitVerdict(FitKind.EMPTY)
-            continue
-        live.append((ca, cb, rhs))
-    if not live:
+    rows = iter(constraints)
+    for ca, cb, rhs in rows:
+        if ca or cb:
+            break
+        if rhs:
+            return _EMPTY_FIT
+    else:
         return FitVerdict(FitKind.VACUOUS)
 
-    ca, cb, rhs = live[0]
     g, x, y = _ext_gcd(ca, cb)
     if rhs % g:
-        return FitVerdict(FitKind.EMPTY)
+        return _EMPTY_FIT
     scale = rhs // g
     a0, b0 = x * scale, y * scale
     du, dv = cb // g, -(ca // g)
@@ -129,22 +132,22 @@ def solve_constraints(constraints: Iterable[tuple[int, int, int]]) -> FitVerdict
         du, dv = -du, -dv
 
     t_pin: int | None = None
-    for ca, cb, rhs in live[1:]:
+    for ca, cb, rhs in rows:  # a row 0*a + 0*b = rhs holds iff rhs == 0
         if t_pin is None:
             coeff = ca * du + cb * dv
             rem = rhs - (ca * a0 + cb * b0)
             if coeff == 0:
                 if rem != 0:
-                    return FitVerdict(FitKind.EMPTY)
+                    return _EMPTY_FIT
             elif rem % coeff:
-                return FitVerdict(FitKind.EMPTY)
+                return _EMPTY_FIT
             else:
                 t_pin = rem // coeff
         else:
             a = a0 + t_pin * du
             b = b0 + t_pin * dv
             if ca * a + cb * b != rhs:
-                return FitVerdict(FitKind.EMPTY)
+                return _EMPTY_FIT
 
     if t_pin is not None:
         return FitVerdict(

@@ -4,7 +4,10 @@ For every n in a range the harness computes the divisor profile, both
 brute-force verdicts, both classifications, and prediction checks, then
 files any disagreement as an erratum.  Scans run in contiguous blocks,
 optionally across worker processes; the merged output is deterministic
-and independent of the worker count, byte for byte.
+and independent of the worker count, byte for byte.  A validate block
+gets its factorizations from the factor sieve and its divisor sets from
+the divisor sieve of ``profiles._profile_range``; ``check_single`` and the
+``tau-check`` sweep build each profile on its own.
 
 Report formats:
   * report:  JSONL, one validation record per line, sorted keys, integers
@@ -29,7 +32,7 @@ from pathlib import Path
 from .arith import ContractViolation, Factorization, _guard, factor_range, factorize
 from .classify import LARGE, SMALL, classify_large, classify_small, verify_prediction
 from .oracle import _verdict
-from .profiles import profile, tau_identity_holds
+from .profiles import DivisorProfile, _profile_range, profile, tau_identity_holds
 
 __all__ = [
     "AllowlistEntry",
@@ -100,7 +103,15 @@ def default_jobs() -> int:
         if not env.strip().isdecimal() or int(env) < 1:
             raise ContractViolation(f"{JOBS_ENV} must be a positive integer")
         return int(env)
-    return os.cpu_count() or 1
+    return _available_cpus()
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where there is one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 # ----------------------------------------------------------------------
@@ -111,15 +122,15 @@ def evaluate_single(
     n: int, *, fac: Factorization | None = None
 ) -> tuple[ValidationRecord, list[ErrataEntry]]:
     """The per-n record plus every oracle/classifier disagreement."""
-    record, errata, _, _ = _evaluate_full(n, fac)
+    f = fac if fac is not None else factorize(n)
+    record, errata, _, _ = _evaluate_full(f, profile(n, fac=f))
     return record, errata
 
 
 def _evaluate_full(
-    n: int, fac: Factorization | None
+    f: Factorization, prof: DivisorProfile
 ) -> tuple[ValidationRecord, list[ErrataEntry], bool, bool]:
-    f = fac if fac is not None else factorize(n)
-    prof = profile(n, fac=f)
+    n = f.n
     # divisor sets of n are sorted, positive and below n, which is guarded
     sv = _verdict(prof.small_strict)
     lv = _verdict(prof.large_strict)
@@ -137,37 +148,40 @@ def _evaluate_full(
                 f"form {m.form_id} predicted {list(m.predicted_set or ())} "
                 f"u={m.predicted_u}, computed {list(side)}",
             ))
-
-    for theorem, verdict, matches, divs, name in (
-        (SMALL, sv, sm, prof.small_strict, "S'"),
-        (LARGE, lv, lm, prof.large_strict, "L'"),
-    ):
-        if verdict.recurrent and not matches:
-            witness = (
-                f"witness (a, b) = {verdict.witness}"
-                if verdict.witness is not None
-                else "vacuously recurrent"
-            )
-            errata.append(ErrataEntry(
-                n, theorem, KIND_ORACLE_ONLY,
-                f"{name} = {list(divs)}; {witness}; no form matches",
-            ))
-        elif matches and not verdict.recurrent:
-            errata.append(ErrataEntry(
-                n, theorem, KIND_CLASSIFIER_ONLY,
-                f"forms {[m.form_id for m in matches]} matched but "
-                f"{name} = {list(divs)} admits no fit",
-            ))
+    if sv.recurrent != bool(sm):
+        errata.append(_disagreement(n, SMALL, sv, sm, prof.small_strict))
+    if lv.recurrent != bool(lm):
+        errata.append(_disagreement(n, LARGE, lv, lm, prof.large_strict))
 
     record = ValidationRecord(
         n,
         sv.recurrent,
-        tuple(m.form_id for m in sm),
+        tuple([m.form_id for m in sm]),
         lv.recurrent,
-        tuple(m.form_id for m in lm),
+        tuple([m.form_id for m in lm]),
         prediction_ok,
     )
     return record, errata, sv.vacuous, lv.vacuous
+
+
+def _disagreement(n, theorem, verdict, matches, divs) -> ErrataEntry:
+    """The erratum for an oracle verdict that its form matches contradict."""
+    name = "S'" if theorem == SMALL else "L'"
+    if verdict.recurrent:
+        witness = (
+            f"witness (a, b) = {verdict.witness}"
+            if verdict.witness is not None
+            else "vacuously recurrent"
+        )
+        return ErrataEntry(
+            n, theorem, KIND_ORACLE_ONLY,
+            f"{name} = {list(divs)}; {witness}; no form matches",
+        )
+    return ErrataEntry(
+        n, theorem, KIND_CLASSIFIER_ONLY,
+        f"forms {[m.form_id for m in matches]} matched but "
+        f"{name} = {list(divs)} admits no fit",
+    )
 
 
 def check_single(n: int) -> ValidationRecord:
@@ -300,10 +314,14 @@ def append_ledger(path, errata) -> int:
 
 
 def _parallel_map(worker, tasks, jobs, *, chunksize=None) -> list:
-    """``[worker(t) for t in tasks]``, on up to ``jobs`` forked workers."""
+    """``[worker(t) for t in tasks]``, on up to ``jobs`` forked workers.
+
+    The pool never has more workers than tasks or than CPUs this process
+    may use; ``jobs`` and the task list alone decide whether there is one.
+    """
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
-    with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
+    with get_context("fork").Pool(min(jobs, len(tasks), _available_cpus())) as pool:
         return pool.map(worker, tasks, chunksize=chunksize)
 
 
@@ -313,8 +331,8 @@ def _scan_validation_block(task):
     errata: list[ErrataEntry] = []
     lines: list[str] = []
     collect = part is not None
-    for f in factor_range(lo, hi_excl):
-        rec, errs, small_vac, large_vac = _evaluate_full(f.n, f)
+    for f, prof in _profile_range(lo, hi_excl):
+        rec, errs, small_vac, large_vac = _evaluate_full(f, prof)
         counts[0] += rec.small_oracle
         counts[1] += small_vac
         counts[2] += rec.large_oracle

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import ContractViolation, Factorization
-from .fit import FitKind, FitVerdict, _check_sequence, constraints_of, solve_constraints
+from .fit import FitKind, FitVerdict, _check_sequence, solve_constraints
 from .profiles import profile
 
 __all__ = [
@@ -54,8 +54,10 @@ def canonical_witness(fit: FitVerdict) -> tuple[int, int] | None:
     return best[1]
 
 
-# Every set of at most two terms satisfies every (a, b): one shared verdict.
+# Every set of at most two terms satisfies every (a, b), and an empty fit
+# has no witness: one shared verdict each.
 _VACUOUS = RecurrenceVerdict(True, True, FitVerdict(FitKind.VACUOUS), None)
+_EMPTY = RecurrenceVerdict(False, False, FitVerdict(FitKind.EMPTY), None)
 
 
 def verdict_for_sequence(seq) -> RecurrenceVerdict:
@@ -70,10 +72,11 @@ def _verdict(seq) -> RecurrenceVerdict:
     such as a strict divisor set of a guarded n."""
     if len(seq) <= 2:
         return _VACUOUS
+    # the constraints (e2, e1, e3) of every adjacent triple, read lazily;
     # positive coefficients: the solution set is never vacuous here
-    fit = solve_constraints(constraints_of(seq))
+    fit = solve_constraints(zip(seq[1:], seq, seq[2:]))
     if fit.kind is FitKind.EMPTY:
-        return RecurrenceVerdict(False, False, fit, None)
+        return _EMPTY
     return RecurrenceVerdict(True, False, fit, canonical_witness(fit))
 
 

@@ -132,24 +132,29 @@ def _l5_scan_p(p: int) -> list[L5Pair]:
     return hits
 
 
-# Fewer primes than this are scanned in this process whatever ``jobs`` says:
-# starting a fork pool costs more than it saves.  Best of three on a 2-CPU
-# VM, jobs=1 against jobs=2: 7 837 primes (p_max = 8*10^4) took 75 vs 70 ms
-# for search_s7 and 30 vs 49 ms for search_large5; 11 301 primes
-# (p_max = 1.2*10^5) took 147 vs 107 ms and 41 vs 54 ms; large5 gains from
-# the pool only beyond about 26 000 primes (p_max = 3*10^5: 110 vs 110 ms).
-_POOL_MIN_PRIMES = 10_000
+# A search over fewer primes than its threshold runs in this process
+# whatever ``jobs`` says: below it, starting a fork pool costs more than it
+# saves.  Best of five on a 2-CPU VM, jobs=1 against jobs=2: search_s7 over
+# 7 837 primes (p_max = 8*10^4) took 49 vs 47 ms, over 9 592 (10^5) 73 vs
+# 76 ms, over 11 301 (1.2*10^5) 119 vs 97 ms.  search_large5 does about a
+# tenth of the work per prime, so the pool pays off far later: 25 997 primes
+# (3*10^5) took 76 vs 97 ms, 33 860 (4*10^5) 103 vs 104 ms, 41 538 (5*10^5)
+# 128 vs 121 ms and 148 933 (2*10^6) 479 vs 414 ms.
+_S7_POOL_MIN_PRIMES = 10_000
+_L5_POOL_MIN_PRIMES = 40_000
 
 
-def _scan_primes(scan_p, p_max: int, jobs: int) -> list:
+def _scan_primes(scan_p, p_max: int, jobs: int, pool_min_primes: int) -> list:
     """Every hit of ``scan_p`` over the primes p <= p_max, in order of p."""
     # isqrt(p_max^5) + 1 is the largest large5 q; reject a p_max whose
     # candidates exceed the input bound before building any table.
     if p_max < 2:
         raise ContractViolation("p_max must be >= 2")
+    if jobs < 1:
+        raise ContractViolation("jobs must be >= 1")
     _guard(isqrt(p_max**5) + 1)
     primes = primes_upto(p_max + 1)
-    if len(primes) < _POOL_MIN_PRIMES:
+    if len(primes) < pool_min_primes:
         jobs = 1
     return [hit for batch in _parallel_map(scan_p, primes, jobs) for hit in batch]
 
@@ -163,7 +168,7 @@ def search_s7(p_max: int, *, jobs: int = 1) -> list[S7Triple]:
     by the square-root equation, and only a q and r that pass every
     arithmetic check get a primality test.
     """
-    hits = _scan_primes(_s7_scan_p, p_max, jobs)
+    hits = _scan_primes(_s7_scan_p, p_max, jobs, _S7_POOL_MIN_PRIMES)
     hits.sort(key=lambda t: (t.p, t.q, t.r))
     return hits
 
@@ -174,6 +179,6 @@ def search_large5(p_max: int, *, jobs: int = 1) -> list[L5Pair]:
     Only q = isqrt(p^5) or isqrt(p^5) + 1 with p^5 - q^2 | p - 1 can qualify
     (see ``_l5_candidates``).
     """
-    hits = _scan_primes(_l5_scan_p, p_max, jobs)
+    hits = _scan_primes(_l5_scan_p, p_max, jobs, _L5_POOL_MIN_PRIMES)
     hits.sort(key=lambda t: (t.p, t.q))
     return hits

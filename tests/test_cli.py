@@ -246,6 +246,13 @@ def test_search_large5_hostile_pmax_exits_one(capsys):
     assert err.startswith("divrec: error:") and "input bound" in err
 
 
+@pytest.mark.parametrize("command", ["search-s7", "search-large5"])
+def test_search_jobs_below_one_exits_one(capsys, command):
+    code, out, err = run(capsys, command, "--pmax", "50", "--jobs", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("divrec: error:") and "jobs" in err
+
+
 def _fail_part_way(src, dst, *args):
     dst.write(src.read(100))
     raise OSError("disk full")

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from divrec.arith import ContractViolation
 from divrec.fit import (
     FitKind,
+    FitVerdict,
+    _canonical_base,
+    _ext_gcd,
     brute_force_fit,
     constraints_of,
     solve_constraints,
@@ -149,3 +152,83 @@ def test_solutions_in_box_of_point_outside_box():
     v = solve_fit([1, 100, 10000, 1000000])  # point (100, 0)
     assert v.kind is FitKind.LINE or v.kind is FitKind.POINT
     assert solutions_in_box(v, 5) == []
+
+
+def solve_constraints_eager(constraints):
+    """Reference: the solver that first copies every row with a nonzero
+    coefficient into a list, failing on any 0 = rhs != 0 row."""
+    live = []
+    for ca, cb, rhs in constraints:
+        if ca == 0 and cb == 0:
+            if rhs != 0:
+                return FitVerdict(FitKind.EMPTY)
+            continue
+        live.append((ca, cb, rhs))
+    if not live:
+        return FitVerdict(FitKind.VACUOUS)
+    ca, cb, rhs = live[0]
+    g, x, y = _ext_gcd(ca, cb)
+    if rhs % g:
+        return FitVerdict(FitKind.EMPTY)
+    a0, b0 = x * (rhs // g), y * (rhs // g)
+    du, dv = cb // g, -(ca // g)
+    if du < 0 or (du == 0 and dv < 0):
+        du, dv = -du, -dv
+    t_pin = None
+    for ca, cb, rhs in live[1:]:
+        if t_pin is None:
+            coeff = ca * du + cb * dv
+            rem = rhs - (ca * a0 + cb * b0)
+            if coeff == 0:
+                if rem != 0:
+                    return FitVerdict(FitKind.EMPTY)
+            elif rem % coeff:
+                return FitVerdict(FitKind.EMPTY)
+            else:
+                t_pin = rem // coeff
+        elif ca * (a0 + t_pin * du) + cb * (b0 + t_pin * dv) != rhs:
+            return FitVerdict(FitKind.EMPTY)
+    if t_pin is not None:
+        return FitVerdict(FitKind.POINT, point=(a0 + t_pin * du, b0 + t_pin * dv))
+    return FitVerdict(
+        FitKind.LINE, line_base=_canonical_base(a0, b0, du, dv), line_dir=(du, dv)
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+    st.lists(
+        st.tuples(st.integers(-30, 30), st.integers(-30, 30), st.sampled_from([0, 0, 0, 1, -2])),
+        max_size=6,
+    ),
+    st.lists(st.sampled_from([0, 0, 1]), max_size=3),
+    st.lists(st.sampled_from([0, 0, -1]), max_size=3),
+)
+def test_lazy_solver_matches_eager_reference(ab, rows, zeros_before, zeros_after):
+    # rows mostly consistent with (a, b), so points and lines occur too;
+    # rows 0*a + 0*b = r go before and after the first row
+    a, b = ab
+    cons = [(ca, cb, ca * a + cb * b + err) for ca, cb, err in rows]
+    cons = (
+        [(0, 0, r) for r in zeros_before]
+        + cons[:1]
+        + [(0, 0, r) for r in zeros_after]
+        + cons[1:]
+    )
+    expected = solve_constraints_eager(cons)
+    assert solve_constraints(iter(cons)) == solve_constraints(cons) == expected
+
+
+@pytest.mark.parametrize("rows", [
+    [(0, 0, 0), (0, 0, 1)],  # 0 = 1 before any line
+    [(4, 2, 7)],  # parity: 4a + 2b is even
+    [(3, 2, 5), (0, 0, 0), (0, 0, 2)],  # 0 = 2 on the line
+    constraints_of([2, 3, 5, 6, 7, 10, 11, 14, 15])[:3],  # a line, a point, then a miss
+])
+def test_solver_stops_at_first_contradiction(rows):
+    def feed():
+        yield from rows
+        raise AssertionError("read past the first contradiction")
+
+    assert solve_constraints(feed()).kind is FitKind.EMPTY

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import divrec
-from divrec import harness
+from divrec import harness, profiles
 from divrec.arith import CapacityError, ContractViolation
 from divrec.fit import verify_params
 from divrec.harness import (
@@ -260,6 +260,55 @@ def test_default_jobs_env_override(monkeypatch):
         default_jobs()
     monkeypatch.delenv("DIVREC_JOBS")
     assert default_jobs() >= 1
+
+
+def test_default_jobs_counts_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("DIVREC_JOBS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert default_jobs() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_jobs() == 64
+
+
+@pytest.mark.parametrize("jobs, tasks, cpus, size", [
+    (100_000, 10, 2, 2),
+    (2, 10, 8, 2),
+    (50, 4, 8, 4),
+    (2, 10, 1, 1),  # jobs > 1 still means a pool, even on one CPU
+])
+def test_pool_is_capped_at_jobs_tasks_and_cpus(pool_sizes, jobs, tasks, cpus, size):
+    sizes = pool_sizes(cpus)
+    assert harness._parallel_map(abs, list(range(-tasks, 0)), jobs) == list(range(tasks, 0, -1))
+    assert sizes == [size]
+
+
+def test_validate_with_huge_jobs_asks_one_worker_per_cpu(pool_sizes, tmp_path):
+    expected = tmp_path / "jobs-1.jsonl"
+    validate_range(2, 3_000, report_path=expected)
+    sizes = pool_sizes(2)
+    path = tmp_path / "jobs-5000.jsonl"
+    validate_range(2, 3_000, jobs=5_000, report_path=path)  # 2 999 blocks
+    assert sizes == [2]
+    assert path.read_bytes() == expected.read_bytes()
+    assert profile_sweep_failures(2, 3_000, jobs=5_000) == ([], [])
+    assert sizes == [2, 2]
+
+
+def test_validate_straddling_the_sieve_crossover_matches_per_n(monkeypatch, tmp_path):
+    # at jobs=1 the block's first segment is sieved (isqrt 31 622 <= 8 * 4 096)
+    # and its 3 905-n tail goes per n; at jobs=2 both 4 001-n blocks are sieved
+    lo, hi = 10**9 - 2_000, 10**9 + 6_000
+    expected_lines = "".join(record_line(check_single(n)) for n in range(lo, hi + 1))
+    expected_errata = [e for n in range(lo, hi + 1) for e in evaluate_single(n)[1]]
+    per_n = []
+    monkeypatch.setattr(profiles, "profile", lambda n, *, fac: per_n.append(n) or profile(n, fac=fac))
+    for jobs in (1, 2):
+        path = tmp_path / f"report-{jobs}.jsonl"
+        _, errata = validate_range(lo, hi, jobs=jobs, report_path=path)
+        assert path.read_text() == expected_lines
+        assert errata == expected_errata
+    assert len(per_n) == 3_905  # counted in this process only, so at jobs=1
 
 
 def test_validate_range_contract():

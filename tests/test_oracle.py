@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from divrec.arith import CapacityError, ContractViolation, primes_upto, set_input_bound
-from divrec.fit import FitKind, solve_fit, verify_params
+from divrec.fit import FitKind, FitVerdict, solve_fit, verify_params
 from divrec.oracle import (
     RecurrenceVerdict,
     _verdict,
@@ -142,3 +142,15 @@ def test_public_verdict_rejects_over_bound_sequences(seq):
     # the input bound has its own error, as everywhere in the package
     with pytest.raises(CapacityError):
         verdict_for_sequence(seq)
+
+
+def test_empty_verdicts_share_one_frozen_verdict():
+    # (2, 4, 7) fails at its only constraint, 100's S' = (2, 4, 5) too, and
+    # the long sequence only at its third
+    v = _verdict((2, 4, 7))
+    assert v is _verdict(profile(100).small_strict)
+    assert v is verdict_for_sequence([2, 3, 5, 6, 7, 10, 11, 14, 15])
+    assert v == verdict_by_solve_fit((2, 4, 7))
+    assert v == RecurrenceVerdict(False, False, FitVerdict(FitKind.EMPTY), None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.recurrent = True

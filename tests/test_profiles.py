@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from divrec import profiles
 from divrec.arith import (
     ContractViolation,
     divisors_sorted,
@@ -13,9 +14,11 @@ from divrec.arith import (
 from divrec.fit import FitKind, solve_fit
 from divrec.profiles import (
     DivisorProfile,
+    _profile_range,
     check_tau_identity,
     profile,
     profiles_in_range,
+    tau_identity_holds,
 )
 
 
@@ -123,3 +126,27 @@ def test_profile_slices_match_filter_reference():
         n = rng.randrange(2, 2**62 + 1)
         f = factorize(n)
         assert profile(n, fac=f) == profile_by_filter(n, f), n
+
+
+_rng = random.Random(4_096)
+
+
+@pytest.mark.parametrize("lo, length, per_n", [
+    (2, 10_000, 0),  # every square up to 10^4; two full segments and a tail
+    (4, 1, 0),
+    (_rng.randrange(2, 10**6 - 5_000), 5_000, 0),
+    (_rng.randrange(2, 10**6 - 4_097), 4_097, 1),  # a one-n tail goes per n
+    (5_040**2 - 1_000, 2_001, 0),  # 5 040^2 has 405 divisors
+    (_rng.randrange(2 * 10**7, 10**8), 6_000, 0),
+    (10**9, 5_096, 1_000),  # isqrt 31 623 <= 8 * 4 096, but > 8 * 1 000
+    (_rng.randrange(10**10, 10**11), 4_200, 4_200),  # two segments, both per n
+])
+def test_sieved_profiles_match_profile(monkeypatch, lo, length, per_n):
+    calls = []
+    monkeypatch.setattr(profiles, "profile", lambda n, *, fac: calls.append(n) or profile(n, fac=fac))
+    pairs = list(_profile_range(lo, lo + length))
+    assert len(calls) == per_n
+    assert [f for f, _ in pairs] == [factorize(n) for n in range(lo, lo + length)]
+    assert [p for _, p in pairs] == [profile(n) for n in range(lo, lo + length)]
+    # the divisor sieve against the factor sieve's divisor count
+    assert all(tau_identity_holds(p) for _, p in pairs)

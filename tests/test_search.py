@@ -109,8 +109,9 @@ def test_s7_parallel_determinism():
 
 
 def test_small_searches_start_no_pool(monkeypatch):
-    # below _POOL_MIN_PRIMES primes a pool costs more than the scan
-    expected = (search_s7(100), search_large5(100))
+    # below a search's pool threshold a pool costs more than the scan;
+    # large5's threshold is the higher one: 11 301 primes up to 120 000
+    expected = (search_s7(100), search_large5(100), search_large5(120_000))
 
     def no_pool(*args):
         raise AssertionError("a process pool was started")
@@ -118,16 +119,32 @@ def test_small_searches_start_no_pool(monkeypatch):
     monkeypatch.setattr(harness, "get_context", no_pool)
     assert search_s7(100, jobs=2) == expected[0]
     assert search_large5(100, jobs=2) == expected[1]
+    assert search_large5(120_000, jobs=2) == expected[2]
 
 
 def test_large_searches_run_on_a_pool(monkeypatch):
-    # 11 301 primes up to 120 000, above _POOL_MIN_PRIMES
+    # 11 301 primes up to 120 000, above _S7_POOL_MIN_PRIMES, and 41 538 up
+    # to 500 000, above _L5_POOL_MIN_PRIMES
     started = []
     fork = harness.get_context
     monkeypatch.setattr(harness, "get_context", lambda m: started.append(m) or fork(m))
     assert search_s7(120_000, jobs=2) == search_s7(120_000, jobs=1)
-    assert search_large5(120_000, jobs=2) == search_large5(120_000, jobs=1) == []
+    assert search_large5(500_000, jobs=2) == search_large5(500_000, jobs=1) == []
     assert started == ["fork", "fork"]
+
+
+def test_search_pool_is_capped_at_cpus(pool_sizes):
+    expected = search_s7(120_000)
+    sizes = pool_sizes(2)
+    assert search_s7(120_000, jobs=100_000) == expected
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("search", [search_s7, search_large5])
+@pytest.mark.parametrize("jobs", [0, -5])
+def test_searches_reject_jobs_below_one(search, jobs):
+    with pytest.raises(ContractViolation):
+        search(100, jobs=jobs)
 
 
 def test_s7_matches_form_10_classification():
