@@ -278,11 +278,13 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _check_out_dir(out):
+def _check_out_dir(*paths):
     # fail before any work, not when the finished run opens the file
-    parent = Path(out).parent
-    if not parent.is_dir():
-        raise ContractViolation(f"--out directory {parent} does not exist")
+    for path in map(Path, paths):
+        if not path.parent.is_dir():
+            raise ContractViolation(f"--out directory {path.parent} does not exist")
+        if path.is_dir():
+            raise ContractViolation(f"output path {path} is a directory")
 
 
 def _report_paths(out):
@@ -294,8 +296,8 @@ def _cmd_validate(args) -> int:
     jobs = args.jobs if args.jobs is not None else default_jobs()
     allowlist = load_allowlist(args.allowlist)
     if args.out:
-        _check_out_dir(args.out)
         summary_path, ledger_path = _report_paths(args.out)
+        _check_out_dir(args.out, summary_path, ledger_path)
         ledger_keys(ledger_path)  # reject a malformed ledger before any output
     summary, errata = validate_range(args.lo, args.hi, jobs=jobs,
                                      report_path=args.out)

@@ -185,11 +185,24 @@ def _box(bound: int) -> list[tuple[int, int]]:
 def brute_force_fit(seq: Sequence[int], bound: int) -> list[tuple[int, int]]:
     """Every (a, b) with |a|, |b| <= bound satisfying all constraints.
 
-    Independent oracle for ``solve_fit``: a column scan of the grid that
+    Independent oracle for ``solve_fit``: a scan of the grid's columns that
     decides each point from the raw constraints and never touches the gcd
-    machinery.  For each a, the first constraint e3 = a*e2 + b*e1 with
-    e1 >= 1 admits at most one b, so only that point of the column is
-    checked against the remaining constraints.
+    machinery.  For each a, the first constraint e3 = a*e2 + b*e1 admits
+    at most one b, so only that point of the column is checked against the
+    remaining constraints.  ``_check_sequence`` gives e2 >= 2 and e1 >= 1,
+    and the scan visits only the columns where that b can be an integer in
+    the box:
+
+    * window: b = (e3 - a*e2) / e1 decreases in a, so |b| <= bound exactly
+      when ceil((e3 - bound*e1) / e2) <= a <= floor((e3 + bound*e1) / e2);
+      proof: -bound*e1 <= e3 - a*e2 <= bound*e1, divided by e2 > 0.
+    * residue class: whether e1 divides e3 - a*e2 depends only on a mod e1;
+      proof: a -> a + e1 changes e3 - a*e2 by -e1*e2.  So the first e1
+      columns of the window are tested, and from each that passes the
+      scan steps through the window by e1.
+
+    Each column holds at most one hit, so sorting the hits gives a-major
+    order.
     """
     _check_sequence(seq)
     if bound < 1:
@@ -198,13 +211,20 @@ def brute_force_fit(seq: Sequence[int], bound: int) -> list[tuple[int, int]]:
     if not cons:
         return _box(bound)
     (ca, cb, rhs), rest = cons[0], cons[1:]
+    lo = max(-bound, -((cb * bound - rhs) // ca))
+    hi = min(bound, (rhs + cb * bound) // ca)
     hits = []
-    for a in range(-bound, bound + 1):
-        b, rem = divmod(rhs - ca * a, cb)
-        if rem == 0 and -bound <= b <= bound and all(
-            x * a + y * b == z for x, y, z in rest
-        ):
-            hits.append((a, b))
+    for first in range(lo, min(lo + cb, hi + 1)):
+        if (rhs - ca * first) % cb:
+            continue
+        for a in range(first, hi + 1, cb):
+            b = (rhs - ca * a) // cb
+            for x, y, z in rest:
+                if x * a + y * b != z:
+                    break
+            else:
+                hits.append((a, b))
+    hits.sort()
     return hits
 
 

@@ -347,7 +347,11 @@ def _scan_validation_block(task):
 
 
 def _blocks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
-    """[start, end) spans covering [lo, hi]: one per worker, at most _BLOCK n each."""
+    """[start, end) spans covering [lo, hi]: one per worker, at most _BLOCK n each.
+
+    Callers pass ``jobs`` capped at the CPUs: a span per job that cannot
+    run at once would only add a block set-up and a part file.
+    """
     size = min(_BLOCK, -(-(hi - lo + 1) // jobs))
     return [(start, min(start + size, hi + 1)) for start in range(lo, hi + 1, size)]
 
@@ -370,7 +374,7 @@ def validate_range(
         raise ContractViolation("jobs must be >= 1")
     _guard(hi)
 
-    spans = _blocks(lo, hi, jobs)
+    spans = _blocks(lo, hi, min(jobs, _available_cpus()))
     with tempfile.TemporaryDirectory() as tmp:
         if report_path is not None:
             tasks = [
@@ -429,7 +433,8 @@ def profile_sweep_failures(
     if jobs < 1:
         raise ContractViolation("jobs must be >= 1")
     _guard(hi)
-    results = _parallel_map(_scan_profile_block, _blocks(lo, hi, jobs), jobs, chunksize=1)
+    spans = _blocks(lo, hi, min(jobs, _available_cpus()))
+    results = _parallel_map(_scan_profile_block, spans, jobs, chunksize=1)
     tau_bad = [n for bad, _ in results for n in bad]
     reflect_bad = [n for _, bad in results for n in bad]
     return tau_bad, reflect_bad

@@ -3,8 +3,20 @@ import pytest
 from divrec import harness
 
 
+class _PoolLog(list):
+    """The pool sizes requested, in order; ``tasks`` holds the number of
+    tasks each pool was given."""
+
+    def __init__(self):
+        super().__init__()
+        self.tasks = []
+
+
 class _SerialPool:
     """Stands in for a fork pool: runs the tasks here, in order."""
+
+    def __init__(self, log):
+        self.log = log
 
     def __enter__(self):
         return self
@@ -13,22 +25,23 @@ class _SerialPool:
         return False
 
     def map(self, worker, tasks, chunksize=None):
+        self.log.tasks.append(len(tasks))
         return [worker(t) for t in tasks]
 
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Call with a CPU count; returns the list of pool sizes that
+    """Call with a CPU count; returns the ``_PoolLog`` of the pools that
     ``harness._parallel_map`` then requests.  No process is started."""
 
     def install(cpus):
-        sizes = []
+        sizes = _PoolLog()
 
         class Context:
             @staticmethod
             def Pool(processes):
                 sizes.append(processes)
-                return _SerialPool()
+                return _SerialPool(sizes)
 
         monkeypatch.setattr(harness, "get_context", lambda method: Context)
         monkeypatch.setattr(harness, "_available_cpus", lambda: cpus)

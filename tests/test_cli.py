@@ -240,6 +240,37 @@ def test_search_missing_out_dir_exits_one_before_work(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("taken", ["r.jsonl", "r.errata.jsonl", "r.summary.csv"])
+def test_validate_out_path_that_is_a_directory_exits_one_before_work(
+    capsys, tmp_path, monkeypatch, taken
+):
+    # the report, its ledger or its summary: each would fail only after the scan
+    monkeypatch.setattr(cli, "validate_range", _no_work)
+    (tmp_path / taken).mkdir()
+    code, out, err = run(
+        capsys, "validate", "--from", "2", "--to", "50", "--out", str(tmp_path / "r.jsonl")
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("divrec: error:") and "is a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == [taken]
+    assert list((tmp_path / taken).iterdir()) == []
+
+
+@pytest.mark.parametrize("command,runner", [
+    ("search-s7", "search_s7"), ("search-large5", "search_large5"),
+])
+def test_search_out_path_that_is_a_directory_exits_one_before_work(
+    capsys, tmp_path, monkeypatch, command, runner
+):
+    monkeypatch.setattr(cli, runner, _no_work)
+    (tmp_path / "hits").mkdir()
+    code, out, err = run(capsys, command, "--pmax", "10", "--out", str(tmp_path / "hits"))
+    assert code == 1 and out == ""
+    assert err.startswith("divrec: error:") and "is a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["hits"]
+    assert list((tmp_path / "hits").iterdir()) == []
+
+
 def test_search_large5_hostile_pmax_exits_one(capsys):
     code, out, err = run(capsys, "search-large5", "--pmax", str(10**12))
     assert code == 1 and out == ""

@@ -92,6 +92,103 @@ def test_brute_force_huge_values_match_small():
     assert brute_force_fit(seq, 5) == brute_force_fit(huge, 5) == [(2, -1)]
 
 
+def brute_force_fit_columns(seq, bound):
+    """Reference: the column scan over all 2*bound + 1 values of a, each
+    checked with divmod for an integer b in the box."""
+    (ca, cb, rhs), *rest = constraints_of(seq)
+    hits = []
+    for a in range(-bound, bound + 1):
+        b, rem = divmod(rhs - ca * a, cb)
+        if rem == 0 and -bound <= b <= bound and all(
+            x * a + y * b == z for x, y, z in rest
+        ):
+            hits.append((a, b))
+    return hits
+
+
+def grid_filter(seq, bound):
+    """Reference: every point of the box, kept if it obeys every triple."""
+    vals = range(-bound, bound + 1)
+    return [
+        (a, b) for a, b in itertools.product(vals, vals)
+        if all(seq[i + 2] == a * seq[i + 1] + b * seq[i] for i in range(len(seq) - 2))
+    ]
+
+
+def _assert_grid_scans_agree(seqs, bounds):
+    """brute_force_fit equals both references; returns the number of hits."""
+    hits = 0
+    for seq in seqs:
+        for bound in bounds:
+            got = brute_force_fit(seq, bound)
+            assert got == brute_force_fit_columns(seq, bound) == grid_filter(seq, bound), (
+                seq, bound)
+            hits += len(got)
+    return hits
+
+
+def test_grid_scan_matches_references_on_small_triples():
+    triples = [list(t) for t in itertools.combinations(range(1, 16), 3)]
+    assert _assert_grid_scans_agree(triples, range(1, 9)) > 1000
+
+
+def test_grid_scan_when_first_term_exceeds_the_column_count():
+    # e1 > 2*bound + 1: the window holds at most one column per residue
+    # class mod e1; e3 = a*e2 + b*e1 (or one off it) for (a, b) in the box
+    hits = 0
+    for bound in (1, 2, 3, 5):
+        seqs = set()
+        for e1 in range(2 * bound + 2, 2 * bound + 6):
+            for e2 in (e1 + 1, e1 + 2, 2 * e1, 3 * e1 - 1):
+                for a in range(-bound, bound + 1):
+                    for b in range(-bound, bound + 1):
+                        seq = [e1, e2]
+                        while len(seq) < 5 and a * seq[-1] + b * seq[-2] > seq[-1]:
+                            seq.append(a * seq[-1] + b * seq[-2])
+                        if len(seq) >= 3:
+                            seqs.add(tuple(seq))
+                            seqs.add((e1, e2, seq[2] + 1))
+        hits += _assert_grid_scans_agree([list(t) for t in sorted(seqs)], [bound])
+    assert hits > 100
+
+
+def test_grid_scan_on_lines():
+    # geometric sequences and three-term ones: the solution set is a line
+    geometric = [
+        [start * ratio**i for i in range(length)]
+        for ratio in range(2, 10) for start in (1, 2, 3, 7) for length in (3, 4, 6)
+    ]
+    three_terms = [[e1, e2, e3] for e1 in (1, 2, 3) for e2 in (e1 + 1, 5) if e2 > e1
+                   for e3 in range(e2 + 1, 41)]
+    assert _assert_grid_scans_agree(geometric + three_terms, (1, 2, 5, 12)) > 1000
+    assert brute_force_fit([1, 2, 3], 3) == [(0, 3), (1, 1), (2, -1), (3, -3)]
+
+
+@st.composite
+def _grid_cases(draw):
+    bound = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        vals = draw(st.lists(st.integers(1, 10**12), min_size=3, max_size=7, unique=True))
+        return sorted(vals), bound
+    # built by a recurrence, so the scan has hits to find
+    e1 = draw(st.integers(1, 10**6))
+    seq = [e1, e1 + draw(st.integers(1, 10**6))]
+    a, b = draw(st.integers(-60, 60)), draw(st.integers(-60, 60))
+    length = draw(st.integers(3, 7))
+    while len(seq) < length and seq[-1] < a * seq[-1] + b * seq[-2] <= 10**12:
+        seq.append(a * seq[-1] + b * seq[-2])
+    if len(seq) < 3:
+        seq.append(seq[-1] + draw(st.integers(1, 10**6)))
+    return seq, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_cases())
+def test_grid_scan_matches_column_scan(case):
+    seq, bound = case
+    assert brute_force_fit(seq, bound) == brute_force_fit_columns(seq, bound)
+
+
 def test_exhaustive_agreement_small_family():
     bound = 8
     for m in (3, 4, 5):

@@ -288,16 +288,17 @@ def test_validate_with_huge_jobs_asks_one_worker_per_cpu(pool_sizes, tmp_path):
     validate_range(2, 3_000, report_path=expected)
     sizes = pool_sizes(2)
     path = tmp_path / "jobs-5000.jsonl"
-    validate_range(2, 3_000, jobs=5_000, report_path=path)  # 2 999 blocks
-    assert sizes == [2]
+    validate_range(2, 3_000, jobs=5_000, report_path=path)  # one block per CPU
+    assert sizes == [2] and sizes.tasks == [2]
     assert path.read_bytes() == expected.read_bytes()
     assert profile_sweep_failures(2, 3_000, jobs=5_000) == ([], [])
-    assert sizes == [2, 2]
+    assert sizes == [2, 2] and sizes.tasks == [2, 2]
 
 
 def test_validate_straddling_the_sieve_crossover_matches_per_n(monkeypatch, tmp_path):
     # at jobs=1 the block's first segment is sieved (isqrt 31 622 <= 8 * 4 096)
-    # and its 3 905-n tail goes per n; at jobs=2 both 4 001-n blocks are sieved
+    # and its 3 905-n tail goes per n; at jobs=2 on two CPUs or more both
+    # 4 001-n blocks are sieved
     lo, hi = 10**9 - 2_000, 10**9 + 6_000
     expected_lines = "".join(record_line(check_single(n)) for n in range(lo, hi + 1))
     expected_errata = [e for n in range(lo, hi + 1) for e in evaluate_single(n)[1]]
