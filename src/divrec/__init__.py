@@ -43,7 +43,7 @@ from .harness import (
     validate_range,
 )
 from .oracle import RecurrenceVerdict, large_verdict, small_verdict
-from .profiles import DivisorProfile, check_tau_identity, profile, profiles_in_range
+from .profiles import DivisorProfile, check_tau_identity, profile
 from .search import L5Pair, S7Triple, search_large5, search_s7
 
 __version__ = "0.1.0"

@@ -8,6 +8,10 @@ characterization states them, so they can be cross-checked against the
 computed profile (``verify_prediction``) and against the brute-force
 oracle by the validation harness.
 
+Each form is stated once, as a plain tuple in ``_small_forms`` or
+``_large_forms``; the public classifiers wrap those in ``FormMatch``, and
+the validation harness reads them directly.
+
 The classifiers transcribe the characterizations as stated - including
 side conditions that the harness may reveal to be wrong - and are never
 patched to absorb an oracle disagreement.
@@ -52,6 +56,11 @@ class FormMatch:
     predicted_u: tuple[int, int, int, int] | None
 
 
+# A match as the classifier cores return it: a ``FormMatch`` without theorem and n.
+Form = tuple[int, dict[str, int], tuple[int, ...] | None,
+             tuple[int, int, int, int] | None]
+
+
 def _divides(d: int, x: int) -> bool:
     # Sign-insensitive divisibility; every integer divides 0.
     if x == 0:
@@ -91,10 +100,6 @@ def _with_u(pset: tuple[int, ...], a: int, b: int):
     return (pset[0], pset[1], a, b)
 
 
-def _match(theorem, form_id, n, params, pset, u) -> FormMatch:
-    return FormMatch(theorem, form_id, n, params, pset, u)
-
-
 def classify_small(
     n: int, *, fac: Factorization | None = None
 ) -> list[FormMatch]:
@@ -102,66 +107,64 @@ def classify_small(
     if n < 2:
         raise ContractViolation("classify_small requires n >= 2")
     f = fac if fac is not None else factorize(n)
-    sig = f.factors
-    out: list[FormMatch] = []
+    return [FormMatch(SMALL, i, n, params, pset, u)
+            for i, params, pset, u in _small_forms(f.factors)]
+
+
+def _small_forms(sig) -> list[Form]:
+    """The small-side forms of the n with signature ``sig``, sorted by form id."""
+    out: list[Form] = []
 
     if len(sig) == 1:
         p, k = sig[0]
         pset = _geometric(p, p, (k - 1) // 2)
-        out.append(_match(SMALL, 1, n, {"p": p, "k": k}, pset,
-                          _with_u(pset, p, 0)))
+        out.append((1, {"p": p, "k": k}, pset, _with_u(pset, p, 0)))
 
     elif len(sig) == 2:
         (p, a), (q, b) = sig
         if b == 1 and a <= 3:
             # p^3*q only qualifies with q below p^2 or above p^3
             if a != 3 or q < p * p or q > p**3:
-                out.append(_match(SMALL, 2, n, {"p": p, "q": q, "k": a},
-                                  None, None))
+                out.append((2, {"p": p, "q": q, "k": a}, None, None))
         elif a == 1 and b <= 3:
-            out.append(_match(SMALL, 2, n, {"p": p, "q": q, "k": b},
-                              None, None))
+            out.append((2, {"p": p, "q": q, "k": b}, None, None))
         if b == 1 and a >= 4 and q > p**a:
             pset = _geometric(p, p, a)
-            out.append(_match(SMALL, 3, n, {"p": p, "q": q, "k": a}, pset,
-                              _with_u(pset, p, 0)))
+            out.append((3, {"p": p, "q": q, "k": a}, pset,
+                        _with_u(pset, p, 0)))
         if b == 1 and a >= 4 and q < p * p:
             pset = _pair_chain(p, q, p, a)
-            out.append(_match(SMALL, 4, n, {"p": p, "q": q, "k": a}, pset,
-                              _with_u(pset, 0, p)))
+            out.append((4, {"p": p, "q": q, "k": a}, pset,
+                        _with_u(pset, 0, p)))
         if a == 1 and b >= 4:
             pset = _pair_chain(p, q, q, b)
-            out.append(_match(SMALL, 5, n, {"p": p, "q": q, "k": b}, pset,
-                              _with_u(pset, 0, q)))
+            out.append((5, {"p": p, "q": q, "k": b}, pset,
+                        _with_u(pset, 0, q)))
         if a == 2 and b == 2 and q < p * p:
-            out.append(_match(SMALL, 7, n, {"p": p, "q": q},
-                              (p, q, p * p), None))
+            out.append((7, {"p": p, "q": q}, (p, q, p * p), None))
         if a == 3 and b == 2 and q < p * p and q * q > p**3:
             pset = (p, q, p * p, p * q, p**3)
-            out.append(_match(SMALL, 9, n, {"p": p, "q": q}, pset,
-                              _with_u(pset, 0, p)))
+            out.append((9, {"p": p, "q": q}, pset, _with_u(pset, 0, p)))
 
     elif len(sig) == 3:
         (p, a), (q, b), (r, c) = sig
         if a == 1 and c == 1 and b >= 2 and r > p * q**b:
             pset = _pair_chain(p, q, q, 2 * b + 1)
-            out.append(_match(SMALL, 6, n, {"p": p, "q": q, "r": r, "k": b},
-                              pset, _with_u(pset, 0, q)))
+            out.append((6, {"p": p, "q": q, "r": r, "k": b}, pset,
+                        _with_u(pset, 0, q)))
         if a == b == c == 1:
             if r < p * q:
                 # solvability of r = a*q + b*p, decided by the gcd criterion
                 if r % gcd(q, p) == 0:
-                    out.append(_match(SMALL, 8, n, {"p": p, "q": q, "r": r},
-                                      (p, q, r), None))
+                    out.append((8, {"p": p, "q": q, "r": r}, (p, q, r), None))
             else:
-                out.append(_match(SMALL, 8, n, {"p": p, "q": q, "r": r},
-                                  (p, q, p * q), None))
+                out.append((8, {"p": p, "q": q, "r": r}, (p, q, p * q), None))
         if a == 2 and b == 1 and c == 1:
-            m = _small_form_10(n, p, q, r)
+            m = _small_form_10(p, q, r)
             if m is not None:
                 out.append(m)
 
-    out.sort(key=lambda m: m.form_id)
+    out.sort(key=lambda m: m[0])
     return out
 
 
@@ -185,7 +188,7 @@ def _s7_solution(p: int, q: int) -> tuple[int, int, int] | None:
     return r, p * (p * q - r) // den, (r * q - p2 * p2) // den
 
 
-def _small_form_10(n: int, p: int, q: int, r: int) -> FormMatch | None:
+def _small_form_10(p: int, q: int, r: int) -> Form | None:
     """p^2*q*r with p < q < p^2 < r < p*q plus the square-root equation."""
     p2 = p * p
     if not (q < p2 and p2 < r < p * q):
@@ -194,9 +197,7 @@ def _small_form_10(n: int, p: int, q: int, r: int) -> FormMatch | None:
     if sol is None or sol[0] != r:
         return None
     _, a, b = sol
-    pset = (p, q, p2, r, p * q)
-    return _match(SMALL, 10, n, {"p": p, "q": q, "r": r}, pset,
-                  (p, q, a, b))
+    return (10, {"p": p, "q": q, "r": r}, (p, q, p2, r, p * q), (p, q, a, b))
 
 
 def classify_large(
@@ -206,15 +207,19 @@ def classify_large(
     if n < 2:
         raise ContractViolation("classify_large requires n >= 2")
     f = fac if fac is not None else factorize(n)
-    sig = f.factors
-    out: list[FormMatch] = []
+    return [FormMatch(LARGE, i, n, params, pset, u)
+            for i, params, pset, u in _large_forms(f.factors)]
+
+
+def _large_forms(sig) -> list[Form]:
+    """The large-side forms of the n with signature ``sig``, sorted by form id."""
+    out: list[Form] = []
 
     if len(sig) == 1:
         p, k = sig[0]
         start = k // 2 + 1  # ceil((k-1)/2) + 1
         pset = tuple(p**i for i in range(start, k))
-        out.append(_match(LARGE, 1, n, {"p": p, "k": k}, pset,
-                          _with_u(pset, p, 0)))
+        out.append((1, {"p": p, "k": k}, pset, _with_u(pset, p, 0)))
 
     elif len(sig) == 2:
         (p, a), (q, b) = sig
@@ -222,12 +227,12 @@ def classify_large(
             k = a
             if q > p**k:
                 pset = _geometric(q, p, k)
-                out.append(_match(LARGE, 2, n, {"p": p, "q": q, "k": k},
-                                  pset, _with_u(pset, p, 0)))
+                out.append((2, {"p": p, "q": q, "k": k}, pset,
+                            _with_u(pset, p, 0)))
             if k >= 2 and p ** (k - 1) < q < p**k:
                 pset = (p**k,) + tuple(p**i * q for i in range(1, k))
-                out.append(_match(LARGE, 3, n, {"p": p, "q": q, "k": k},
-                                  pset, _with_u(pset, p, 0)))
+                out.append((3, {"p": p, "q": q, "k": k}, pset,
+                            _with_u(pset, p, 0)))
             if k >= 3 and q < p * p:
                 if k % 2 == 0:
                     pset = _pair_chain(p ** (k // 2 + 1), p ** (k // 2) * q,
@@ -235,24 +240,22 @@ def classify_large(
                 else:
                     pset = _pair_chain(p ** ((k - 1) // 2) * q,
                                        p ** ((k + 3) // 2), p, k)
-                out.append(_match(LARGE, 4, n, {"p": p, "q": q, "k": k},
-                                  pset, _with_u(pset, 0, p)))
+                out.append((4, {"p": p, "q": q, "k": k}, pset,
+                            _with_u(pset, 0, p)))
             if k == 4 and p * p < q < p**3:
                 d = p**5 - q * q
                 if _divides(d, p * p - q) and _divides(d, p**3 - q):
                     pset = (p * q, p**4, p * p * q, p**3 * q)
-                    out.append(_match(LARGE, 5, n, {"p": p, "q": q}, pset,
-                                      None))
+                    out.append((5, {"p": p, "q": q}, pset, None))
         # q*q > p**3 keeps q^2 below the square root so the displayed
         # five-element set starts at q^2; without it (e.g. 675 = 3^3*5^2)
         # the set is wrong and no fit exists.
         if a == 3 and b == 2 and q < p * p and q * q > p**3:
             pset = (q * q, p * p * q, p * q * q, p**3 * q, p * p * q * q)
-            out.append(_match(LARGE, 6, n, {"p": p, "q": q}, pset,
-                              _with_u(pset, 0, p)))
+            out.append((6, {"p": p, "q": q}, pset, _with_u(pset, 0, p)))
         if a == 2 and b == 2 and q < p * p:
-            out.append(_match(LARGE, 7, n, {"p": p, "q": q},
-                              (q * q, p * p * q, p * q * q), None))
+            out.append((7, {"p": p, "q": q}, (q * q, p * p * q, p * q * q),
+                        None))
         if a == 1 and b >= 2:
             k = b
             if k % 2 == 0:
@@ -260,17 +263,17 @@ def classify_large(
             else:
                 h = (k + 1) // 2
                 pset = _pair_chain(q**h, p * q**h, q, k)
-            out.append(_match(LARGE, 8, n, {"p": p, "q": q, "k": k}, pset,
-                              _with_u(pset, 0, q)))
+            out.append((8, {"p": p, "q": q, "k": k}, pset,
+                        _with_u(pset, 0, q)))
 
     elif len(sig) == 3:
         (p, a), (q, b), (r, c) = sig
         if a == 1 and c == 1 and r > p * q**b:
             pset = _pair_chain(r, p * r, q, 2 * b + 1)
-            out.append(_match(LARGE, 9, n, {"p": p, "q": q, "r": r, "k": b},
-                              pset, _with_u(pset, 0, q)))
+            out.append((9, {"p": p, "q": q, "r": r, "k": b}, pset,
+                        _with_u(pset, 0, q)))
 
-    out.sort(key=lambda m: m.form_id)
+    out.sort(key=lambda m: m[0])
     return out
 
 
@@ -281,11 +284,17 @@ def verify_prediction(m: FormMatch, prof: DivisorProfile) -> bool:
             f"match is for n={m.n}, profile is for n={prof.n}"
         )
     computed = prof.small_strict if m.theorem == SMALL else prof.large_strict
-    if m.predicted_set is not None and m.predicted_set != computed:
+    return _prediction_holds(m.predicted_set, m.predicted_u, computed)
+
+
+def _prediction_holds(pset, pu, computed: tuple[int, ...]) -> bool:
+    """Do a stated set ``pset`` and recurrence ``pu`` (either None) agree
+    with the computed divisor set?"""
+    if pset is not None and pset != computed:
         return False
-    if m.predicted_u is not None:
-        target = m.predicted_set if m.predicted_set is not None else computed
-        u, v, a, b = m.predicted_u
+    if pu is not None:
+        target = pset if pset is not None else computed
+        u, v, a, b = pu
         if len(target) >= 1 and target[0] != u:
             return False
         if len(target) >= 2 and target[1] != v:

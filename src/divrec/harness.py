@@ -2,12 +2,14 @@
 
 For every n in a range the harness computes the divisor profile, both
 brute-force verdicts, both classifications, and prediction checks, then
-files any disagreement as an erratum.  Scans run in contiguous blocks,
-optionally across worker processes; the merged output is deterministic
-and independent of the worker count, byte for byte.  A validate block
-gets its factorizations from the factor sieve and its divisor sets from
-the divisor sieve of ``profiles._profile_range``; ``check_single`` and the
-``tau-check`` sweep build each profile on its own.
+files any disagreement as an erratum.  One core, ``_evaluate``, does this
+over plain values for block scans and ``evaluate_single`` alike; verdict
+objects and witnesses are built only for an erratum.  Scans run in
+contiguous blocks, optionally across worker processes; the merged output
+is deterministic and independent of the worker count, byte for byte.  A
+validate block gets its factorizations from the factor sieve and its
+divisor sets from the divisor sieve of ``profiles._profile_range``;
+``check_single`` and the ``tau-check`` sweep build each profile on its own.
 
 Report formats:
   * report:  JSONL, one validation record per line, sorted keys, integers
@@ -30,9 +32,10 @@ from multiprocessing import get_context
 from pathlib import Path
 
 from .arith import ContractViolation, Factorization, _guard, factor_range, factorize
-from .classify import LARGE, SMALL, classify_large, classify_small, verify_prediction
-from .oracle import _verdict
-from .profiles import DivisorProfile, _profile_range, profile, tau_identity_holds
+from .classify import LARGE, SMALL, _large_forms, _prediction_holds, _small_forms
+from .fit import FitKind
+from .oracle import _fit, _verdict
+from .profiles import _profile_range, profile, tau_identity_holds
 
 __all__ = [
     "AllowlistEntry",
@@ -55,13 +58,13 @@ __all__ = [
     "record_line",
     "split_errata",
     "validate_range",
-    "validation_record_dict",
     "write_summary_csv",
 ]
 
 KIND_ORACLE_ONLY = "OracleYesClassifierNo"
 KIND_CLASSIFIER_ONLY = "OracleNoClassifierYes"
 KIND_PREDICTION = "PredictionMismatch"
+_EMPTY_KIND, _VACUOUS_KIND = FitKind.EMPTY, FitKind.VACUOUS  # each lookup ~0.17 µs
 
 JOBS_ENV = "DIVREC_JOBS"
 _BLOCK = 65536  # largest contiguous work unit, one task of the parallel map
@@ -123,63 +126,59 @@ def evaluate_single(
 ) -> tuple[ValidationRecord, list[ErrataEntry]]:
     """The per-n record plus every oracle/classifier disagreement."""
     f = fac if fac is not None else factorize(n)
-    record, errata, _, _ = _evaluate_full(f, profile(n, fac=f))
-    return record, errata
+    prof = profile(n, fac=f)
+    s_rec, _, s_ids, l_rec, _, l_ids, ok, errata = _evaluate(
+        n, f.factors, prof.small_strict, prof.large_strict
+    )
+    return ValidationRecord(n, s_rec, s_ids, l_rec, l_ids, ok), errata
 
 
-def _evaluate_full(
-    f: Factorization, prof: DivisorProfile
-) -> tuple[ValidationRecord, list[ErrataEntry], bool, bool]:
-    n = f.n
+def _evaluate(n: int, sig, small: tuple[int, ...], large: tuple[int, ...]):
+    """Oracle against classifiers for n with signature ``sig`` and strict sets
+    ``small`` and ``large``, as plain values: (small recurrent, small vacuous,
+    small form ids, large recurrent, large vacuous, large form ids,
+    prediction_ok, errata)."""
     # divisor sets of n are sorted, positive and below n, which is guarded
-    sv = _verdict(prof.small_strict)
-    lv = _verdict(prof.large_strict)
-    sm = classify_small(n, fac=f)
-    lm = classify_large(n, fac=f)
+    s_kind = _fit(small).kind
+    l_kind = _fit(large).kind
+    s_rec = s_kind is not _EMPTY_KIND
+    l_rec = l_kind is not _EMPTY_KIND
+    sm = _small_forms(sig)
+    lm = _large_forms(sig)
 
     errata: list[ErrataEntry] = []
-    prediction_ok = True
-    for m in (*sm, *lm):
-        if not verify_prediction(m, prof):
-            prediction_ok = False
-            side = prof.small_strict if m.theorem == SMALL else prof.large_strict
-            errata.append(ErrataEntry(
-                n, m.theorem, KIND_PREDICTION,
-                f"form {m.form_id} predicted {list(m.predicted_set or ())} "
-                f"u={m.predicted_u}, computed {list(side)}",
-            ))
-    if sv.recurrent != bool(sm):
-        errata.append(_disagreement(n, SMALL, sv, sm, prof.small_strict))
-    if lv.recurrent != bool(lm):
-        errata.append(_disagreement(n, LARGE, lv, lm, prof.large_strict))
-
-    record = ValidationRecord(
-        n,
-        sv.recurrent,
-        tuple([m.form_id for m in sm]),
-        lv.recurrent,
-        tuple([m.form_id for m in lm]),
-        prediction_ok,
-    )
-    return record, errata, sv.vacuous, lv.vacuous
+    for theorem, forms, computed in ((SMALL, sm, small), (LARGE, lm, large)):
+        for form_id, _, pset, pu in forms:
+            if not _prediction_holds(pset, pu, computed):
+                errata.append(ErrataEntry(
+                    n, theorem, KIND_PREDICTION,
+                    f"form {form_id} predicted {list(pset or ())} "
+                    f"u={pu}, computed {list(computed)}",
+                ))
+    ok = not errata
+    s_ids = tuple([m[0] for m in sm])
+    l_ids = tuple([m[0] for m in lm])
+    if s_rec != bool(s_ids):
+        errata.append(_disagreement(n, SMALL, s_rec, s_ids, small))
+    if l_rec != bool(l_ids):
+        errata.append(_disagreement(n, LARGE, l_rec, l_ids, large))
+    return (s_rec, s_kind is _VACUOUS_KIND, s_ids,
+            l_rec, l_kind is _VACUOUS_KIND, l_ids, ok, errata)
 
 
-def _disagreement(n, theorem, verdict, matches, divs) -> ErrataEntry:
+def _disagreement(n, theorem, recurrent, form_ids, divs) -> ErrataEntry:
     """The erratum for an oracle verdict that its form matches contradict."""
     name = "S'" if theorem == SMALL else "L'"
-    if verdict.recurrent:
-        witness = (
-            f"witness (a, b) = {verdict.witness}"
-            if verdict.witness is not None
-            else "vacuously recurrent"
-        )
+    if recurrent:
+        witness = _verdict(divs).witness
+        text = "vacuously recurrent" if witness is None else f"witness (a, b) = {witness}"
         return ErrataEntry(
             n, theorem, KIND_ORACLE_ONLY,
-            f"{name} = {list(divs)}; {witness}; no form matches",
+            f"{name} = {list(divs)}; {text}; no form matches",
         )
     return ErrataEntry(
         n, theorem, KIND_CLASSIFIER_ONLY,
-        f"forms {[m.form_id for m in matches]} matched but "
+        f"forms {list(form_ids)} matched but "
         f"{name} = {list(divs)} admits no fit",
     )
 
@@ -213,17 +212,6 @@ def canonical_json(obj) -> str:
     return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
-def validation_record_dict(rec: ValidationRecord) -> dict:
-    return {
-        "n": rec.n,
-        "small_oracle": rec.small_oracle,
-        "small_forms": list(rec.small_forms),
-        "large_oracle": rec.large_oracle,
-        "large_forms": list(rec.large_forms),
-        "prediction_ok": rec.prediction_ok,
-    }
-
-
 _JSON_BOOL = {True: "true", False: "false"}
 
 
@@ -232,18 +220,21 @@ def _json_int(v: int) -> str:
 
 
 def record_line(rec: ValidationRecord) -> str:
-    """One report line, byte-identical to
-    ``canonical_json(validation_record_dict(rec)) + "\\n"``.
+    """One report line: ``rec`` as canonical JSON, newline-terminated."""
+    return _line(rec.n, rec.small_oracle, rec.small_forms,
+                 rec.large_oracle, rec.large_forms, rec.prediction_ok)
 
-    The six keys are written directly, in sorted order.
-    """
+
+def _line(n, small_oracle, small_forms, large_oracle, large_forms, prediction_ok) -> str:
+    """The report line of a validation record, with its six keys written
+    directly in sorted order, integers above 2**53 as strings."""
     return (
-        f'{{"large_forms":[{",".join(map(_json_int, rec.large_forms))}],'
-        f'"large_oracle":{_JSON_BOOL[rec.large_oracle]},'
-        f'"n":{_json_int(rec.n)},'
-        f'"prediction_ok":{_JSON_BOOL[rec.prediction_ok]},'
-        f'"small_forms":[{",".join(map(_json_int, rec.small_forms))}],'
-        f'"small_oracle":{_JSON_BOOL[rec.small_oracle]}}}\n'
+        f'{{"large_forms":[{",".join(map(_json_int, large_forms))}],'
+        f'"large_oracle":{_JSON_BOOL[large_oracle]},'
+        f'"n":{_json_int(n)},'
+        f'"prediction_ok":{_JSON_BOOL[prediction_ok]},'
+        f'"small_forms":[{",".join(map(_json_int, small_forms))}],'
+        f'"small_oracle":{_JSON_BOOL[small_oracle]}}}\n'
     )
 
 
@@ -331,15 +322,16 @@ def _scan_validation_block(task):
     errata: list[ErrataEntry] = []
     lines: list[str] = []
     collect = part is not None
-    for f, prof in _profile_range(lo, hi_excl):
-        rec, errs, small_vac, large_vac = _evaluate_full(f, prof)
-        counts[0] += rec.small_oracle
-        counts[1] += small_vac
-        counts[2] += rec.large_oracle
-        counts[3] += large_vac
-        errata.extend(errs)
+    for n, sig, small, large in _profile_range(lo, hi_excl):
+        s_rec, s_vac, s_ids, l_rec, l_vac, l_ids, ok, errs = _evaluate(n, sig, small, large)
+        counts[0] += s_rec
+        counts[1] += s_vac
+        counts[2] += l_rec
+        counts[3] += l_vac
+        if errs:
+            errata.extend(errs)
         if collect:
-            lines.append(record_line(rec))
+            lines.append(_line(n, s_rec, s_ids, l_rec, l_ids, ok))
     if collect:
         with open(part, "w") as fh:
             fh.writelines(lines)

@@ -70,14 +70,22 @@ def verdict_for_sequence(seq) -> RecurrenceVerdict:
 def _verdict(seq) -> RecurrenceVerdict:
     """``verdict_for_sequence`` for a sequence already known to pass its checks,
     such as a strict divisor set of a guarded n."""
-    if len(seq) <= 2:
+    fit = _fit(seq)
+    if fit.kind is FitKind.VACUOUS:
         return _VACUOUS
-    # the constraints (e2, e1, e3) of every adjacent triple, read lazily;
-    # positive coefficients: the solution set is never vacuous here
-    fit = solve_constraints(zip(seq[1:], seq, seq[2:]))
     if fit.kind is FitKind.EMPTY:
         return _EMPTY
     return RecurrenceVerdict(True, False, fit, canonical_witness(fit))
+
+
+def _fit(seq) -> FitVerdict:
+    """The fit of a sequence that passes the checks of ``verdict_for_sequence``;
+    vacuous exactly when it has at most two terms."""
+    if len(seq) <= 2:
+        return _VACUOUS.fit
+    # the constraints (e2, e1, e3) of every adjacent triple, read lazily;
+    # positive coefficients: the solution set is never vacuous here
+    return solve_constraints(zip(seq[1:], seq, seq[2:]))
 
 
 def small_verdict(n: int, *, fac: Factorization | None = None) -> RecurrenceVerdict:

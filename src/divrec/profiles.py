@@ -32,7 +32,6 @@ __all__ = [
     "DivisorProfile",
     "check_tau_identity",
     "profile",
-    "profiles_in_range",
     "tau_identity_holds",
 ]
 
@@ -75,14 +74,6 @@ def check_tau_identity(n: int) -> bool:
     return tau_identity_holds(profile(n))
 
 
-def profiles_in_range(lo: int, hi: int) -> Iterator[DivisorProfile]:
-    """Yield profile(n) for lo <= n <= hi, factorized by a segmented sieve."""
-    if lo < 2 or hi < lo:
-        raise ContractViolation("need 2 <= lo <= hi")
-    for f in factor_range(lo, hi + 1):
-        yield profile(f.n, fac=f)
-
-
 # A segment of the divisor sieve spans at most this many n, so its lists of
 # small divisors stay a small working set.
 _SIEVE_SEGMENT = 4096
@@ -96,8 +87,9 @@ _SIEVE_SEGMENT = 4096
 _SIEVE_MAX_ROOT_RATIO = 8
 
 
-def _profile_range(lo: int, hi_excl: int) -> Iterator[tuple[Factorization, DivisorProfile]]:
-    """``(f, profile(n, fac=f))`` for lo <= n < hi_excl, in order, 2 <= lo.
+def _profile_range(lo: int, hi_excl: int) -> Iterator[tuple[int, tuple, tuple, tuple]]:
+    """``(n, factors, S'(n), L'(n))`` for lo <= n < hi_excl, in order, 2 <= lo,
+    with the sets of ``profile(n)`` and the factors of ``factorize(n)``.
 
     Factorizations come from ``factor_range``.  Where a segment is cheap to
     sieve, each d >= 2 is appended to the list of every multiple n > d*d,
@@ -111,19 +103,13 @@ def _profile_range(lo: int, hi_excl: int) -> Iterator[tuple[Factorization, Divis
         top = isqrt(end - 1)
         if top > _SIEVE_MAX_ROOT_RATIO * size:
             for _, f in zip(range(size), facs):
-                yield f, profile(f.n, fac=f)
+                prof = profile(f.n, fac=f)
+                yield f.n, f.factors, prof.small_strict, prof.large_strict
             continue
         small: list[list[int]] = [[] for _ in range(size)]
         for d in range(2, top + 1):
             first = max(d * d + d, -(-start // d) * d)
             for divs in small[first - start :: d]:
                 divs.append(d)
-        for divs, f in zip(small, facs):
-            n = f.n
-            yield f, DivisorProfile(
-                n,
-                tuple(divs),
-                tuple([n // d for d in reversed(divs)]),
-                tau(f),
-                isqrt_exact(n)[1],
-            )
+        for n, divs, f in zip(range(start, end), small, facs):
+            yield n, f.factors, tuple(divs), tuple([n // d for d in reversed(divs)])

@@ -5,16 +5,18 @@ prime p <= p_max, each q that the form's divisibility conditions leave
 open.  Those conditions pin q near p^{3/2} (s7) or p^{5/2} (large5): s7
 solves one quadratic per integer j up to about p^{1/4}/sqrt(2), large5
 keeps q in {isqrt(p^5), isqrt(p^5) + 1} only if p^5 - q^2 divides p - 1,
-and only the survivors get a primality test.  The only table is the primes
-up to p_max; the proofs are in the docstrings of ``_s7_candidates`` and
-``_l5_candidates``.  Every hit is confirmed by the brute-force oracle from
-its known factorization, and results are deterministic regardless of how
-the work is split across processes.
+and only the survivors get a primality test.  The primes p are sieved one
+span of p at a time, so memory stays O(sqrt(p_max)) plus one span; the
+proofs are in the docstrings of ``_s7_candidates`` and ``_l5_candidates``.
+Every hit is confirmed by the brute-force oracle from its known
+factorization, and results are deterministic regardless of how the work
+is split across processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 
 from .arith import ContractViolation, Factorization, _guard, is_prime, primes_upto
@@ -140,23 +142,45 @@ def _l5_scan_p(p: int) -> list[L5Pair]:
 # tenth of the work per prime, so the pool pays off far later: 25 997 primes
 # (3*10^5) took 76 vs 97 ms, 33 860 (4*10^5) 103 vs 104 ms, 41 538 (5*10^5)
 # 128 vs 121 ms and 148 933 (2*10^6) 479 vs 414 ms.
-_S7_POOL_MIN_PRIMES = 10_000
-_L5_POOL_MIN_PRIMES = 40_000
+_S7_POOL_MIN_PMAX = 104_729  # the 10 000th prime
+_L5_POOL_MIN_PMAX = 479_909  # the 40 000th prime
 
 
-def _scan_primes(scan_p, p_max: int, jobs: int, pool_min_primes: int) -> list:
+# The width of one span of p: one segment of the sieve and one pool task.
+# It is below both pool thresholds, so a pooled search has two tasks or more.
+_SPAN = 1 << 16
+
+
+def _scan_span(task) -> list:
+    """Every hit of ``scan_p`` over the primes p with lo <= p < hi, for the
+    task (scan_p, base, lo, hi) with 2 <= lo < hi and ``base`` every prime up
+    to isqrt(hi - 1) at least: Eratosthenes over [lo, hi) with those primes."""
+    scan_p, base, lo, hi = task
+    sieve = bytearray([1]) * (hi - lo)
+    for p in base:
+        if p * p >= hi:
+            break
+        first = max(p * p, -(-lo // p) * p) - lo
+        sieve[first::p] = bytes(len(range(first, hi - lo, p)))
+    return [hit for p in compress(range(lo, hi), sieve) for hit in scan_p(p)]
+
+
+def _scan_primes(scan_p, p_max: int, jobs: int, pool_min_pmax: int) -> list:
     """Every hit of ``scan_p`` over the primes p <= p_max, in order of p."""
     # isqrt(p_max^5) + 1 is the largest large5 q; reject a p_max whose
-    # candidates exceed the input bound before building any table.
+    # candidates exceed the input bound before sieving anything.
     if p_max < 2:
         raise ContractViolation("p_max must be >= 2")
     if jobs < 1:
         raise ContractViolation("jobs must be >= 1")
     _guard(isqrt(p_max**5) + 1)
-    primes = primes_upto(p_max + 1)
-    if len(primes) < pool_min_primes:
+    if p_max < pool_min_pmax:
         jobs = 1
-    return [hit for batch in _parallel_map(scan_p, primes, jobs) for hit in batch]
+    base = primes_upto(isqrt(p_max) + 1)
+    tasks = [(scan_p, base, lo, min(lo + _SPAN, p_max + 1))
+             for lo in range(2, p_max + 1, _SPAN)]
+    return [hit for batch in _parallel_map(_scan_span, tasks, jobs, chunksize=1)
+            for hit in batch]
 
 
 def search_s7(p_max: int, *, jobs: int = 1) -> list[S7Triple]:
@@ -168,7 +192,7 @@ def search_s7(p_max: int, *, jobs: int = 1) -> list[S7Triple]:
     by the square-root equation, and only a q and r that pass every
     arithmetic check get a primality test.
     """
-    hits = _scan_primes(_s7_scan_p, p_max, jobs, _S7_POOL_MIN_PRIMES)
+    hits = _scan_primes(_s7_scan_p, p_max, jobs, _S7_POOL_MIN_PMAX)
     hits.sort(key=lambda t: (t.p, t.q, t.r))
     return hits
 
@@ -179,6 +203,6 @@ def search_large5(p_max: int, *, jobs: int = 1) -> list[L5Pair]:
     Only q = isqrt(p^5) or isqrt(p^5) + 1 with p^5 - q^2 | p - 1 can qualify
     (see ``_l5_candidates``).
     """
-    hits = _scan_primes(_l5_scan_p, p_max, jobs, _L5_POOL_MIN_PRIMES)
+    hits = _scan_primes(_l5_scan_p, p_max, jobs, _L5_POOL_MIN_PMAX)
     hits.sort(key=lambda t: (t.p, t.q))
     return hits

@@ -1,0 +1,91 @@
+"""Slow, plain reference paths that tests compare the package's fast paths with.
+
+Nothing in the package calls these: each one restates a result the
+package computes another way, from public calls only.
+"""
+
+from divrec.arith import factor_range
+from divrec.classify import LARGE, SMALL, classify_large, classify_small, verify_prediction
+from divrec.harness import (
+    KIND_CLASSIFIER_ONLY,
+    KIND_ORACLE_ONLY,
+    KIND_PREDICTION,
+    ErrataEntry,
+    ValidationRecord,
+)
+from divrec.oracle import verdict_for_sequence
+from divrec.profiles import profile
+
+
+def profiles_in_range(lo, hi):
+    """Yield profile(n) for lo <= n <= hi, factorized by a segmented sieve."""
+    for f in factor_range(lo, hi + 1):
+        yield profile(f.n, fac=f)
+
+
+def validation_record_dict(rec):
+    """A validation record as the dict its report line encodes."""
+    return {
+        "n": rec.n,
+        "small_oracle": rec.small_oracle,
+        "small_forms": list(rec.small_forms),
+        "large_oracle": rec.large_oracle,
+        "large_forms": list(rec.large_forms),
+        "prediction_ok": rec.prediction_ok,
+    }
+
+
+def evaluate_by_objects(f, prof):
+    """(record, errata, small vacuous, large vacuous) for one n, built from
+    verdict and match objects: the formulas of the harness before its
+    evaluation took plain values."""
+    n = f.n
+    sv = verdict_for_sequence(prof.small_strict)
+    lv = verdict_for_sequence(prof.large_strict)
+    sm = classify_small(n, fac=f)
+    lm = classify_large(n, fac=f)
+
+    errata = []
+    prediction_ok = True
+    for m in (*sm, *lm):
+        if not verify_prediction(m, prof):
+            prediction_ok = False
+            side = prof.small_strict if m.theorem == SMALL else prof.large_strict
+            errata.append(ErrataEntry(
+                n, m.theorem, KIND_PREDICTION,
+                f"form {m.form_id} predicted {list(m.predicted_set or ())} "
+                f"u={m.predicted_u}, computed {list(side)}",
+            ))
+    if sv.recurrent != bool(sm):
+        errata.append(_disagreement(n, SMALL, sv, sm, prof.small_strict))
+    if lv.recurrent != bool(lm):
+        errata.append(_disagreement(n, LARGE, lv, lm, prof.large_strict))
+
+    record = ValidationRecord(
+        n,
+        sv.recurrent,
+        tuple([m.form_id for m in sm]),
+        lv.recurrent,
+        tuple([m.form_id for m in lm]),
+        prediction_ok,
+    )
+    return record, errata, sv.vacuous, lv.vacuous
+
+
+def _disagreement(n, theorem, verdict, matches, divs):
+    name = "S'" if theorem == SMALL else "L'"
+    if verdict.recurrent:
+        witness = (
+            f"witness (a, b) = {verdict.witness}"
+            if verdict.witness is not None
+            else "vacuously recurrent"
+        )
+        return ErrataEntry(
+            n, theorem, KIND_ORACLE_ONLY,
+            f"{name} = {list(divs)}; {witness}; no form matches",
+        )
+    return ErrataEntry(
+        n, theorem, KIND_CLASSIFIER_ONLY,
+        f"forms {[m.form_id for m in matches]} matched but "
+        f"{name} = {list(divs)} admits no fit",
+    )

@@ -28,8 +28,9 @@ from divrec.harness import (
     validate_range,
 )
 from divrec.oracle import large_verdict, small_verdict
-from divrec.profiles import profile, profiles_in_range
+from divrec.profiles import profile
 from divrec.search import search_large5, search_s7
+from references import profiles_in_range
 
 FULL_RANGE = 10**6
 MID_RANGE = 10**5

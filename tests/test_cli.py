@@ -4,7 +4,8 @@ import pytest
 
 from divrec import cli, harness
 from divrec.cli import main
-from divrec.harness import check_single, validation_record_dict
+from divrec.harness import check_single
+from references import validation_record_dict
 
 
 def run(capsys, *argv):

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import divrec
-from divrec import harness, profiles
-from divrec.arith import CapacityError, ContractViolation
-from divrec.fit import verify_params
+from divrec import classify, harness, oracle, profiles
+from divrec.arith import CapacityError, ContractViolation, factorize
+from divrec.fit import FitKind, FitVerdict, verify_params
 from divrec.harness import (
     _BLOCK,
     _blocks,
@@ -30,11 +30,42 @@ from divrec.harness import (
     record_line,
     split_errata,
     validate_range,
-    validation_record_dict,
     write_summary_csv,
 )
 from divrec.oracle import large_verdict
 from divrec.profiles import profile
+from references import evaluate_by_objects, validation_record_dict
+
+
+def _reference_scan(lo, hi):
+    """(report text, errata, summary counts) of [lo, hi] from the object
+    reference, one ``profile`` per n."""
+    lines, errata, counts = [], [], [0, 0, 0, 0, 0, 0]
+    for n in range(lo, hi + 1):
+        f = factorize(n)
+        rec, errs, small_vac, large_vac = evaluate_by_objects(f, profile(n, fac=f))
+        lines.append(canonical_json(validation_record_dict(rec)) + "\n")
+        errata.extend(errs)
+        for i, v in enumerate((rec.small_oracle, small_vac, rec.large_oracle, large_vac)):
+            counts[i] += v
+    counts[4] = sum(e.theorem == "Small" for e in errata)
+    counts[5] = sum(e.theorem == "Large" for e in errata)
+    return "".join(lines), errata, counts
+
+
+def _counts(summary):
+    return [
+        summary.count_small_recurrent, summary.count_small_vacuous,
+        summary.count_large_recurrent, summary.count_large_vacuous,
+        summary.errata_small, summary.errata_large,
+    ]
+
+
+def _scan(lo, hi, tmp_path):
+    """(report text, errata, summary counts) of ``validate_range`` at jobs=1."""
+    path = tmp_path / f"report-{lo}.jsonl"
+    summary, errata = validate_range(lo, hi, report_path=path)
+    return path.read_text(), errata, _counts(summary)
 
 
 def test_check_single_60():
@@ -126,6 +157,7 @@ def test_report_near_1e12_identical_across_jobs_and_to_single_n(tmp_path):
     # the sieved block scan against per-n factorize
     expected = "".join(record_line(check_single(n)) for n in range(lo, hi + 1))
     assert paths[0].decode() == expected
+    assert _scan(lo, hi, tmp_path) == _reference_scan(lo, hi)
 
 
 def test_blocks_give_every_worker_a_share():
@@ -302,13 +334,15 @@ def test_validate_straddling_the_sieve_crossover_matches_per_n(monkeypatch, tmp_
     lo, hi = 10**9 - 2_000, 10**9 + 6_000
     expected_lines = "".join(record_line(check_single(n)) for n in range(lo, hi + 1))
     expected_errata = [e for n in range(lo, hi + 1) for e in evaluate_single(n)[1]]
+    reference = _reference_scan(lo, hi)
     per_n = []
     monkeypatch.setattr(profiles, "profile", lambda n, *, fac: per_n.append(n) or profile(n, fac=fac))
     for jobs in (1, 2):
         path = tmp_path / f"report-{jobs}.jsonl"
-        _, errata = validate_range(lo, hi, jobs=jobs, report_path=path)
+        summary, errata = validate_range(lo, hi, jobs=jobs, report_path=path)
         assert path.read_text() == expected_lines
         assert errata == expected_errata
+        assert (expected_lines, errata, _counts(summary)) == reference
     assert len(per_n) == 3_905  # counted in this process only, so at jobs=1
 
 
@@ -335,3 +369,65 @@ def test_import_and_check_single_leave_numpy_unloaded():
         timeout=60, check=True,
     )
     assert done.stdout.strip() == "False 0"
+
+
+def test_block_scan_matches_per_n_paths(tmp_path):
+    # sieved segments with the p^2*q^2 errata; the crossover at 10^9 and the
+    # per-n profiles near 10^12 are checked the same way above
+    lo, hi = 2, 20_000
+    report, errata, counts = _scan(lo, hi, tmp_path)
+    # the public per-n path
+    assert report == "".join(record_line(check_single(n)) for n in range(lo, hi + 1))
+    assert errata == [e for n in range(lo, hi + 1) for e in evaluate_single(n)[1]]
+    # the verdict and match objects, counts included
+    assert (report, errata, counts) == _reference_scan(lo, hi)
+
+
+def _no_forms(sig):
+    return []
+
+
+def _empty_fit(seq):
+    return FitVerdict(FitKind.EMPTY)
+
+
+_small_forms = classify._small_forms
+
+
+def _shifted_small_forms(sig):
+    # every stated small-side set gains a term, every stated recurrence a
+    # wrong first seed
+    return [
+        (i, params, pset and pset + (pset[-1] + 1,), pu and (pu[0] + 1, *pu[1:]))
+        for i, params, pset, pu in _small_forms(sig)
+    ]
+
+
+@pytest.mark.parametrize("patch, kinds", [
+    ({"_small_forms": _no_forms, "_large_forms": _no_forms},
+     {KIND_ORACLE_ONLY}),
+    ({"_fit": _empty_fit}, {KIND_CLASSIFIER_ONLY}),
+    ({"_small_forms": _shifted_small_forms},
+     {KIND_PREDICTION, KIND_ORACLE_ONLY}),
+])
+def test_forced_disagreements_match_object_reference(monkeypatch, tmp_path, patch, kinds):
+    # each core is replaced both where the harness reads it and where the
+    # public classifiers and verdicts read it
+    for name, fake in patch.items():
+        monkeypatch.setattr(harness, name, fake)
+        monkeypatch.setattr(oracle if name == "_fit" else classify, name, fake)
+    lo, hi = 2, 3_000
+    got = _scan(lo, hi, tmp_path)
+    assert got == _reference_scan(lo, hi)
+    errata = got[1]
+    assert {e.kind for e in errata} == kinds
+    if KIND_ORACLE_ONLY in kinds:
+        details = [e.detail for e in errata if e.kind == KIND_ORACLE_ONLY]
+        assert any("; witness (a, b) = (" in d for d in details)
+    if patch.get("_small_forms") is _no_forms:
+        assert any("; vacuously recurrent; " in d for d in details)
+        assert {e.theorem for e in errata} == {"Small", "Large"}
+    if KIND_PREDICTION in kinds:
+        # only the small side's predictions were shifted
+        assert {e.theorem for e in errata if e.kind == KIND_PREDICTION} == {"Small"}
+        assert not json.loads(got[0].splitlines()[58])["prediction_ok"]  # n = 60

@@ -12,7 +12,8 @@ from divrec.oracle import (
     small_verdict,
     verdict_for_sequence,
 )
-from divrec.profiles import profile, profiles_in_range
+from divrec.profiles import profile
+from references import profiles_in_range
 
 
 def test_small_60():

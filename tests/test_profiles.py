@@ -5,6 +5,7 @@ import pytest
 from divrec import profiles
 from divrec.arith import (
     ContractViolation,
+    Factorization,
     divisors_sorted,
     factorize,
     isqrt_exact,
@@ -17,9 +18,9 @@ from divrec.profiles import (
     _profile_range,
     check_tau_identity,
     profile,
-    profiles_in_range,
     tau_identity_holds,
 )
+from references import profiles_in_range
 
 
 def profile_by_filter(n, fac):
@@ -144,9 +145,18 @@ _rng = random.Random(4_096)
 def test_sieved_profiles_match_profile(monkeypatch, lo, length, per_n):
     calls = []
     monkeypatch.setattr(profiles, "profile", lambda n, *, fac: calls.append(n) or profile(n, fac=fac))
-    pairs = list(_profile_range(lo, lo + length))
+    rows = list(_profile_range(lo, lo + length))
     assert len(calls) == per_n
-    assert [f for f, _ in pairs] == [factorize(n) for n in range(lo, lo + length)]
-    assert [p for _, p in pairs] == [profile(n) for n in range(lo, lo + length)]
+    ns = range(lo, lo + length)
+    assert [n for n, _, _, _ in rows] == list(ns)
+    assert [factors for _, factors, _, _ in rows] == [factorize(n).factors for n in ns]
+    assert [(small, large) for _, _, small, large in rows] == [
+        (p.small_strict, p.large_strict) for p in map(profile, ns)
+    ]
     # the divisor sieve against the factor sieve's divisor count
-    assert all(tau_identity_holds(p) for _, p in pairs)
+    assert all(
+        tau_identity_holds(DivisorProfile(
+            n, small, large, tau(Factorization(n, factors)), isqrt_exact(n)[1]
+        ))
+        for n, factors, small, large in rows
+    )

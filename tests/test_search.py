@@ -22,6 +22,7 @@ from divrec.search import (
     S7Triple,
     _l5_candidates,
     _s7_candidates,
+    _scan_span,
     search_large5,
     search_s7,
 )
@@ -222,19 +223,43 @@ def test_large5_fixture_pmax10000_empty():
 
 def test_hostile_pmax_raises_before_any_table(monkeypatch):
     # isqrt(p_max^5) + 1 bounds every q tried; it must pass the input bound
-    # (2^62 by default) before the prime table is built
+    # (2^62 by default) before any prime is sieved
     import divrec.search as search
 
-    built = []
+    built, spans = [], []
     monkeypatch.setattr(search, "primes_upto", lambda limit: built.append(limit) or [])
+    monkeypatch.setattr(search, "_scan_span", lambda task: spans.append(task[2:]) or [])
     for runner in (search_s7, search_large5):
         for p_max in (10**12, 29_210_830):  # the smallest p_max over 2^62
             with pytest.raises(CapacityError):
                 runner(p_max)
-        assert built == []
+        assert built == [] and spans == []
         assert runner(29_210_829) == []
-        assert built == [29_210_830]
+        assert built == [isqrt(29_210_829) + 1]
+        # spans of at most 2^16 p that tile [2, p_max] in order
+        assert spans[0][0] == 2 and spans[-1][1] == 29_210_830
+        assert all(a[1] == b[0] and b[1] - b[0] <= 2**16 for a, b in zip(spans, spans[1:]))
         built.clear()
+        spans.clear()
+
+
+def _itself(p):
+    return [p]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (2, 3), (2, 4), (3, 10), (4, 5), (2, 1_000), (1_000, 70_000),
+    (65_538, 131_074), (2, 300_000),
+])
+def test_span_sieve_matches_primes_upto(lo, hi):
+    base = primes_upto(isqrt(hi - 1) + 1)
+    assert _scan_span((_itself, base, lo, hi)) == _window(primes_upto(hi), lo - 1, hi)
+
+
+def test_span_sieve_near_1e12_matches_is_prime():
+    lo, hi = 10**12 - 1_000, 10**12 + 2_000
+    base = primes_upto(isqrt(hi - 1) + 1)
+    assert _scan_span((_itself, base, lo, hi)) == [n for n in range(lo, hi) if is_prime(n)]
 
 
 def test_s7_fixture_pmax1000000():
