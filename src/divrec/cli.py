@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .arith import CapacityError, ContractViolation, factorize
@@ -31,7 +30,7 @@ from .harness import (
 )
 from .oracle import verdict_for_sequence
 from .profiles import profile
-from .search import search_large5, search_s7
+from .search import L5Pair, S7Triple, search_large5, search_s7
 
 __all__ = ["main"]
 
@@ -78,17 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allowlist JSON path (default: the packaged one)")
     _add_format(p)
 
-    p = sub.add_parser("search-s7", help="search the exceptional p^2*q*r small form")
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--out", default=None, help="write hits as JSONL")
-    _add_format(p)
-
-    p = sub.add_parser("search-large5", help="search the conditional p^4*q large form")
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--out", default=None, help="write hits as JSONL")
-    _add_format(p)
+    for name, form in (("search-s7", "exceptional p^2*q*r small"),
+                       ("search-large5", "conditional p^4*q large")):
+        p = sub.add_parser(name, help=f"search the {form} form")
+        p.add_argument("--pmax", type=int, required=True)
+        p.add_argument("--jobs", type=int, default=None)
+        p.add_argument("--out", default=None, help="write hits as JSONL")
+        _add_format(p)
 
     p = sub.add_parser("tau-check", help="divisor-count identity sweep over a range")
     p.add_argument("--from", dest="lo", type=int, required=True)
@@ -131,71 +126,45 @@ def _match_dict(m) -> dict:
     }
 
 
-def _verdicts(prof):
-    return verdict_for_sequence(prof.small_strict), verdict_for_sequence(prof.large_strict)
-
-
-def _classify_payload(n: int) -> dict:
-    fac = factorize(n)
-    prof = profile(n, fac=fac)
-    sv, lv = _verdicts(prof)
-    sm, lm = classify_small(n, fac=fac), classify_large(n, fac=fac)
+def _verdict_payload(n: int, prof) -> dict:
+    """n, both strict sets and both oracle verdicts: what ``oracle`` reports
+    and ``classify`` extends."""
     return {
         "n": n,
-        "factorization": [list(pair) for pair in fac.factors],
-        "tau": prof.tau,
-        "is_square": prof.is_square,
         "small_divisors": list(prof.small_strict),
         "large_divisors": list(prof.large_strict),
-        "small": _verdict_dict(sv),
-        "large": _verdict_dict(lv),
-        "small_forms": [_match_dict(m) for m in sm],
-        "large_forms": [_match_dict(m) for m in lm],
-        "prediction_ok": all(
-            verify_prediction(m, prof) for m in (*sm, *lm)
-        ),
+        "small": _verdict_dict(verdict_for_sequence(prof.small_strict)),
+        "large": _verdict_dict(verdict_for_sequence(prof.large_strict)),
     }
 
 
-def _u_string(seq, witness) -> str:
-    if witness is None or len(seq) < 2:
-        return ""
-    a, b = witness
-    return f"  => U({seq[0]}, {seq[1]}, {a}, {b})"
+def _side_text(payload, side) -> str:
+    """The set line and the verdict line of one side of a payload."""
+    divs, v = payload[f"{side}_divisors"], payload[side]
+    status = "vacuously recurrent" if v["vacuous"] else (
+        "recurrent" if v["recurrent"] else "not recurrent")
+    if v["witness"]:
+        a, b = v["witness"]
+        status += f"  => U({divs[0]}, {divs[1]}, {a}, {b})"
+    return f"{'S' if side == 'small' else 'L'}' = {divs}\n  {status}"
+
+
+def _fit_text(fit: dict) -> str:
+    if "point" in fit:
+        return f"point{tuple(fit['point'])}"
+    if "line_base" in fit:
+        return f"line base={tuple(fit['line_base'])} dir={tuple(fit['line_dir'])}"
+    return fit["kind"]
 
 
 def _fac_string(factors) -> str:
     return " * ".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in factors)
 
 
-def _print_classify_text(payload, out):
-    print(f"n = {payload['n']} = {_fac_string(payload['factorization'])}", file=out)
-    print(f"tau = {payload['tau']}  square = {'yes' if payload['is_square'] else 'no'}",
-          file=out)
-    for side, label in (("small", "S'"), ("large", "L'")):
-        divs = payload[f"{side}_divisors"]
-        v = payload[side]
-        status = "vacuously recurrent" if v["vacuous"] else (
-            "recurrent" if v["recurrent"] else "not recurrent")
-        witness = tuple(v["witness"]) if v["witness"] else None
-        print(f"{label} = {divs}", file=out)
-        print(f"  {status}{_u_string(divs, witness)}", file=out)
-        for m in payload[f"{side}_forms"]:
-            params = " ".join(f"{k}={v}" for k, v in sorted(m["params"].items()))
-            line = f"  form {m['form_id']} [{params}]"
-            if m["predicted_set"] is not None:
-                line += f" predicts {m['predicted_set']}"
-            if m["predicted_u"] is not None:
-                u = m["predicted_u"]
-                line += f" via U({u[0]}, {u[1]}, {u[2]}, {u[3]})"
-            print(line, file=out)
-    print(f"prediction_ok = {payload['prediction_ok']}", file=out)
-
-
-def _csv_row(payload, columns, out):
-    writer = csv.writer(out)
-    writer.writerow(columns)
-    writer.writerow([payload[c] for c in columns])
+def _csv_row(row: dict):
+    writer = csv.writer(sys.stdout)
+    writer.writerow(row)
+    writer.writerow(row.values())
 
 
 def _flat(value):
@@ -209,12 +178,24 @@ def _flat(value):
 
 
 def _cmd_classify(args) -> int:
-    payload = _classify_payload(args.n)
+    n = args.n
+    fac = factorize(n)
+    prof = profile(n, fac=fac)
+    sm, lm = classify_small(n, fac=fac), classify_large(n, fac=fac)
+    payload = {
+        **_verdict_payload(n, prof),
+        "factorization": [list(pair) for pair in fac.factors],
+        "tau": prof.tau,
+        "is_square": prof.is_square,
+        "small_forms": [_match_dict(m) for m in sm],
+        "large_forms": [_match_dict(m) for m in lm],
+        "prediction_ok": all(verify_prediction(m, prof) for m in (*sm, *lm)),
+    }
     if args.format == "json":
         print(canonical_json(payload))
     elif args.format == "csv":
-        flat = {
-            "n": payload["n"],
+        _csv_row({
+            "n": n,
             "factorization": ";".join(f"{p}^{e}" for p, e in payload["factorization"]),
             "tau": payload["tau"],
             "is_square": payload["is_square"],
@@ -225,10 +206,22 @@ def _cmd_classify(args) -> int:
             "large_recurrent": payload["large"]["recurrent"],
             "large_forms": _flat([m["form_id"] for m in payload["large_forms"]]),
             "prediction_ok": payload["prediction_ok"],
-        }
-        _csv_row(flat, list(flat), sys.stdout)
+        })
     else:
-        _print_classify_text(payload, sys.stdout)
+        print(f"n = {n} = {_fac_string(payload['factorization'])}")
+        print(f"tau = {payload['tau']}  square = {'yes' if payload['is_square'] else 'no'}")
+        for side in ("small", "large"):
+            print(_side_text(payload, side))
+            for m in payload[f"{side}_forms"]:
+                params = " ".join(f"{k}={v}" for k, v in sorted(m["params"].items()))
+                line = f"  form {m['form_id']} [{params}]"
+                if m["predicted_set"] is not None:
+                    line += f" predicts {m['predicted_set']}"
+                if m["predicted_u"] is not None:
+                    u = m["predicted_u"]
+                    line += f" via U({u[0]}, {u[1]}, {u[2]}, {u[3]})"
+                print(line)
+        print(f"prediction_ok = {payload['prediction_ok']}")
     return 0
 
 
@@ -236,43 +229,27 @@ def _cmd_oracle(args) -> int:
     if args.bound is not None and not 1 <= args.bound <= _MAX_GRID_BOUND:
         raise ContractViolation(f"--bound must be in [1, {_MAX_GRID_BOUND}]")
     n = args.n
-    prof = profile(n, fac=factorize(n))
-    sv, lv = _verdicts(prof)
-    payload = {
-        "n": n,
-        "small_divisors": list(prof.small_strict),
-        "large_divisors": list(prof.large_strict),
-        "small": _verdict_dict(sv),
-        "large": _verdict_dict(lv),
-    }
+    payload = _verdict_payload(n, profile(n, fac=factorize(n)))
     if args.bound is not None:
         payload["grid_bound"] = args.bound
-        payload["small_grid"] = [list(p) for p in
-                                 brute_force_fit(list(prof.small_strict), args.bound)]
-        payload["large_grid"] = [list(p) for p in
-                                 brute_force_fit(list(prof.large_strict), args.bound)]
+        for side in ("small", "large"):
+            payload[f"{side}_grid"] = [
+                list(p) for p in brute_force_fit(payload[f"{side}_divisors"], args.bound)
+            ]
     if args.format == "json":
         print(canonical_json(payload))
     elif args.format == "csv":
-        flat = {
-            "n": n,
-            "small_divisors": _flat(payload["small_divisors"]),
-            "small_recurrent": sv.recurrent,
-            "small_vacuous": sv.vacuous,
-            "small_witness": _flat(list(sv.witness)) if sv.witness else "",
-            "large_divisors": _flat(payload["large_divisors"]),
-            "large_recurrent": lv.recurrent,
-            "large_vacuous": lv.vacuous,
-            "large_witness": _flat(list(lv.witness)) if lv.witness else "",
-        }
-        _csv_row(flat, list(flat), sys.stdout)
+        row = {"n": n}
+        for side in ("small", "large"):
+            v = payload[side]
+            row[f"{side}_divisors"] = _flat(payload[f"{side}_divisors"])
+            row[f"{side}_recurrent"] = v["recurrent"]
+            row[f"{side}_vacuous"] = v["vacuous"]
+            row[f"{side}_witness"] = _flat(v["witness"])  # csv writes None as ""
+        _csv_row(row)
     else:
-        for side, label, v in (("small", "S'", sv), ("large", "L'", lv)):
-            divs = payload[f"{side}_divisors"]
-            status = "vacuously recurrent" if v.vacuous else (
-                "recurrent" if v.recurrent else "not recurrent")
-            print(f"{label} = {divs}")
-            print(f"  {status}{_u_string(divs, v.witness)}  [{v.fit}]")
+        for side in ("small", "large"):
+            print(f"{_side_text(payload, side)}  [{_fit_text(payload[side]['fit'])}]")
             if args.bound is not None:
                 print(f"  grid |a|,|b| <= {args.bound}: {payload[f'{side}_grid']}")
     return 0
@@ -315,12 +292,7 @@ def _cmd_validate(args) -> int:
             "violations": [erratum_record(e) for e in violations],
         }))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        cols = list(asdict(summary))
-        writer.writerow(cols)
-        writer.writerow([getattr(summary, c) for c in cols])
-        sys.stdout.write(buf.getvalue())
+        _csv_row(asdict(summary))
     else:
         s = summary
         print(f"range [{s.range_lo}, {s.range_hi}]")
@@ -334,7 +306,8 @@ def _cmd_validate(args) -> int:
     return 2 if violations else 0
 
 
-def _search_common(args, runner, order):
+def _search_common(args, runner, hit_type):
+    order = [f.name for f in fields(hit_type)]
     jobs = args.jobs if args.jobs is not None else default_jobs()
     if args.out:
         _check_out_dir(args.out)
@@ -356,21 +329,16 @@ def _search_common(args, runner, order):
         if not records:
             print("no hits")
         for rec in records:
-            fields = " ".join(f"{c}={rec[c]}" for c in order)
-            print(fields)
+            print(" ".join(f"{c}={rec[c]}" for c in order))
     return 0
 
 
 def _cmd_search_s7(args) -> int:
-    return _search_common(
-        args, search_s7, ["p", "q", "r", "n", "a", "b", "oracle_confirmed"]
-    )
+    return _search_common(args, search_s7, S7Triple)
 
 
 def _cmd_search_large5(args) -> int:
-    return _search_common(
-        args, search_large5, ["p", "q", "n", "oracle_confirmed"]
-    )
+    return _search_common(args, search_large5, L5Pair)
 
 
 def _cmd_tau_check(args) -> int:

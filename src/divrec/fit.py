@@ -51,15 +51,10 @@ class FitVerdict:
     line_base: tuple[int, int] | None = None
     line_dir: tuple[int, int] | None = None
 
-    def __str__(self) -> str:
-        if self.kind is FitKind.POINT:
-            return f"point{self.point}"
-        if self.kind is FitKind.LINE:
-            return f"line base={self.line_base} dir={self.line_dir}"
-        return self.kind.value
 
-
-_EMPTY_FIT = FitVerdict(FitKind.EMPTY)  # frozen: every empty result shares it
+# frozen: every empty result shares one, and every vacuous result the other
+_EMPTY_FIT = FitVerdict(FitKind.EMPTY)
+_VACUOUS_FIT = FitVerdict(FitKind.VACUOUS)
 
 
 def _check_sequence(seq: Sequence[int]) -> None:
@@ -120,7 +115,7 @@ def solve_constraints(constraints: Iterable[tuple[int, int, int]]) -> FitVerdict
         if rhs:
             return _EMPTY_FIT
     else:
-        return FitVerdict(FitKind.VACUOUS)
+        return _VACUOUS_FIT
 
     g, x, y = _ext_gcd(ca, cb)
     if rhs % g:
@@ -163,9 +158,17 @@ def solve_constraints(constraints: Iterable[tuple[int, int, int]]) -> FitVerdict
 def solve_fit(seq: Sequence[int]) -> FitVerdict:
     """Complete (a, b) solution set for a strictly increasing sequence."""
     _check_sequence(seq)
+    return _fit(seq)
+
+
+def _fit(seq: Sequence[int]) -> FitVerdict:
+    """``solve_fit`` for a sequence already known to pass its checks;
+    vacuous exactly when it has at most two terms."""
     if len(seq) <= 2:
-        return FitVerdict(FitKind.VACUOUS)
-    return solve_constraints(constraints_of(seq))
+        return _VACUOUS_FIT
+    # the constraints (e2, e1, e3) of every adjacent triple, read lazily;
+    # positive coefficients: the solution set is never vacuous here
+    return solve_constraints(zip(seq[1:], seq, seq[2:]))
 
 
 def verify_params(seq: Sequence[int], a: int, b: int) -> bool:

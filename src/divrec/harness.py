@@ -26,15 +26,15 @@ import os
 import shutil
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from multiprocessing import get_context
 from pathlib import Path
 
-from .arith import ContractViolation, Factorization, _guard, factor_range, factorize
+from .arith import ContractViolation, _guard, factor_range, factorize
 from .classify import LARGE, SMALL, _large_forms, _prediction_holds, _small_forms
-from .fit import FitKind
-from .oracle import _fit, _verdict
+from .fit import FitKind, _fit
+from .oracle import _verdict
 from .profiles import _profile_range, profile, tau_identity_holds
 
 __all__ = [
@@ -121,11 +121,9 @@ def _available_cpus() -> int:
 # single-n evaluation
 
 
-def evaluate_single(
-    n: int, *, fac: Factorization | None = None
-) -> tuple[ValidationRecord, list[ErrataEntry]]:
+def evaluate_single(n: int) -> tuple[ValidationRecord, list[ErrataEntry]]:
     """The per-n record plus every oracle/classifier disagreement."""
-    f = fac if fac is not None else factorize(n)
+    f = factorize(n)
     prof = profile(n, fac=f)
     s_rec, _, s_ids, l_rec, _, l_ids, ok, errata = _evaluate(
         n, f.factors, prof.small_strict, prof.large_strict
@@ -257,16 +255,11 @@ def _replace_when_done(path, mode="w", **kwargs):
 
 
 def write_summary_csv(path, summary: ValidationSummary) -> None:
-    columns = [
-        "range_lo", "range_hi",
-        "count_small_recurrent", "count_small_vacuous",
-        "count_large_recurrent", "count_large_vacuous",
-        "errata_small", "errata_large",
-    ]
+    row = asdict(summary)
     with _replace_when_done(path, newline="") as out:
         writer = csv.writer(out)
-        writer.writerow(columns)
-        writer.writerow([getattr(summary, c) for c in columns])
+        writer.writerow(row)
+        writer.writerow(row.values())
 
 
 def ledger_keys(path) -> set[tuple[int, str]]:
@@ -294,6 +287,8 @@ def append_ledger(path, errata) -> int:
         seen.add(key)
         lines.append(canonical_json(erratum_record(e)) + "\n")
     old = path.read_bytes() if path.exists() else b""
+    if lines and old and not old.endswith(b"\n"):
+        old += b"\n"  # else the first new entry would extend the last old line
     with _replace_when_done(path, "wb") as fh:
         fh.write(old)
         fh.write("".join(lines).encode())
@@ -304,8 +299,9 @@ def append_ledger(path, errata) -> int:
 # block scans
 
 
-def _parallel_map(worker, tasks, jobs, *, chunksize=None) -> list:
-    """``[worker(t) for t in tasks]``, on up to ``jobs`` forked workers.
+def _parallel_map(worker, tasks, jobs) -> list:
+    """``[worker(t) for t in tasks]``, on up to ``jobs`` forked workers, one
+    task at a time each.
 
     The pool never has more workers than tasks or than CPUs this process
     may use; ``jobs`` and the task list alone decide whether there is one.
@@ -313,7 +309,7 @@ def _parallel_map(worker, tasks, jobs, *, chunksize=None) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
     with get_context("fork").Pool(min(jobs, len(tasks), _available_cpus())) as pool:
-        return pool.map(worker, tasks, chunksize=chunksize)
+        return pool.map(worker, tasks, chunksize=1)
 
 
 def _scan_validation_block(task):
@@ -348,6 +344,17 @@ def _blocks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
     return [(start, min(start + size, hi + 1)) for start in range(lo, hi + 1, size)]
 
 
+def _range_spans(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
+    """The ``_blocks`` of a range scan over [lo, hi], once its arguments pass
+    their checks."""
+    if not 2 <= lo <= hi:
+        raise ContractViolation("need 2 <= lo <= hi")
+    if jobs < 1:
+        raise ContractViolation("jobs must be >= 1")
+    _guard(hi)  # first: _blocks lists (hi - lo) / _BLOCK spans
+    return _blocks(lo, hi, min(jobs, _available_cpus()))
+
+
 def validate_range(
     lo: int,
     hi: int,
@@ -360,13 +367,7 @@ def validate_range(
     The result is independent of ``jobs``; with a report path the emitted
     bytes are identical for any worker count.
     """
-    if not 2 <= lo <= hi:
-        raise ContractViolation("need 2 <= lo <= hi")
-    if jobs < 1:
-        raise ContractViolation("jobs must be >= 1")
-    _guard(hi)
-
-    spans = _blocks(lo, hi, min(jobs, _available_cpus()))
+    spans = _range_spans(lo, hi, jobs)
     with tempfile.TemporaryDirectory() as tmp:
         if report_path is not None:
             tasks = [
@@ -375,7 +376,7 @@ def validate_range(
             ]
         else:
             tasks = [(b_lo, b_hi, None) for b_lo, b_hi in spans]
-        results = _parallel_map(_scan_validation_block, tasks, jobs, chunksize=1)
+        results = _parallel_map(_scan_validation_block, tasks, jobs)
 
         if report_path is not None:
             with _replace_when_done(report_path, "wb") as out:
@@ -420,13 +421,7 @@ def profile_sweep_failures(
     lo: int, hi: int, *, jobs: int = 1
 ) -> tuple[list[int], list[int]]:
     """(tau-identity failures, reflection failures) over [lo, hi]; expect ([], [])."""
-    if not 2 <= lo <= hi:
-        raise ContractViolation("need 2 <= lo <= hi")
-    if jobs < 1:
-        raise ContractViolation("jobs must be >= 1")
-    _guard(hi)
-    spans = _blocks(lo, hi, min(jobs, _available_cpus()))
-    results = _parallel_map(_scan_profile_block, spans, jobs, chunksize=1)
+    results = _parallel_map(_scan_profile_block, _range_spans(lo, hi, jobs), jobs)
     tau_bad = [n for bad, _ in results for n in bad]
     reflect_bad = [n for _, bad in results for n in bad]
     return tau_bad, reflect_bad
@@ -460,18 +455,16 @@ _FAMILIES = {
 def load_allowlist(path=None) -> tuple[AllowlistEntry, ...]:
     """Load allowlist entries; with no path, the packaged default."""
     if path is None:
-        text = (
-            resources.files("divrec").joinpath("data/allowlist.json").read_text()
-        )
+        data = resources.files("divrec").joinpath("data/allowlist.json").read_bytes()
     else:
         try:
-            text = Path(path).read_text()
+            data = Path(path).read_bytes()
         except OSError as exc:
             raise ContractViolation(f"cannot read allowlist {path}: {exc.strerror}") from None
-    try:
+    try:  # json.loads decodes the bytes; a UnicodeDecodeError is a ValueError
         entries = tuple(
             AllowlistEntry(obj["theorem"], obj["pattern"], obj["justification"])
-            for obj in json.loads(text)
+            for obj in json.loads(data)
         )
         unknown = [e.pattern for e in entries if e.pattern not in _FAMILIES]
     except (ValueError, KeyError, TypeError) as exc:

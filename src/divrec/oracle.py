@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import ContractViolation, Factorization
-from .fit import FitKind, FitVerdict, _check_sequence, solve_constraints
+from .fit import _EMPTY_FIT, _VACUOUS_FIT, FitKind, FitVerdict, _check_sequence, _fit
 from .profiles import profile
 
 __all__ = [
@@ -56,8 +56,8 @@ def canonical_witness(fit: FitVerdict) -> tuple[int, int] | None:
 
 # Every set of at most two terms satisfies every (a, b), and an empty fit
 # has no witness: one shared verdict each.
-_VACUOUS = RecurrenceVerdict(True, True, FitVerdict(FitKind.VACUOUS), None)
-_EMPTY = RecurrenceVerdict(False, False, FitVerdict(FitKind.EMPTY), None)
+_VACUOUS = RecurrenceVerdict(True, True, _VACUOUS_FIT, None)
+_EMPTY = RecurrenceVerdict(False, False, _EMPTY_FIT, None)
 
 
 def verdict_for_sequence(seq) -> RecurrenceVerdict:
@@ -76,16 +76,6 @@ def _verdict(seq) -> RecurrenceVerdict:
     if fit.kind is FitKind.EMPTY:
         return _EMPTY
     return RecurrenceVerdict(True, False, fit, canonical_witness(fit))
-
-
-def _fit(seq) -> FitVerdict:
-    """The fit of a sequence that passes the checks of ``verdict_for_sequence``;
-    vacuous exactly when it has at most two terms."""
-    if len(seq) <= 2:
-        return _VACUOUS.fit
-    # the constraints (e2, e1, e3) of every adjacent triple, read lazily;
-    # positive coefficients: the solution set is never vacuous here
-    return solve_constraints(zip(seq[1:], seq, seq[2:]))
 
 
 def small_verdict(n: int, *, fac: Factorization | None = None) -> RecurrenceVerdict:

@@ -179,7 +179,7 @@ def _scan_primes(scan_p, p_max: int, jobs: int, pool_min_pmax: int) -> list:
     base = primes_upto(isqrt(p_max) + 1)
     tasks = [(scan_p, base, lo, min(lo + _SPAN, p_max + 1))
              for lo in range(2, p_max + 1, _SPAN)]
-    return [hit for batch in _parallel_map(_scan_span, tasks, jobs, chunksize=1)
+    return [hit for batch in _parallel_map(_scan_span, tasks, jobs)
             for hit in batch]
 
 

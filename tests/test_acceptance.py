@@ -142,7 +142,7 @@ def test_criterion_4_fit_solver_oracle_equivalence(jobs):
             for length in (3, 4, 5, 6)
             for offset in range(jobs)
         ]
-        batches = _parallel_map(_c4_worker, tasks, jobs, chunksize=1)
+        batches = _parallel_map(_c4_worker, tasks, jobs)
         mismatches = [m for batch in batches for m in batch]
         assert mismatches == []
 

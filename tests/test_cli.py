@@ -363,3 +363,27 @@ def test_search_interrupted_out_leaves_no_file_or_the_old_one(
     monkeypatch.undo()
     assert main(argv) == 0
     assert out.read_text() == '{"a":2,"b":-1,"n":60,"oracle_confirmed":true,"p":2,"q":3,"r":5}\n'
+
+
+def test_validate_appends_after_a_ledger_line_without_newline(capsys, tmp_path):
+    argv = ["validate", "--from", "2", "--to", "200", "--jobs", "1",
+            "--out", str(tmp_path / "r.jsonl")]
+    assert main(argv) == 0
+    ledger = tmp_path / "r.errata.jsonl"
+    ledger.write_bytes(ledger.read_bytes().rstrip(b"\n"))
+    argv[4] = "500"  # one more erratum, n = 484, to append
+    assert main(argv) == 0
+    assert main(argv) == 0
+    lines = ledger.read_text().splitlines()
+    assert [json.loads(x)["n"] for x in lines] == [100, 196, 484]
+
+
+def test_validate_allowlist_that_is_not_utf8_exits_one(capsys, tmp_path):
+    allow = tmp_path / "allow.json"
+    allow.write_bytes(b"\xff\xfe\xff")
+    code, out, err = run(
+        capsys, "validate", "--from", "2", "--to", "50", "--allowlist", str(allow),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("divrec: error:") and "allowlist" in err
+    assert "Traceback" not in err

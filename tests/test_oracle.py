@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from divrec.arith import CapacityError, ContractViolation, primes_upto, set_input_bound
-from divrec.fit import FitKind, FitVerdict, solve_fit, verify_params
+from divrec.fit import FitKind, FitVerdict, constraints_of, solve_constraints, verify_params
 from divrec.oracle import (
     RecurrenceVerdict,
     _verdict,
@@ -103,9 +103,11 @@ def test_canonical_witness_prefers_small_a_then_b():
     assert canonical_witness(v.fit) == (2, 0)
 
 
-def verdict_by_solve_fit(seq):
-    """Reference: the verdict as built from ``solve_fit`` on every call."""
-    fit = solve_fit(list(seq))
+def verdict_by_constraints(seq):
+    """Reference: the verdict as built from the constraint list on every call,
+    not from the fit core that ``solve_fit`` and ``_verdict`` share; a list
+    with no constraints, that of at most two terms, solves as vacuous."""
+    fit = solve_constraints(constraints_of(list(seq)))
     vacuous = fit.kind is FitKind.VACUOUS
     recurrent = fit.kind is not FitKind.EMPTY
     witness = canonical_witness(fit) if recurrent and not vacuous else None
@@ -116,13 +118,13 @@ def test_core_matches_public_verdict_over_range():
     # equality compares recurrent, vacuous, fit and witness
     for prof in profiles_in_range(2, 20_000):
         for seq in (prof.small_strict, prof.large_strict):
-            assert _verdict(seq) == verdict_for_sequence(seq) == verdict_by_solve_fit(seq), seq
+            assert _verdict(seq) == verdict_for_sequence(seq) == verdict_by_constraints(seq), seq
 
 
 def test_short_sequences_share_one_frozen_vacuous_verdict():
     v = _verdict(())
     assert v is _verdict((2,)) is _verdict((2, 3)) is verdict_for_sequence([5, 7])
-    assert v == verdict_by_solve_fit(())
+    assert v == verdict_by_constraints(())
     with pytest.raises(dataclasses.FrozenInstanceError):
         v.recurrent = False
 
@@ -151,7 +153,7 @@ def test_empty_verdicts_share_one_frozen_verdict():
     v = _verdict((2, 4, 7))
     assert v is _verdict(profile(100).small_strict)
     assert v is verdict_for_sequence([2, 3, 5, 6, 7, 10, 11, 14, 15])
-    assert v == verdict_by_solve_fit((2, 4, 7))
+    assert v == verdict_by_constraints((2, 4, 7))
     assert v == RecurrenceVerdict(False, False, FitVerdict(FitKind.EMPTY), None)
     with pytest.raises(dataclasses.FrozenInstanceError):
         v.recurrent = True
