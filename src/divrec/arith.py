@@ -243,7 +243,12 @@ def _segment_primes(t: int) -> array:
 
 
 def factor_range(lo: int, hi_excl: int) -> Iterator[Factorization]:
-    """``factorize(n)`` for lo <= n < hi_excl, in order, by a segmented sieve.
+    """``factorize(n)`` for lo <= n < hi_excl, in order, by a segmented sieve."""
+    return (Factorization(n, f) for n, f in _factor_range(lo, hi_excl))
+
+
+def _factor_range(lo: int, hi_excl: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    """``(n, factorize(n).factors)`` for lo <= n < hi_excl, in order.
 
     Each prime p <= top = min(isqrt(hi_excl - 1), 2**20) visits only its
     multiples in the current segment and divides itself out.  A cofactor
@@ -269,8 +274,9 @@ def factor_range(lo: int, hi_excl: int) -> Iterator[Factorization]:
         size = min(segment, hi_excl - start)
         rem = list(range(start, start + size))
         pairs: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        neg = -start  # one negation per segment, not one per prime
         for p in primes:
-            i = -start % p
+            i = neg % p
             while i < size:
                 m = rem[i] // p
                 e = 1
@@ -280,15 +286,14 @@ def factor_range(lo: int, hi_excl: int) -> Iterator[Factorization]:
                 rem[i] = m
                 pairs[i].append((p, e))
                 i += p
-        for i, m in enumerate(rem):
-            f = pairs[i]
+        for n, m, f in zip(range(start, start + size), rem, pairs):
             if m >= proven:
                 acc: dict[int, int] = {}
                 _factor_into(m, acc)
                 f.extend(sorted(acc.items()))
             elif m > 1:
                 f.append((m, 1))
-            yield Factorization(start + i, tuple(f))
+            yield n, tuple(f)
 
 
 def isqrt_exact(n: int) -> tuple[int, bool]:
@@ -301,22 +306,29 @@ def isqrt_exact(n: int) -> tuple[int, bool]:
 
 def divisors_sorted(f: Factorization) -> list[int]:
     """All divisors of f.n in strictly increasing order."""
+    return _divisors(f.factors)
+
+
+def _divisors(factors) -> list[int]:
+    """All divisors of the n with prime factorization ``factors``, sorted."""
     divs = [1]
-    for p, e in f.factors:
-        pk = 1
-        block = []
+    for p, e in factors:
+        block = divs
         for _ in range(e):
-            pk *= p
-            block.extend(d * pk for d in divs)
-        divs.extend(block)
+            block = [d * p for d in block]
+            divs += block
     divs.sort()
     return divs
 
 
 def tau(f: Factorization) -> int:
     """Divisor count: product of (exponent + 1)."""
+    return _tau(f.factors)
+
+
+def _tau(factors) -> int:
     t = 1
-    for _, e in f.factors:
+    for _, e in factors:
         t *= e + 1
     return t
 

@@ -20,7 +20,7 @@ patched to absorb an oracle disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
 from .arith import ContractViolation, Factorization, factorize
 from .fit import verify_params
@@ -153,12 +153,9 @@ def _small_forms(sig) -> list[Form]:
             out.append((6, {"p": p, "q": q, "r": r, "k": b}, pset,
                         _with_u(pset, 0, q)))
         if a == b == c == 1:
-            if r < p * q:
-                # solvability of r = a*q + b*p, decided by the gcd criterion
-                if r % gcd(q, p) == 0:
-                    out.append((8, {"p": p, "q": q, "r": r}, (p, q, r), None))
-            else:
-                out.append((8, {"p": p, "q": q, "r": r}, (p, q, p * q), None))
+            # r = a*q + b*p is always solvable: distinct primes have gcd(q, p) = 1
+            out.append((8, {"p": p, "q": q, "r": r},
+                        (p, q, r) if r < p * q else (p, q, p * q), None))
         if a == 2 and b == 1 and c == 1:
             m = _small_form_10(p, q, r)
             if m is not None:

@@ -177,8 +177,14 @@ def _flat(value):
 # command implementations
 
 
+def _check_n(n: int) -> None:
+    if n < 2:
+        raise ContractViolation("n must be >= 2")
+
+
 def _cmd_classify(args) -> int:
     n = args.n
+    _check_n(n)
     fac = factorize(n)
     prof = profile(n, fac=fac)
     sm, lm = classify_small(n, fac=fac), classify_large(n, fac=fac)
@@ -229,6 +235,7 @@ def _cmd_oracle(args) -> int:
     if args.bound is not None and not 1 <= args.bound <= _MAX_GRID_BOUND:
         raise ContractViolation(f"--bound must be in [1, {_MAX_GRID_BOUND}]")
     n = args.n
+    _check_n(n)
     payload = _verdict_payload(n, profile(n, fac=factorize(n)))
     if args.bound is not None:
         payload["grid_bound"] = args.bound
@@ -307,6 +314,8 @@ def _cmd_validate(args) -> int:
 
 
 def _search_common(args, runner, hit_type):
+    if args.pmax < 2:
+        raise ContractViolation("--pmax must be >= 2")
     order = [f.name for f in fields(hit_type)]
     jobs = args.jobs if args.jobs is not None else default_jobs()
     if args.out:

@@ -9,7 +9,9 @@ contiguous blocks, optionally across worker processes; the merged output
 is deterministic and independent of the worker count, byte for byte.  A
 validate block gets its factorizations from the factor sieve and its
 divisor sets from the divisor sieve of ``profiles._profile_range``;
-``check_single`` and the ``tau-check`` sweep build each profile on its own.
+``check_single`` builds one ``profile``.  The ``tau-check`` sweep also runs
+on plain values: factor tuples from the factor sieve, and both sets of
+each n cut on their own by ``profiles._strict_sets``.
 
 Report formats:
   * report:  JSONL, one validation record per line, sorted keys, integers
@@ -28,14 +30,15 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from importlib import resources
+from math import isqrt
 from multiprocessing import get_context
 from pathlib import Path
 
-from .arith import ContractViolation, _guard, factor_range, factorize
+from .arith import ContractViolation, _factor_range, _guard, _tau, factorize
 from .classify import LARGE, SMALL, _large_forms, _prediction_holds, _small_forms
 from .fit import FitKind, _fit
 from .oracle import _verdict
-from .profiles import _profile_range, profile, tau_identity_holds
+from .profiles import _profile_range, _strict_sets, _tau_identity, profile
 
 __all__ = [
     "AllowlistEntry",
@@ -405,15 +408,18 @@ def validate_range(
 
 
 def _scan_profile_block(task):
+    """Both checks of the sweep over [lo, hi_excl), from plain values: the
+    divisor count from the exponents against each set's length, and L'
+    reflected through n // d against S'."""
     lo, hi_excl = task
     tau_bad: list[int] = []
     reflect_bad: list[int] = []
-    for f in factor_range(lo, hi_excl):
-        prof = profile(f.n, fac=f)
-        if not tau_identity_holds(prof):
-            tau_bad.append(f.n)
-        if tuple(f.n // d for d in reversed(prof.large_strict)) != prof.small_strict:
-            reflect_bad.append(f.n)
+    for n, factors in _factor_range(lo, hi_excl):
+        small, large = _strict_sets(n, factors)
+        if not _tau_identity(_tau(factors), isqrt(n) ** 2 == n, small, large):
+            tau_bad.append(n)
+        if tuple([n // d for d in reversed(large)]) != small:
+            reflect_bad.append(n)
     return tau_bad, reflect_bad
 
 

@@ -8,8 +8,14 @@ from pathlib import Path
 import pytest
 
 import divrec
-from divrec import classify, harness, oracle, profiles
-from divrec.arith import CapacityError, ContractViolation, factorize
+from divrec import arith, classify, harness, oracle, profiles
+from divrec.arith import (
+    CapacityError,
+    ContractViolation,
+    Factorization,
+    divisors_sorted,
+    factorize,
+)
 from divrec.fit import FitKind, FitVerdict, verify_params
 from divrec.harness import (
     _BLOCK,
@@ -33,7 +39,7 @@ from divrec.harness import (
     write_summary_csv,
 )
 from divrec.oracle import large_verdict
-from divrec.profiles import profile
+from divrec.profiles import check_tau_identity, profile
 from references import evaluate_by_objects, validation_record_dict
 
 
@@ -271,6 +277,49 @@ def test_profile_sweep():
     assert tau_bad == [] and reflect_bad == []
 
 
+@pytest.mark.parametrize("lo, hi_excl", [
+    (2, 3_000),
+    (89_000, 91_000),
+    (10**9, 10**9 + 1_000),
+    (10**12 - 500, 10**12 + 500),
+    (2**62 - 199, 2**62 + 1),  # up to the default input bound
+])
+def test_profile_sweep_kernel_matches_per_n_paths(lo, hi_excl):
+    ns = range(lo, hi_excl)
+    rows = list(arith._factor_range(lo, hi_excl))
+    assert rows == [(n, factorize(n).factors) for n in ns]
+    profs = [profile(n) for n in ns]
+    for (n, factors), p in zip(rows, profs):
+        # the sets filtered from all divisors on d*d against n, and tau as
+        # the number of divisors: neither shares the cut or the exponents
+        divs = divisors_sorted(Factorization(n, factors))
+        small = tuple(d for d in divs if 1 < d and d * d < n)
+        large = tuple(d for d in divs if d < n and d * d > n)
+        assert profiles._strict_sets(n, factors) == (small, large) == (p.small_strict, p.large_strict)
+        assert arith._tau(factors) == len(divs) == p.tau
+    tau_bad = [n for n in ns if not check_tau_identity(n)]
+    reflect_bad = [
+        p.n for p in profs if tuple(p.n // d for d in reversed(p.large_strict)) != p.small_strict
+    ]
+    assert harness._scan_profile_block((lo, hi_excl)) == (tau_bad, reflect_bad) == ([], [])
+
+
+@pytest.mark.parametrize("side", [0, 1])  # S', L'
+def test_profile_sweep_reports_a_set_that_lost_one_divisor(monkeypatch, side):
+    # each set is checked against tau and against the other set on its own,
+    # so a divisor missing from either one shows in both checks
+    strict_sets = profiles._strict_sets
+
+    def drop_one(n, factors):
+        sets = list(strict_sets(n, factors))
+        if n == 360:
+            sets[side] = sets[side][1:]
+        return tuple(sets)
+
+    monkeypatch.setattr(harness, "_strict_sets", drop_one)
+    assert profile_sweep_failures(300, 400) == ([360], [360])
+
+
 def test_profile_sweep_guards_before_cutting_blocks(monkeypatch):
     # an out-of-bound range must fail before the block list is built: at
     # hi = 2**63 that list alone would hold about 1.4e14 spans
@@ -328,15 +377,17 @@ def test_validate_with_huge_jobs_asks_one_worker_per_cpu(pool_sizes, tmp_path):
 
 
 def test_validate_straddling_the_sieve_crossover_matches_per_n(monkeypatch, tmp_path):
-    # at jobs=1 the block's first segment is sieved (isqrt 31 622 <= 8 * 4 096)
-    # and its 3 905-n tail goes per n; at jobs=2 on two CPUs or more both
-    # 4 001-n blocks are sieved
-    lo, hi = 10**9 - 2_000, 10**9 + 6_000
+    # at jobs=1 the block's first segment is sieved (isqrt 19 748 <= 5 * 4 096)
+    # and its 3 905-n tail goes per n (19 748 > 5 * 3 905); at jobs=2 on two
+    # CPUs or more both blocks of at most 4 001 n are sieved
+    lo, hi = 39 * 10**7 - 2_000, 39 * 10**7 + 6_000
     expected_lines = "".join(record_line(check_single(n)) for n in range(lo, hi + 1))
     expected_errata = [e for n in range(lo, hi + 1) for e in evaluate_single(n)[1]]
     reference = _reference_scan(lo, hi)
     per_n = []
-    monkeypatch.setattr(profiles, "profile", lambda n, *, fac: per_n.append(n) or profile(n, fac=fac))
+    strict_sets = profiles._strict_sets
+    monkeypatch.setattr(profiles, "_strict_sets",
+                        lambda n, factors: per_n.append(n) or strict_sets(n, factors))
     for jobs in (1, 2):
         path = tmp_path / f"report-{jobs}.jsonl"
         summary, errata = validate_range(lo, hi, jobs=jobs, report_path=path)

@@ -138,13 +138,15 @@ _rng = random.Random(4_096)
     (_rng.randrange(2, 10**6 - 5_000), 5_000, 0),
     (_rng.randrange(2, 10**6 - 4_097), 4_097, 1),  # a one-n tail goes per n
     (5_040**2 - 1_000, 2_001, 0),  # 5 040^2 has 405 divisors
-    (_rng.randrange(2 * 10**7, 10**8), 6_000, 0),
-    (10**9, 5_096, 1_000),  # isqrt 31 623 <= 8 * 4 096, but > 8 * 1 000
+    (_rng.randrange(2 * 10**7, 10**8), 6_000, 1_904),  # isqrt 9 980 > 5 * 1 904
+    (10**8, 5_096, 1_000),  # isqrt 10 000 <= 5 * 4 096, but > 5 * 1 000
     (_rng.randrange(10**10, 10**11), 4_200, 4_200),  # two segments, both per n
 ])
 def test_sieved_profiles_match_profile(monkeypatch, lo, length, per_n):
     calls = []
-    monkeypatch.setattr(profiles, "profile", lambda n, *, fac: calls.append(n) or profile(n, fac=fac))
+    strict_sets = profiles._strict_sets
+    monkeypatch.setattr(profiles, "_strict_sets",
+                        lambda n, factors: calls.append(n) or strict_sets(n, factors))
     rows = list(_profile_range(lo, lo + length))
     assert len(calls) == per_n
     ns = range(lo, lo + length)
