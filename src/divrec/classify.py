@@ -161,8 +161,7 @@ def _small_forms(sig) -> list[Form]:
             if m is not None:
                 out.append(m)
 
-    out.sort(key=lambda m: m[0])
-    return out
+    return out  # appended in form-id order, so already sorted
 
 
 def _s7_solution(p: int, q: int) -> tuple[int, int, int] | None:
@@ -270,8 +269,7 @@ def _large_forms(sig) -> list[Form]:
             out.append((9, {"p": p, "q": q, "r": r, "k": b}, pset,
                         _with_u(pset, 0, q)))
 
-    out.sort(key=lambda m: m[0])
-    return out
+    return out  # appended in form-id order, so already sorted
 
 
 def verify_prediction(m: FormMatch, prof: DivisorProfile) -> bool:

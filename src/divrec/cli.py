@@ -182,6 +182,13 @@ def _check_n(n: int) -> None:
         raise ContractViolation("n must be >= 2")
 
 
+def _check_range(args) -> None:
+    if args.lo < 2:
+        raise ContractViolation("--from must be >= 2")
+    if args.hi < args.lo:
+        raise ContractViolation("--to must be >= --from")
+
+
 def _cmd_classify(args) -> int:
     n = args.n
     _check_n(n)
@@ -277,6 +284,7 @@ def _report_paths(out):
 
 
 def _cmd_validate(args) -> int:
+    _check_range(args)
     jobs = args.jobs if args.jobs is not None else default_jobs()
     allowlist = load_allowlist(args.allowlist)
     if args.out:
@@ -351,6 +359,7 @@ def _cmd_search_large5(args) -> int:
 
 
 def _cmd_tau_check(args) -> int:
+    _check_range(args)
     jobs = args.jobs if args.jobs is not None else default_jobs()
     tau_bad, reflect_bad = profile_sweep_failures(args.lo, args.hi, jobs=jobs)
     print(f"range [{args.lo}, {args.hi}]: "

@@ -198,6 +198,27 @@ def _random_blocks(seed, lo, hi, count, length):
     return [(a, a + length) for a in (rng.randrange(lo, hi) for _ in range(count))]
 
 
+def _one_multiple_windows(p, size, near):
+    """Two windows of ``size`` n from about ``near``, each holding one
+    multiple of p: at index 0 in the first, at index size - 1 in the second."""
+    m = -(-near // p) * p
+    return [(m, m + size), (m - size + 1, m + 1)]
+
+
+# Sieving primes above the window length have at most one multiple in it.
+# Place that multiple at both window edges, for the first such prime, for
+# 999 983 (the largest prime below 10**6) and for 999 983**2, whose prime
+# divides it twice.
+_SHORT_WINDOWS = list(dict.fromkeys(
+    w
+    for size in (1, 2, 3, 511, 512, 513)
+    for p in (next(q for q in itertools.count(size + 1) if is_prime(q)), 999_983)
+    for w in _one_multiple_windows(p, size, 10**12)
+)) + [
+    w for size in (3, 513) for w in _one_multiple_windows(999_983**2, size, 999_983**2)
+]
+
+
 @pytest.mark.parametrize("lo, hi_excl", [
     (1, 2 * _MIN_SEGMENT + 17),
     (2, 3_000),
@@ -211,6 +232,7 @@ def _random_blocks(seed, lo, hi, count, length):
     (_P1 * _P1 - 100, _P1 * _P1 + 100),
     (_P1 * _P2 - 100, _P1 * _P2 + 100),
     (2**62 - 149, 2**62 + 1),
+    *_SHORT_WINDOWS,
 ])
 def test_factor_range_matches_factorize(lo, hi_excl):
     assert list(factor_range(lo, hi_excl)) == [factorize(n) for n in range(lo, hi_excl)]

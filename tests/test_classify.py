@@ -2,10 +2,12 @@ import dataclasses
 
 import pytest
 
-from divrec.arith import ContractViolation, FactorSieve
+from divrec.arith import ContractViolation, FactorSieve, _factor_range
 from divrec.classify import (
     LARGE,
     SMALL,
+    _large_forms,
+    _small_forms,
     classify_large,
     classify_small,
     verify_prediction,
@@ -158,6 +160,22 @@ def test_rejects_unit():
         classify_small(1)
     with pytest.raises(ContractViolation):
         classify_large(1)
+
+
+def test_cores_list_form_ids_in_increasing_order():
+    # the cores append in form-id order and never sort
+    seen_small, seen_large = set(), set()
+    for lo, hi_excl in ((2, 10**5), (10**9, 10**9 + 20_000), (10**12, 10**12 + 10_000)):
+        for n, sig in _factor_range(lo, hi_excl):
+            small = [m[0] for m in _small_forms(sig)]
+            large = [m[0] for m in _large_forms(sig)]
+            assert small == sorted(set(small)), (n, small)
+            assert large == sorted(set(large)), (n, large)
+            seen_small.update(small)
+            seen_large.update(large)
+    # every form but the conditional large form 5 fires in these ranges
+    assert seen_small == set(range(1, 11))
+    assert seen_large == set(range(1, 10)) - {5}
 
 
 def test_soundness_and_predictions_over_range():

@@ -178,6 +178,18 @@ def test_validate_rejects_reversed_range(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "tau-check"])
+@pytest.mark.parametrize("lo, hi, message", [
+    ("1", "10", "--from must be >= 2"),
+    ("-5", "10", "--from must be >= 2"),
+    ("50", "10", "--to must be >= --from"),
+])
+def test_bad_range_names_the_flag(capsys, command, lo, hi, message):
+    code, out, err = run(capsys, command, "--from", lo, "--to", hi, "--jobs", "1")
+    assert code == 1 and out == ""
+    assert err == f"divrec: error: {message}\n"
+
+
 def test_oracle_bound_outside_range_exits_one(capsys):
     for bound in ("0", "-3", "301", "10000"):
         code, out, err = run(capsys, "oracle", "6", "--bound", bound)
