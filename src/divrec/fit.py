@@ -13,12 +13,17 @@ that linear system:
   sequence with integer ratio.
 
 All arithmetic is exact; no bound on the magnitude of (a, b) is assumed.
+The plain-value core ``_solve`` tests its first row's gcd, applies
+Cramer's rule to the first row not parallel to it, and returns a tuple;
+validate reads only the kind from ``_solution(seq)``, and ``_fit`` and
+``solve_constraints`` wrap the tuple in a ``FitVerdict``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd
 from typing import Iterable, Sequence
 
 from .arith import ContractViolation, _guard
@@ -55,6 +60,9 @@ class FitVerdict:
 # frozen: every empty result shares one, and every vacuous result the other
 _EMPTY_FIT = FitVerdict(FitKind.EMPTY)
 _VACUOUS_FIT = FitVerdict(FitKind.VACUOUS)
+# the tags of ``_solve``'s tuples (each FitKind.X lookup costs ~0.17 us)
+_VACUOUS, _EMPTY, _POINT, _LINE = FitKind.VACUOUS, FitKind.EMPTY, FitKind.POINT, FitKind.LINE
+_EMPTY_SOL, _VACUOUS_SOL = (_EMPTY,), (_VACUOUS,)
 
 
 def _check_sequence(seq: Sequence[int]) -> None:
@@ -72,87 +80,76 @@ def constraints_of(seq: Sequence[int]) -> list[tuple[int, int, int]]:
     return [(seq[i + 1], seq[i], seq[i + 2]) for i in range(len(seq) - 2)]
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+def _solve(rows: Iterable[tuple[int, int, int]]) -> tuple:
+    """Solve {ca*a + cb*b = rhs} exactly over the integers, as plain values:
+    ``(EMPTY,)``, ``(VACUOUS,)``, ``(POINT, a, b)`` or ``(LINE, ca, cb, rhs)``
+    (the first nonzero row over gcd(ca, cb)).
 
-
-def _canonical_base(a0: int, b0: int, du: int, dv: int) -> tuple[int, int]:
-    # Slide along the direction until the coordinate with nonzero step is
-    # reduced into [0, step); unique, so verdicts compare by equality.
-    if dv != 0:
-        step = abs(dv)
-        t = ((b0 % step) - b0) // dv
-    else:
-        step = abs(du)
-        t = ((a0 % step) - a0) // du
-    return a0 + t * du, b0 + t * dv
-
-
-def solve_constraints(constraints: Iterable[tuple[int, int, int]]) -> FitVerdict:
-    """Solve {ca*a + cb*b = rhs} exactly over the integers.
-
-    The first constraint with a nonzero coefficient fixes a line via
-    extended gcd; each later one either keeps the whole line (proportional
-    and consistent), pins the line parameter to one integer, or kills the
-    system.  The constraints are read once, in order, and no further than
-    the first contradiction.
+    Rows 0 = rhs hold iff rhs == 0.  The first other row is solvable iff
+    gcd(ca, cb) divides rhs, tested before the next row is read.  The first
+    later row with det = ca*c2b - cb*c2a != 0 pins (a, b) by Cramer's rule,
+    two exact divisions by det, and the rest are checked at that point.  A
+    row with det == 0 must be proportional to the first, rhs included.
+    Rows are read once, in order, and no further than a contradiction.
     """
-    rows = iter(constraints)
+    rows = iter(rows)
     for ca, cb, rhs in rows:
         if ca or cb:
             break
         if rhs:
-            return _EMPTY_FIT
+            return _EMPTY_SOL
     else:
-        return _VACUOUS_FIT
-
-    g, x, y = _ext_gcd(ca, cb)
+        return _VACUOUS_SOL
+    g = gcd(ca, cb)
     if rhs % g:
+        return _EMPTY_SOL
+    for c2a, c2b, r2 in rows:
+        det = ca * c2b - cb * c2a
+        if det:
+            a, a_rem = divmod(rhs * c2b - cb * r2, det)
+            b, b_rem = divmod(ca * r2 - rhs * c2a, det)
+            if a_rem or b_rem:
+                return _EMPTY_SOL
+            for x, y, z in rows:
+                if x * a + y * b != z:
+                    return _EMPTY_SOL
+            return (_POINT, a, b)
+        if ca * r2 != rhs * c2a or cb * r2 != rhs * c2b:
+            return _EMPTY_SOL
+    return (_LINE, ca // g, cb // g, rhs // g)
+
+
+def _solution(seq: Sequence[int]) -> tuple:
+    """``_solve`` of the rows (e2, e1, e3) of a sequence known to pass its
+    checks; vacuous exactly when it has at most two terms."""
+    if len(seq) <= 2:
+        return _VACUOUS_SOL
+    return _solve(zip(seq[1:], seq, seq[2:]))
+
+
+def _as_verdict(sol: tuple) -> FitVerdict:
+    """The ``FitVerdict`` of a ``_solve`` result.  A line ca*a + cb*b = rhs,
+    gcd(ca, cb) = 1, runs along +-(cb, -ca), first nonzero entry positive;
+    its base has b = rhs / cb mod |ca| (a unique member, so verdicts compare
+    by equality), or a = 0 when the line is vertical (ca == 0)."""
+    kind = sol[0]
+    if kind is _EMPTY:
         return _EMPTY_FIT
-    scale = rhs // g
-    a0, b0 = x * scale, y * scale
-    du, dv = cb // g, -(ca // g)
-    if du < 0 or (du == 0 and dv < 0):
-        du, dv = -du, -dv
+    if kind is _POINT:
+        return FitVerdict(kind, sol[1:])
+    if kind is _VACUOUS:
+        return _VACUOUS_FIT
+    _, ca, cb, rhs = sol
+    if ca == 0:  # cb is 1 or -1
+        return FitVerdict(kind, None, (0, rhs * cb), (1, 0))
+    b = rhs * pow(cb, -1, abs(ca)) % abs(ca)
+    du, dv = (cb, -ca) if cb > 0 or (cb == 0 and ca < 0) else (-cb, ca)
+    return FitVerdict(kind, None, ((rhs - cb * b) // ca, b), (du, dv))
 
-    t_pin: int | None = None
-    for ca, cb, rhs in rows:  # a row 0*a + 0*b = rhs holds iff rhs == 0
-        if t_pin is None:
-            coeff = ca * du + cb * dv
-            rem = rhs - (ca * a0 + cb * b0)
-            if coeff == 0:
-                if rem != 0:
-                    return _EMPTY_FIT
-            elif rem % coeff:
-                return _EMPTY_FIT
-            else:
-                t_pin = rem // coeff
-        else:
-            a = a0 + t_pin * du
-            b = b0 + t_pin * dv
-            if ca * a + cb * b != rhs:
-                return _EMPTY_FIT
 
-    if t_pin is not None:
-        return FitVerdict(
-            FitKind.POINT, point=(a0 + t_pin * du, b0 + t_pin * dv)
-        )
-    return FitVerdict(
-        FitKind.LINE,
-        line_base=_canonical_base(a0, b0, du, dv),
-        line_dir=(du, dv),
-    )
+def solve_constraints(constraints: Iterable[tuple[int, int, int]]) -> FitVerdict:
+    """Solve {ca*a + cb*b = rhs} exactly over the integers (see ``_solve``)."""
+    return _as_verdict(_solve(constraints))
 
 
 def solve_fit(seq: Sequence[int]) -> FitVerdict:
@@ -162,13 +159,8 @@ def solve_fit(seq: Sequence[int]) -> FitVerdict:
 
 
 def _fit(seq: Sequence[int]) -> FitVerdict:
-    """``solve_fit`` for a sequence already known to pass its checks;
-    vacuous exactly when it has at most two terms."""
-    if len(seq) <= 2:
-        return _VACUOUS_FIT
-    # the constraints (e2, e1, e3) of every adjacent triple, read lazily;
-    # positive coefficients: the solution set is never vacuous here
-    return solve_constraints(zip(seq[1:], seq, seq[2:]))
+    """``solve_fit`` for a sequence already known to pass its checks."""
+    return _as_verdict(_solution(seq))
 
 
 def verify_params(seq: Sequence[int], a: int, b: int) -> bool:

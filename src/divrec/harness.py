@@ -3,8 +3,9 @@
 For every n in a range the harness computes the divisor profile, both
 brute-force verdicts, both classifications, and prediction checks, then
 files any disagreement as an erratum.  One core, ``_evaluate``, does this
-over plain values for block scans and ``evaluate_single`` alike; verdict
-objects and witnesses are built only for an erratum.  Scans run in
+over plain values for block scans and ``evaluate_single`` alike: fit
+kinds from ``fit._solution``, form matches from the classifier cores;
+verdict objects and witnesses are built only for an erratum.  Scans run in
 contiguous blocks, optionally across worker processes; the merged output
 is deterministic and independent of the worker count, byte for byte.  A
 validate block gets its factorizations from the factor sieve and its
@@ -36,7 +37,7 @@ from pathlib import Path
 
 from .arith import ContractViolation, _factor_range, _guard, _tau, factorize
 from .classify import LARGE, SMALL, _large_forms, _prediction_holds, _small_forms
-from .fit import FitKind, _fit
+from .fit import _EMPTY, _VACUOUS, _solution
 from .oracle import _verdict
 from .profiles import _profile_range, _strict_sets, _tau_identity, profile
 
@@ -67,7 +68,6 @@ __all__ = [
 KIND_ORACLE_ONLY = "OracleYesClassifierNo"
 KIND_CLASSIFIER_ONLY = "OracleNoClassifierYes"
 KIND_PREDICTION = "PredictionMismatch"
-_EMPTY_KIND, _VACUOUS_KIND = FitKind.EMPTY, FitKind.VACUOUS  # each lookup ~0.17 µs
 
 JOBS_ENV = "DIVREC_JOBS"
 _BLOCK = 65536  # largest contiguous work unit, one task of the parallel map
@@ -140,10 +140,10 @@ def _evaluate(n: int, sig, small: tuple[int, ...], large: tuple[int, ...]):
     small form ids, large recurrent, large vacuous, large form ids,
     prediction_ok, errata)."""
     # divisor sets of n are sorted, positive and below n, which is guarded
-    s_kind = _fit(small).kind
-    l_kind = _fit(large).kind
-    s_rec = s_kind is not _EMPTY_KIND
-    l_rec = l_kind is not _EMPTY_KIND
+    s_kind = _solution(small)[0]
+    l_kind = _solution(large)[0]
+    s_rec = s_kind is not _EMPTY
+    l_rec = l_kind is not _EMPTY
     sm = _small_forms(sig)
     lm = _large_forms(sig)
 
@@ -163,8 +163,8 @@ def _evaluate(n: int, sig, small: tuple[int, ...], large: tuple[int, ...]):
         errata.append(_disagreement(n, SMALL, s_rec, s_ids, small))
     if l_rec != bool(l_ids):
         errata.append(_disagreement(n, LARGE, l_rec, l_ids, large))
-    return (s_rec, s_kind is _VACUOUS_KIND, s_ids,
-            l_rec, l_kind is _VACUOUS_KIND, l_ids, ok, errata)
+    return (s_rec, s_kind is _VACUOUS, s_ids,
+            l_rec, l_kind is _VACUOUS, l_ids, ok, errata)
 
 
 def _disagreement(n, theorem, recurrent, form_ids, divs) -> ErrataEntry:

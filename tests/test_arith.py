@@ -219,11 +219,35 @@ _SHORT_WINDOWS = list(dict.fromkeys(
 ]
 
 
+# Near 10**12 the 78 498 sieving primes up to 10**6 give segments of at
+# most 9 812 n; windows one n either side of one and two such segments
+# are cut into one to three equal segments.
+_SEGMENT_1E12 = 78_498 // 8
+_SEGMENT_MULTIPLES = [
+    (10**12, 10**12 + k * _SEGMENT_1E12 + d) for k in (1, 2) for d in (-1, 0, 1)
+]
+
+
+@pytest.fixture(scope="module")
+def factorizations():
+    """``[factorize(n) for n in range(lo, hi_excl)]`` as a function of (lo,
+    hi_excl) that extends one run per ``lo``, so windows from one start
+    factorize each n once."""
+    runs: dict[int, list] = {}
+
+    def get(lo, hi_excl):
+        run = runs.setdefault(lo, [])
+        run.extend(factorize(n) for n in range(lo + len(run), hi_excl))
+        return run[: hi_excl - lo]
+
+    return get
+
+
 @pytest.mark.parametrize("lo, hi_excl", [
     (1, 2 * _MIN_SEGMENT + 17),
     (2, 3_000),
     # segment edges far from the origin: 3 401 sieving primes give
-    # segments of 512 n, and 9 592 give segments of 1 199 n
+    # segments of at most 512 n, and 9 592 of at most 1 199 n
     (10**9 - 100, 10**9 + 1_000),
     (10**10 - 50, 10**10 + 1_300),
     *_random_blocks(4, 2 * 10**7, 10**10, 3, 600),
@@ -233,9 +257,10 @@ _SHORT_WINDOWS = list(dict.fromkeys(
     (_P1 * _P2 - 100, _P1 * _P2 + 100),
     (2**62 - 149, 2**62 + 1),
     *_SHORT_WINDOWS,
+    *_SEGMENT_MULTIPLES,
 ])
-def test_factor_range_matches_factorize(lo, hi_excl):
-    assert list(factor_range(lo, hi_excl)) == [factorize(n) for n in range(lo, hi_excl)]
+def test_factor_range_matches_factorize(lo, hi_excl, factorizations):
+    assert list(factor_range(lo, hi_excl)) == factorizations(lo, hi_excl)
 
 
 def test_factor_range_edges():

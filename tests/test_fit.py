@@ -8,8 +8,8 @@ from divrec.arith import ContractViolation
 from divrec.fit import (
     FitKind,
     FitVerdict,
-    _canonical_base,
-    _ext_gcd,
+    _fit,
+    _solution,
     brute_force_fit,
     constraints_of,
     solve_constraints,
@@ -17,6 +17,7 @@ from divrec.fit import (
     solutions_in_box,
     verify_params,
 )
+from references import profiles_in_range
 
 
 def test_point_example():
@@ -251,9 +252,39 @@ def test_solutions_in_box_of_point_outside_box():
     assert solutions_in_box(v, 5) == []
 
 
+def _ext_gcd(a, b):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _canonical_base(a0, b0, du, dv):
+    # Slide along the direction until the coordinate with nonzero step is
+    # reduced into [0, step).
+    if dv != 0:
+        step = abs(dv)
+        t = ((b0 % step) - b0) // dv
+    else:
+        step = abs(du)
+        t = ((a0 % step) - a0) // du
+    return a0 + t * du, b0 + t * dv
+
+
 def solve_constraints_eager(constraints):
     """Reference: the solver that first copies every row with a nonzero
-    coefficient into a list, failing on any 0 = rhs != 0 row."""
+    coefficient into a list, failing on any 0 = rhs != 0 row, then takes
+    the first row's line from the extended gcd and pins its parameter with
+    the next row that is not parallel to it.  It shares no code with the
+    package's Cramer's-rule solver."""
     live = []
     for ca, cb, rhs in constraints:
         if ca == 0 and cb == 0:
@@ -322,6 +353,9 @@ def test_lazy_solver_matches_eager_reference(ab, rows, zeros_before, zeros_after
     [(4, 2, 7)],  # parity: 4a + 2b is even
     [(3, 2, 5), (0, 0, 0), (0, 0, 2)],  # 0 = 2 on the line
     constraints_of([2, 3, 5, 6, 7, 10, 11, 14, 15])[:3],  # a line, a point, then a miss
+    [(1, 0, 0), (1, 2, 1)],  # Cramer's rule gives b = 1/2
+    [(1, 0, 1), (0, 1, 2), (1, 1, 4)],  # the point (1, 2) misses row three
+    [(2, 4, 6), (1, 2, 4)],  # proportional coefficients, but 4 != 6 / 2
 ])
 def test_solver_stops_at_first_contradiction(rows):
     def feed():
@@ -329,3 +363,22 @@ def test_solver_stops_at_first_contradiction(rows):
         raise AssertionError("read past the first contradiction")
 
     assert solve_constraints(feed()).kind is FitKind.EMPTY
+
+
+def _divisor_sets():
+    for lo, hi in ((2, 3 * 10**4 - 1), (10**12, 10**12 + 1_999), (2**62 - 300, 2**62)):
+        for prof in profiles_in_range(lo, hi):
+            yield prof.small_strict
+            yield prof.large_strict
+
+
+def test_fit_matches_eager_reference_on_divisor_sets():
+    # the oracle's unchecked fit, and the plain kind validate reads, against
+    # the extended-gcd reference on every strict divisor set of three ranges
+    kinds = set()
+    for s in _divisor_sets():
+        v = _fit(s)
+        assert v == solve_constraints_eager(constraints_of(s)), s
+        assert _solution(s)[0] is v.kind
+        kinds.add(v.kind)
+    assert kinds == set(FitKind)

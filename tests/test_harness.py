@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import divrec
-from divrec import arith, classify, harness, oracle, profiles
+from divrec import arith, classify, fit, harness, profiles
 from divrec.arith import (
     CapacityError,
     ContractViolation,
@@ -16,7 +16,7 @@ from divrec.arith import (
     divisors_sorted,
     factorize,
 )
-from divrec.fit import FitKind, FitVerdict, verify_params
+from divrec.fit import FitKind, verify_params
 from divrec.harness import (
     _BLOCK,
     _blocks,
@@ -438,8 +438,8 @@ def _no_forms(sig):
     return []
 
 
-def _empty_fit(seq):
-    return FitVerdict(FitKind.EMPTY)
+def _empty_solution(seq):
+    return (FitKind.EMPTY,)
 
 
 _small_forms = classify._small_forms
@@ -457,16 +457,17 @@ def _shifted_small_forms(sig):
 @pytest.mark.parametrize("patch, kinds", [
     ({"_small_forms": _no_forms, "_large_forms": _no_forms},
      {KIND_ORACLE_ONLY}),
-    ({"_fit": _empty_fit}, {KIND_CLASSIFIER_ONLY}),
+    ({"_solution": _empty_solution}, {KIND_CLASSIFIER_ONLY}),
     ({"_small_forms": _shifted_small_forms},
      {KIND_PREDICTION, KIND_ORACLE_ONLY}),
 ])
 def test_forced_disagreements_match_object_reference(monkeypatch, tmp_path, patch, kinds):
     # each core is replaced both where the harness reads it and where the
-    # public classifiers and verdicts read it
+    # public classifiers and verdicts read it (``fit._fit`` wraps the plain
+    # fit core ``fit._solution``)
     for name, fake in patch.items():
         monkeypatch.setattr(harness, name, fake)
-        monkeypatch.setattr(oracle if name == "_fit" else classify, name, fake)
+        monkeypatch.setattr(fit if name == "_solution" else classify, name, fake)
     lo, hi = 2, 3_000
     got = _scan(lo, hi, tmp_path)
     assert got == _reference_scan(lo, hi)
