@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .arith import ContractViolation, Factorization, factorize
-from .fit import verify_params
+from .fit import _holds, verify_params
 from .profiles import DivisorProfile
 
 __all__ = [
@@ -279,12 +279,14 @@ def verify_prediction(m: FormMatch, prof: DivisorProfile) -> bool:
             f"match is for n={m.n}, profile is for n={prof.n}"
         )
     computed = prof.small_strict if m.theorem == SMALL else prof.large_strict
-    return _prediction_holds(m.predicted_set, m.predicted_u, computed)
+    return _prediction_holds(m.predicted_set, m.predicted_u, computed, verify_params)
 
 
-def _prediction_holds(pset, pu, computed: tuple[int, ...]) -> bool:
+def _prediction_holds(pset, pu, computed: tuple[int, ...], holds=_holds) -> bool:
     """Do a stated set ``pset`` and recurrence ``pu`` (either None) agree
-    with the computed divisor set?"""
+    with the computed divisor set?  ``holds`` tests the recurrence on the
+    set: the unchecked core by default, for sets the caller built from a
+    guarded n; ``verify_params`` to check the set first."""
     if pset is not None and pset != computed:
         return False
     if pu is not None:
@@ -294,6 +296,6 @@ def _prediction_holds(pset, pu, computed: tuple[int, ...]) -> bool:
             return False
         if len(target) >= 2 and target[1] != v:
             return False
-        if not verify_params(list(target), a, b):
+        if not holds(target, a, b):
             return False
     return True

@@ -189,6 +189,15 @@ def _check_range(args) -> None:
         raise ContractViolation("--to must be >= --from")
 
 
+def _jobs(args) -> int:
+    """``--jobs``, or the default worker count when it is not given."""
+    if args.jobs is None:
+        return default_jobs()
+    if args.jobs < 1:
+        raise ContractViolation("--jobs must be >= 1")
+    return args.jobs
+
+
 def _cmd_classify(args) -> int:
     n = args.n
     _check_n(n)
@@ -285,7 +294,7 @@ def _report_paths(out):
 
 def _cmd_validate(args) -> int:
     _check_range(args)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
+    jobs = _jobs(args)
     allowlist = load_allowlist(args.allowlist)
     if args.out:
         summary_path, ledger_path = _report_paths(args.out)
@@ -325,7 +334,7 @@ def _search_common(args, runner, hit_type):
     if args.pmax < 2:
         raise ContractViolation("--pmax must be >= 2")
     order = [f.name for f in fields(hit_type)]
-    jobs = args.jobs if args.jobs is not None else default_jobs()
+    jobs = _jobs(args)
     if args.out:
         _check_out_dir(args.out)
     hits = runner(args.pmax, jobs=jobs)
@@ -360,7 +369,7 @@ def _cmd_search_large5(args) -> int:
 
 def _cmd_tau_check(args) -> int:
     _check_range(args)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
+    jobs = _jobs(args)
     tau_bad, reflect_bad = profile_sweep_failures(args.lo, args.hi, jobs=jobs)
     print(f"range [{args.lo}, {args.hi}]: "
           f"{len(tau_bad)} tau-identity failures, "

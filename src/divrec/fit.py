@@ -16,7 +16,9 @@ All arithmetic is exact; no bound on the magnitude of (a, b) is assumed.
 The plain-value core ``_solve`` tests its first row's gcd, applies
 Cramer's rule to the first row not parallel to it, and returns a tuple;
 validate reads only the kind from ``_solution(seq)``, and ``_fit`` and
-``solve_constraints`` wrap the tuple in a ``FitVerdict``.
+``solve_constraints`` wrap the tuple in a ``FitVerdict``.  ``_holds``
+states e3 = a*e2 + b*e1 once, for ``verify_params`` and the classifiers'
+prediction checks.
 """
 
 from __future__ import annotations
@@ -166,9 +168,15 @@ def _fit(seq: Sequence[int]) -> FitVerdict:
 def verify_params(seq: Sequence[int], a: int, b: int) -> bool:
     """True iff every adjacent triple obeys e3 = a*e2 + b*e1."""
     _check_sequence(seq)
-    return all(
-        seq[i + 2] == a * seq[i + 1] + b * seq[i] for i in range(len(seq) - 2)
-    )
+    return _holds(seq, a, b)
+
+
+def _holds(seq: Sequence[int], a: int, b: int) -> bool:
+    """``verify_params`` for a sequence already known to pass its checks."""
+    for e1, e2, e3 in zip(seq, seq[1:], seq[2:]):
+        if e3 != a * e2 + b * e1:
+            return False
+    return True
 
 
 def _box(bound: int) -> list[tuple[int, int]]:

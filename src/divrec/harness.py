@@ -3,16 +3,20 @@
 For every n in a range the harness computes the divisor profile, both
 brute-force verdicts, both classifications, and prediction checks, then
 files any disagreement as an erratum.  One core, ``_evaluate``, does this
-over plain values for block scans and ``evaluate_single`` alike: fit
-kinds from ``fit._solution``, form matches from the classifier cores;
-verdict objects and witnesses are built only for an erratum.  Scans run in
-contiguous blocks, optionally across worker processes; the merged output
-is deterministic and independent of the worker count, byte for byte.  A
-validate block gets its factorizations from the factor sieve and its
-divisor sets from the divisor sieve of ``profiles._profile_range``;
-``check_single`` builds one ``profile``.  The ``tau-check`` sweep also runs
-on plain values: factor tuples from the factor sieve, and both sets of
-each n cut on their own by ``profiles._strict_sets``.
+over plain values for block scans and ``evaluate_single`` alike: fit kinds
+from ``fit._solution``, form matches from the classifier cores, stated
+recurrences by ``fit._holds``.  It returns n's outcome as a plain tuple;
+errata, verdict objects and witnesses are built only when an outcome files
+one.  A block has few distinct outcomes (8 to 20 in blocks of 5000 to
+65536 n from 2 to 10**12), and keeps each one's count and report-line text
+(split around n) once.  Scans run in contiguous blocks, optionally across
+worker processes; the merged output is deterministic and independent of
+the worker count, byte for byte.  A validate block gets its factorizations
+from the factor sieve and its divisor sets from the divisor sieve of
+``profiles._profile_range``; ``check_single`` builds one ``profile``.  The
+``tau-check`` sweep also runs on plain values: factor tuples from the
+factor sieve, and both sets of each n cut on their own by
+``profiles._strict_sets``.
 
 Report formats:
   * report:  JSONL, one validation record per line, sorted keys, integers
@@ -128,43 +132,57 @@ def evaluate_single(n: int) -> tuple[ValidationRecord, list[ErrataEntry]]:
     """The per-n record plus every oracle/classifier disagreement."""
     f = factorize(n)
     prof = profile(n, fac=f)
-    s_rec, _, s_ids, l_rec, _, l_ids, ok, errata = _evaluate(
+    (s_rec, _, s_ids, l_rec, _, l_ids, ok), errata = _evaluate(
         n, f.factors, prof.small_strict, prof.large_strict
     )
-    return ValidationRecord(n, s_rec, s_ids, l_rec, l_ids, ok), errata
+    return ValidationRecord(n, s_rec, s_ids, l_rec, l_ids, ok), list(errata)
 
 
 def _evaluate(n: int, sig, small: tuple[int, ...], large: tuple[int, ...]):
     """Oracle against classifiers for n with signature ``sig`` and strict sets
-    ``small`` and ``large``, as plain values: (small recurrent, small vacuous,
-    small form ids, large recurrent, large vacuous, large form ids,
-    prediction_ok, errata)."""
-    # divisor sets of n are sorted, positive and below n, which is guarded
+    ``small`` and ``large``: ``(outcome, errata)``.
+
+    ``outcome`` is a plain tuple of bools and int tuples, so a block can key
+    on it: (small recurrent, small vacuous, small form ids, large recurrent,
+    large vacuous, large form ids, prediction_ok).  ``errata`` is ``()``
+    unless the outcome files one.
+    """
+    # divisor sets of n are sorted, positive and below n, which is guarded:
+    # neither the fit nor the prediction checks test them again
     s_kind = _solution(small)[0]
     l_kind = _solution(large)[0]
-    s_rec = s_kind is not _EMPTY
-    l_rec = l_kind is not _EMPTY
     sm = _small_forms(sig)
     lm = _large_forms(sig)
-
-    errata: list[ErrataEntry] = []
-    for theorem, forms, computed in ((SMALL, sm, small), (LARGE, lm, large)):
-        for form_id, _, pset, pu in forms:
-            if not _prediction_holds(pset, pu, computed):
-                errata.append(ErrataEntry(
-                    n, theorem, KIND_PREDICTION,
-                    f"form {form_id} predicted {list(pset or ())} "
-                    f"u={pu}, computed {list(computed)}",
-                ))
-    ok = not errata
-    s_ids = tuple([m[0] for m in sm])
-    l_ids = tuple([m[0] for m in lm])
+    ok = True
+    for _, _, pset, pu in sm:
+        if not _prediction_holds(pset, pu, small):
+            ok = False
+    for _, _, pset, pu in lm:
+        if not _prediction_holds(pset, pu, large):
+            ok = False
+    s_rec = s_kind is not _EMPTY
+    l_rec = l_kind is not _EMPTY
+    # most sides match no form
+    s_ids = tuple([m[0] for m in sm]) if sm else ()
+    l_ids = tuple([m[0] for m in lm]) if lm else ()
+    outcome = (s_rec, s_kind is _VACUOUS, s_ids, l_rec, l_kind is _VACUOUS, l_ids, ok)
+    if ok and s_rec == bool(s_ids) and l_rec == bool(l_ids):
+        return outcome, ()
+    errata = [
+        ErrataEntry(
+            n, theorem, KIND_PREDICTION,
+            f"form {form_id} predicted {list(pset or ())} "
+            f"u={pu}, computed {list(computed)}",
+        )
+        for theorem, forms, computed in ((SMALL, sm, small), (LARGE, lm, large))
+        for form_id, _, pset, pu in forms
+        if not _prediction_holds(pset, pu, computed)
+    ]
     if s_rec != bool(s_ids):
         errata.append(_disagreement(n, SMALL, s_rec, s_ids, small))
     if l_rec != bool(l_ids):
         errata.append(_disagreement(n, LARGE, l_rec, l_ids, large))
-    return (s_rec, s_kind is _VACUOUS, s_ids,
-            l_rec, l_kind is _VACUOUS, l_ids, ok, errata)
+    return outcome, errata
 
 
 def _disagreement(n, theorem, recurrent, form_ids, divs) -> ErrataEntry:
@@ -222,18 +240,22 @@ def _json_int(v: int) -> str:
 
 def record_line(rec: ValidationRecord) -> str:
     """One report line: ``rec`` as canonical JSON, newline-terminated."""
-    return _line(rec.n, rec.small_oracle, rec.small_forms,
-                 rec.large_oracle, rec.large_forms, rec.prediction_ok)
+    head, tail = _line_parts(rec.small_oracle, rec.small_forms,
+                             rec.large_oracle, rec.large_forms, rec.prediction_ok)
+    return head + _json_int(rec.n) + tail
 
 
-def _line(n, small_oracle, small_forms, large_oracle, large_forms, prediction_ok) -> str:
-    """The report line of a validation record, with its six keys written
-    directly in sorted order, integers above 2**53 as strings."""
+def _line_parts(small_oracle, small_forms, large_oracle, large_forms,
+                prediction_ok) -> tuple[str, str]:
+    """The report line of a validation record, less its n: the text before
+    and after the n field.  The six keys are written directly in sorted
+    order, integers above 2**53 as strings; the line is
+    ``head + _json_int(n) + tail``."""
     return (
         f'{{"large_forms":[{",".join(map(_json_int, large_forms))}],'
         f'"large_oracle":{_JSON_BOOL[large_oracle]},'
-        f'"n":{_json_int(n)},'
-        f'"prediction_ok":{_JSON_BOOL[prediction_ok]},'
+        '"n":',
+        f',"prediction_ok":{_JSON_BOOL[prediction_ok]},'
         f'"small_forms":[{",".join(map(_json_int, small_forms))}],'
         f'"small_oracle":{_JSON_BOOL[small_oracle]}}}\n'
     )
@@ -316,24 +338,29 @@ def _parallel_map(worker, tasks, jobs) -> list:
 
 
 def _scan_validation_block(task):
+    """Counts, errata and (into ``part``, unless None) report lines of
+    [lo, hi_excl), from one count and line text per distinct outcome."""
     lo, hi_excl, part = task
-    counts = [0, 0, 0, 0]  # small rec, small vac, large rec, large vac
+    seen = {}  # outcome -> [count, line head, line tail]
     errata: list[ErrataEntry] = []
     lines: list[str] = []
     collect = part is not None
     for n, sig, small, large in _profile_range(lo, hi_excl):
-        s_rec, s_vac, s_ids, l_rec, l_vac, l_ids, ok, errs = _evaluate(n, sig, small, large)
-        counts[0] += s_rec
-        counts[1] += s_vac
-        counts[2] += l_rec
-        counts[3] += l_vac
+        outcome, errs = _evaluate(n, sig, small, large)
         if errs:
             errata.extend(errs)
+        entry = seen.get(outcome)
+        if entry is None:
+            s_rec, _, s_ids, l_rec, _, l_ids, ok = outcome
+            entry = seen[outcome] = [0, *_line_parts(s_rec, s_ids, l_rec, l_ids, ok)]
+        entry[0] += 1
         if collect:
-            lines.append(_line(n, s_rec, s_ids, l_rec, l_ids, ok))
+            lines.append(entry[1] + _json_int(n) + entry[2])
     if collect:
         with open(part, "w") as fh:
             fh.writelines(lines)
+    # small rec, small vac, large rec, large vac: outcome fields 0, 1, 3, 4
+    counts = [sum(o[i] * c for o, (c, _, _) in seen.items()) for i in (0, 1, 3, 4)]
     return counts, errata
 
 

@@ -140,6 +140,12 @@ def test_verify_prediction_examples():
     assert not verify_prediction(corrupted, p60)
     with pytest.raises(ContractViolation):
         verify_prediction(m, profile(61))
+    # a set and seeds that agree reach the recurrence check, which checks a
+    # hand-built profile's set first
+    repeated = (2, 3, 3)
+    with pytest.raises(ContractViolation):
+        verify_prediction(dataclasses.replace(m, predicted_set=repeated),
+                          dataclasses.replace(p60, small_strict=repeated))
 
 
 def test_form_10_parameter_identities():

@@ -290,11 +290,16 @@ def test_search_large5_hostile_pmax_exits_one(capsys):
     assert err.startswith("divrec: error:") and "input bound" in err
 
 
-@pytest.mark.parametrize("command", ["search-s7", "search-large5"])
-def test_search_jobs_below_one_exits_one(capsys, command):
-    code, out, err = run(capsys, command, "--pmax", "50", "--jobs", "0")
+@pytest.mark.parametrize("command", ["validate", "tau-check", "search-s7", "search-large5"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_names_the_flag(capsys, command, jobs):
+    if command.startswith("search"):
+        args = ("--pmax", "50")
+    else:
+        args = ("--from", "2", "--to", "50")
+    code, out, err = run(capsys, command, *args, "--jobs", jobs)
     assert code == 1 and out == ""
-    assert err.startswith("divrec: error:") and "jobs" in err
+    assert err == "divrec: error: --jobs must be >= 1\n"
 
 
 def _fail_part_way(src, dst, *args):

@@ -397,6 +397,28 @@ def test_validate_straddling_the_sieve_crossover_matches_per_n(monkeypatch, tmp_
     assert len(per_n) == 3_905  # counted in this process only, so at jobs=1
 
 
+def test_validate_across_the_2_53_cut_matches_per_n(tmp_path):
+    # JSON integers above 2**53 are strings, so one outcome's line template
+    # carries n as a number below the cut and as a string above it
+    lo, hi = 2**53 - 400, 2**53 + 400
+    expected_lines = "".join(record_line(check_single(n)) for n in range(lo, hi + 1))
+    expected_errata = [e for n in range(lo, hi + 1) for e in evaluate_single(n)[1]]
+    reference = _reference_scan(lo, hi)
+    for jobs in (1, 2):
+        path = tmp_path / f"report-{jobs}.jsonl"
+        summary, errata = validate_range(lo, hi, jobs=jobs, report_path=path)
+        assert path.read_text() == expected_lines
+        assert errata == expected_errata
+        assert (expected_lines, errata, _counts(summary)) == reference
+    n_above = {}  # line text around the n field -> whether n > 2**53
+    for n, line in zip(range(lo, hi + 1), expected_lines.splitlines()):
+        head, rest = line.split('"n":')
+        n_text, tail = rest.split(",", 1)
+        assert n_text == (str(n) if n <= 2**53 else f'"{n}"')
+        n_above.setdefault((head, tail), set()).add(n > 2**53)
+    assert {False, True} in n_above.values()
+
+
 def test_validate_range_contract():
     with pytest.raises(ContractViolation):
         validate_range(1, 10)
@@ -443,6 +465,7 @@ def _empty_solution(seq):
 
 
 _small_forms = classify._small_forms
+_large_forms = classify._large_forms
 
 
 def _shifted_small_forms(sig):
@@ -454,11 +477,24 @@ def _shifted_small_forms(sig):
     ]
 
 
+def _shifted_recurrence(core, da, db):
+    """``core`` with (a, b) of every stated recurrence moved by (da, db); its
+    set and both seeds stay right, so only the triple check can fail it."""
+    def shifted(sig):
+        return [(i, params, pset, pu and (pu[0], pu[1], pu[2] + da, pu[3] + db))
+                for i, params, pset, pu in core(sig)]
+    return shifted
+
+
 @pytest.mark.parametrize("patch, kinds", [
     ({"_small_forms": _no_forms, "_large_forms": _no_forms},
      {KIND_ORACLE_ONLY}),
     ({"_solution": _empty_solution}, {KIND_CLASSIFIER_ONLY}),
     ({"_small_forms": _shifted_small_forms},
+     {KIND_PREDICTION, KIND_ORACLE_ONLY}),
+    ({"_small_forms": _shifted_recurrence(_small_forms, 1, 0)},
+     {KIND_PREDICTION, KIND_ORACLE_ONLY}),
+    ({"_large_forms": _shifted_recurrence(_large_forms, 0, 1)},
      {KIND_PREDICTION, KIND_ORACLE_ONLY}),
 ])
 def test_forced_disagreements_match_object_reference(monkeypatch, tmp_path, patch, kinds):
@@ -480,6 +516,16 @@ def test_forced_disagreements_match_object_reference(monkeypatch, tmp_path, patc
         assert any("; vacuously recurrent; " in d for d in details)
         assert {e.theorem for e in errata} == {"Small", "Large"}
     if KIND_PREDICTION in kinds:
-        # only the small side's predictions were shifted
-        assert {e.theorem for e in errata if e.kind == KIND_PREDICTION} == {"Small"}
-        assert not json.loads(got[0].splitlines()[58])["prediction_ok"]  # n = 60
+        # only the patched sides' predictions were shifted
+        shifted = {"Small" if name == "_small_forms" else "Large" for name in patch}
+        assert {e.theorem for e in errata if e.kind == KIND_PREDICTION} == shifted
+        bad = {e.n for e in errata if e.kind == KIND_PREDICTION}
+        assert bad == {json.loads(line)["n"] for line in got[0].splitlines()
+                       if not json.loads(line)["prediction_ok"]}
+        assert (60 in bad) == ("_small_forms" in patch)  # 60 has small form 10 only
+        if patch.get("_small_forms") is not _shifted_small_forms:
+            # set and seeds right, as "form i predicted S u=(...), computed S"
+            details = [e.detail for e in errata if e.kind == KIND_PREDICTION]
+            for d in details:
+                predicted, computed = d.split(" predicted ")[1].split(", computed ")
+                assert predicted.split(" u=")[0] == computed
