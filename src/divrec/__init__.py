@@ -44,6 +44,16 @@ from .harness import (
 )
 from .oracle import RecurrenceVerdict, large_verdict, small_verdict
 from .profiles import DivisorProfile, check_tau_identity, profile
-from .search import L5Pair, S7Triple, search_large5, search_s7
 
 __version__ = "0.1.0"
+
+# Only the searches need ``divrec.search``; it is loaded on first access.
+_SEARCH_NAMES = frozenset({"L5Pair", "S7Triple", "search_large5", "search_s7"})
+
+
+def __getattr__(name):
+    if name in _SEARCH_NAMES:
+        from . import search
+
+        return getattr(search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -130,17 +130,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _odd_primes(limit: int) -> Iterator[int]:
+    """The odd primes below ``limit`` >= 2, ascending, from an odd-only sieve.
+
+    Index i of the sieve stands for 2*i + 1; each odd prime p up to
+    isqrt(limit - 1) clears its odd multiples from p*p on, every p-th index.
+    The iterator reads the primes out without building them one by one in
+    Python.
+    """
+    half = limit // 2  # the odd numbers below limit
+    odd = bytearray([1]) * half
+    odd[0] = 0
+    for i in range(1, (isqrt(limit - 1) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            odd[start::p] = bytes(len(range(start, half, p)))
+    return compress(range(1, limit, 2), odd)
+
+
 def primes_upto(limit: int) -> list[int]:
     """All primes strictly below ``limit`` (Eratosthenes)."""
     if limit <= 2:
         return []
-    sieve = bytearray(b"\x01") * limit
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit - 1) + 1):
-        if sieve[p]:
-            step = len(range(p * p, limit, p))
-            sieve[p * p :: p] = b"\x00" * step
-    return [i for i in range(2, limit) if sieve[i]]
+    return [2, *_odd_primes(limit)]
 
 
 @lru_cache(maxsize=1)
@@ -222,17 +235,10 @@ def factorize(n: int) -> Factorization:
 
 @lru_cache(maxsize=1)
 def _segment_prime_table() -> array:
-    """Every prime <= 2**20 (82 025 of them), from an odd-only sieve."""
-    half = _SEGMENT_PRIME_LIMIT // 2  # index i stands for 2*i + 1
-    odd = bytearray([1]) * half
-    odd[0] = 0
-    for i in range(1, isqrt(_SEGMENT_PRIME_LIMIT) // 2 + 1):
-        if odd[i]:
-            p = 2 * i + 1
-            start = p * p // 2
-            odd[start::p] = bytes(len(range(start, half, p)))
+    """Every prime <= 2**20 (82 025 of them), as C ints: the sieve's primes
+    go straight into the array, with no list of ints in between."""
     table = array("i", [2])
-    table.extend(compress(range(1, _SEGMENT_PRIME_LIMIT, 2), odd))  # no list of ints
+    table.extend(_odd_primes(_SEGMENT_PRIME_LIMIT))
     return table
 
 

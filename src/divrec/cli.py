@@ -10,6 +10,7 @@ import argparse
 import csv
 import sys
 from dataclasses import asdict, fields
+from functools import lru_cache
 from pathlib import Path
 
 from .arith import CapacityError, ContractViolation, factorize
@@ -30,7 +31,6 @@ from .harness import (
 )
 from .oracle import verdict_for_sequence
 from .profiles import profile
-from .search import L5Pair, S7Triple, search_large5, search_s7
 
 __all__ = ["main"]
 
@@ -49,6 +49,7 @@ def _add_format(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
 
+@lru_cache(maxsize=1)  # one parser per process: building it costs ten parses
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="divrec",
@@ -285,6 +286,10 @@ def _check_out_dir(*paths):
             raise ContractViolation(f"--out directory {path.parent} does not exist")
         if path.is_dir():
             raise ContractViolation(f"output path {path} is a directory")
+        # the finished run renames its file over the path: never over a
+        # FIFO, a socket or a device node
+        if path.exists() and not path.is_file():
+            raise ContractViolation(f"output path {path} is not a regular file")
 
 
 def _report_paths(out):
@@ -360,10 +365,15 @@ def _search_common(args, runner, hit_type):
 
 
 def _cmd_search_s7(args) -> int:
+    # divrec.search is loaded only by the commands that run a search
+    from .search import S7Triple, search_s7
+
     return _search_common(args, search_s7, S7Triple)
 
 
 def _cmd_search_large5(args) -> int:
+    from .search import L5Pair, search_large5
+
     return _search_common(args, search_large5, L5Pair)
 
 

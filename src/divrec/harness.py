@@ -36,7 +36,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from importlib import resources
 from math import isqrt
-from multiprocessing import get_context
 from pathlib import Path
 
 from .arith import ContractViolation, _factor_range, _guard, _tau, factorize
@@ -322,6 +321,15 @@ def append_ledger(path, errata) -> int:
 
 # ----------------------------------------------------------------------
 # block scans
+
+
+def get_context(method: str):
+    """``multiprocessing.get_context(method)``.  Only a pool needs
+    ``multiprocessing``, so it is imported on the first call: a process that
+    never starts one does not pay for loading it."""
+    import multiprocessing
+
+    return multiprocessing.get_context(method)
 
 
 def _parallel_map(worker, tasks, jobs) -> list:

@@ -4,6 +4,8 @@ Nothing in the package calls these: each one restates a result the
 package computes another way, from public calls only.
 """
 
+from math import isqrt
+
 from divrec.arith import factor_range
 from divrec.classify import LARGE, SMALL, classify_large, classify_small, verify_prediction
 from divrec.harness import (
@@ -89,3 +91,18 @@ def _disagreement(n, theorem, verdict, matches, divs):
         f"forms {[m.form_id for m in matches]} matched but "
         f"{name} = {list(divs)} admits no fit",
     )
+
+
+def s7_candidates(p):
+    """The s7 candidates q of ``search._s7_candidates``, from every j up to
+    its bound and no square test: q = isqrt(p^3) + 1, then each j's root."""
+    p2 = p * p
+    p3 = p2 * p
+    s = isqrt(p3)
+    qs = [s + 1]
+    for j in range(1, isqrt((p2 - s - 2) // (2 * s + 4)) + 1):
+        j2 = j * j
+        q = (isqrt(1 + 4 * j2 * (j2 * p3 + p2)) - 1) // (2 * j2)
+        if q > s + 1 and j2 * (q * q - p3) == p2 - q:
+            qs.append(q)
+    return qs

@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import bisect_left
 from math import isqrt
 
 import pytest
@@ -156,6 +157,31 @@ def test_primes_upto():
     ps = primes_upto(10000)
     assert len(ps) == 1229
     assert all(naive_is_prime(p) for p in ps[:100])
+
+
+def _trial_division_primes(limit):
+    """The primes below ``limit``: each n is tried against the primes up to
+    isqrt(n)."""
+    primes = []
+    for n in range(2, limit):
+        r = isqrt(n)
+        for p in primes:
+            if p > r:
+                primes.append(n)
+                break
+            if n % p == 0:
+                break
+        else:
+            primes.append(n)
+    return primes
+
+
+def test_primes_upto_matches_trial_division():
+    # the odd-only sieve at every small limit, odd and even, and around the
+    # trial-prime table (2^16) and the segment-prime table (2^20)
+    reference = _trial_division_primes(2**20 + 1)
+    for limit in (*range(5001), 2**16, 2**16 + 1, 2**20 + 1):
+        assert primes_upto(limit) == reference[: bisect_left(reference, limit)], limit
 
 
 def test_factor_sieve_agrees_with_factorize():

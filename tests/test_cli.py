@@ -1,8 +1,10 @@
 import json
+import os
+import stat
 
 import pytest
 
-from divrec import cli, harness
+from divrec import cli, harness, search
 from divrec.cli import main
 from divrec.harness import check_single
 from references import validation_record_dict
@@ -244,7 +246,7 @@ def test_validate_missing_paths_exit_one_before_work(capsys, tmp_path, monkeypat
 def test_search_missing_out_dir_exits_one_before_work(
     capsys, tmp_path, monkeypatch, command, runner
 ):
-    monkeypatch.setattr(cli, runner, _no_work)
+    monkeypatch.setattr(search, runner, _no_work)
     code, out, err = run(
         capsys, command, "--pmax", "50", "--out", str(tmp_path / "missing" / "h.jsonl")
     )
@@ -275,13 +277,44 @@ def test_validate_out_path_that_is_a_directory_exits_one_before_work(
 def test_search_out_path_that_is_a_directory_exits_one_before_work(
     capsys, tmp_path, monkeypatch, command, runner
 ):
-    monkeypatch.setattr(cli, runner, _no_work)
+    monkeypatch.setattr(search, runner, _no_work)
     (tmp_path / "hits").mkdir()
     code, out, err = run(capsys, command, "--pmax", "10", "--out", str(tmp_path / "hits"))
     assert code == 1 and out == ""
     assert err.startswith("divrec: error:") and "is a directory" in err
     assert [p.name for p in tmp_path.iterdir()] == ["hits"]
     assert list((tmp_path / "hits").iterdir()) == []
+
+
+@pytest.mark.parametrize("taken", ["r.jsonl", "r.errata.jsonl", "r.summary.csv"])
+def test_validate_out_path_that_is_a_fifo_exits_one_before_work(
+    capsys, tmp_path, monkeypatch, taken
+):
+    # the finished run would rename a regular file over the FIFO
+    monkeypatch.setattr(cli, "validate_range", _no_work)
+    os.mkfifo(tmp_path / taken)
+    code, out, err = run(
+        capsys, "validate", "--from", "2", "--to", "50", "--out", str(tmp_path / "r.jsonl")
+    )
+    assert code == 1 and out == ""
+    assert err == f"divrec: error: output path {tmp_path / taken} is not a regular file\n"
+    assert [p.name for p in tmp_path.iterdir()] == [taken]
+    assert stat.S_ISFIFO((tmp_path / taken).stat().st_mode)
+
+
+@pytest.mark.parametrize("command,runner", [
+    ("search-s7", "search_s7"), ("search-large5", "search_large5"),
+])
+def test_search_out_path_that_is_a_fifo_exits_one_before_work(
+    capsys, tmp_path, monkeypatch, command, runner
+):
+    monkeypatch.setattr(search, runner, _no_work)
+    os.mkfifo(tmp_path / "hits")
+    code, out, err = run(capsys, command, "--pmax", "10", "--out", str(tmp_path / "hits"))
+    assert code == 1 and out == ""
+    assert err == f"divrec: error: output path {tmp_path / 'hits'} is not a regular file\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["hits"]
+    assert stat.S_ISFIFO((tmp_path / "hits").stat().st_mode)
 
 
 def test_search_large5_hostile_pmax_exits_one(capsys):

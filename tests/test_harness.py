@@ -430,18 +430,34 @@ def test_validate_range_contract():
         profile_sweep_failures(2, 10, jobs=0)
 
 
+def _fresh_stdout(code):
+    """Standard output of ``code`` run in a fresh interpreter on this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(divrec.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    return done.stdout.strip()
+
+
 def test_import_and_check_single_leave_numpy_unloaded():
     # nor the prime table of range scans, which only factor_range builds
     code = (
         "import sys, divrec; divrec.check_single(60); print('numpy' in sys.modules,"
         " divrec.arith._segment_prime_table.cache_info().currsize)"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(divrec.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=60, check=True,
-    )
-    assert done.stdout.strip() == "False 0"
+    assert _fresh_stdout(code) == "False 0"
+
+
+@pytest.mark.parametrize("call", [
+    "import divrec; divrec.check_single(60)",
+    "from divrec.cli import main; main(['classify', '60'])",
+])
+def test_start_up_loads_no_pool_and_no_search(call):
+    # only a pool needs multiprocessing, and only a search needs divrec.search
+    code = (f"import sys; {call}; print('multiprocessing' in sys.modules,"
+            " 'divrec.search' in sys.modules)")
+    assert _fresh_stdout(code).splitlines()[-1] == "False False"
 
 
 def test_block_scan_matches_per_n_paths(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import random
 from bisect import bisect_left, bisect_right
 from math import isqrt
 from pathlib import Path
@@ -18,14 +19,17 @@ from divrec.arith import (
 from divrec.classify import _divides, _s7_solution, classify_small
 from divrec.oracle import large_verdict, small_verdict
 from divrec.search import (
+    _S7_MODULI,
     L5Pair,
     S7Triple,
     _l5_candidates,
     _s7_candidates,
+    _s7_square_test,
     _scan_span,
     search_large5,
     search_s7,
 )
+from references import s7_candidates
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -292,6 +296,50 @@ def test_s7_candidates_cover_the_window():
         assert len(cands) == len(set(cands)) and min(cands) > s, p
         accepted += [(p, q) for q in ok]
     assert accepted == [(2, 3), (21, 98)]
+
+
+def _s7_sample(stop, seed):
+    """Every p below ``stop``, and a few from 10^8 to beyond the frontier."""
+    rng = random.Random(seed)
+    return [*range(2, stop),
+            *(rng.randrange(10**8, 10**9) for _ in range(40)),
+            *(rng.randrange(10**9, 6_431_325_587) for _ in range(40)),
+            *(rng.randrange(10**13, 10**14) for _ in range(3))]
+
+
+def test_s7_candidates_match_the_unfiltered_loop():
+    # composites included; the only accepted q below 10^5 is 98 for p = 21,
+    # so the square test is checked on its own below
+    for p in _s7_sample(100_000, 1507):
+        assert _s7_candidates(p) == s7_candidates(p), p
+
+
+def test_s7_square_test_passes_exactly_the_squares_mod_each_modulus():
+    # D from p itself, not from its residues, against each modulus's squares
+    squares = {m: {x * x % m for x in range(m)} for m in _S7_MODULI}
+    for p in _s7_sample(20_000, 1508):
+        s = isqrt(p**3)
+        top = isqrt((p * p - s - 2) // (2 * s + 4))
+        expected = sum(
+            1 << j for j in range(1, top + 1)
+            if all((1 + 4 * j * j * (j * j * p**3 + p * p)) % m in squares[m]
+                   for m in _S7_MODULI)
+        )
+        assert _s7_square_test(p, top) == expected, p
+
+
+def test_search_names_load_with_the_search_module():
+    import divrec
+
+    from divrec import L5Pair as l5, S7Triple as s7, search_large5, search_s7 as s7_fn
+
+    assert (s7, l5) == (S7Triple, L5Pair)
+    assert divrec.search_s7 is divrec.search.search_s7 is s7_fn is search_s7
+    assert divrec.search_large5 is divrec.search.search_large5
+    with pytest.raises(AttributeError, match="no_such_name"):
+        divrec.no_such_name
+    with pytest.raises(ImportError):
+        from divrec import no_such_name  # noqa: F401
 
 
 def test_large5_filter_keeps_every_passing_q():
