@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "CapacityError",
@@ -83,8 +82,7 @@ def _guard(n: int) -> None:
         raise CapacityError(f"{n} exceeds the input bound {_input_bound}")
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """n as an ordered product of prime powers.
 
     ``factors`` is a tuple of (prime, exponent) pairs with strictly

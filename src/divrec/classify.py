@@ -19,8 +19,8 @@ patched to absorb an oracle disagreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .arith import ContractViolation, Factorization, factorize
 from .fit import _holds, verify_params
@@ -39,8 +39,7 @@ SMALL = "Small"
 LARGE = "Large"
 
 
-@dataclass(frozen=True)
-class FormMatch:
+class FormMatch(NamedTuple):
     """One matched form: its parameters and stated predictions.
 
     ``predicted_set`` / ``predicted_u`` are None when the characterization

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import asdict, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -315,13 +314,13 @@ def _cmd_validate(args) -> int:
 
     if args.format == "json":
         print(canonical_json({
-            "summary": asdict(summary),
+            "summary": summary._asdict(),
             "errata": [erratum_record(e) for e in errata],
             "documented": len(documented),
             "violations": [erratum_record(e) for e in violations],
         }))
     elif args.format == "csv":
-        _csv_row(asdict(summary))
+        _csv_row(summary._asdict())
     else:
         s = summary
         print(f"range [{s.range_lo}, {s.range_hi}]")
@@ -336,6 +335,8 @@ def _cmd_validate(args) -> int:
 
 
 def _search_common(args, runner, hit_type):
+    from dataclasses import asdict, fields  # loaded with divrec.search already
+
     if args.pmax < 2:
         raise ContractViolation("--pmax must be >= 2")
     order = [f.name for f in fields(hit_type)]

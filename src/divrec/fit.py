@@ -16,17 +16,17 @@ All arithmetic is exact; no bound on the magnitude of (a, b) is assumed.
 The plain-value core ``_solve`` tests its first row's gcd, applies
 Cramer's rule to the first row not parallel to it, and returns a tuple;
 validate reads only the kind from ``_solution(seq)``, and ``_fit`` and
-``solve_constraints`` wrap the tuple in a ``FitVerdict``.  ``_holds``
+``solve_constraints`` wrap the tuple in a ``FitVerdict``, a ``NamedTuple``
+that costs less to build than the solve it describes.  ``_holds``
 states e3 = a*e2 + b*e1 once, for ``verify_params`` and the classifiers'
 prediction checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arith import ContractViolation, _guard
 
@@ -49,8 +49,7 @@ class FitKind(Enum):
     LINE = "line"
 
 
-@dataclass(frozen=True)
-class FitVerdict:
+class FitVerdict(NamedTuple):
     """Complete solution set of the recurrence constraints on a sequence."""
 
     kind: FitKind

@@ -27,16 +27,14 @@ Report formats:
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 import shutil
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from importlib import resources
 from math import isqrt
 from pathlib import Path
+from typing import NamedTuple
 
 from .arith import ContractViolation, _factor_range, _guard, _tau, factorize
 from .classify import LARGE, SMALL, _large_forms, _prediction_holds, _small_forms
@@ -76,8 +74,7 @@ JOBS_ENV = "DIVREC_JOBS"
 _BLOCK = 65536  # largest contiguous work unit, one task of the parallel map
 
 
-@dataclass(frozen=True)
-class ValidationRecord:
+class ValidationRecord(NamedTuple):
     n: int
     small_oracle: bool
     small_forms: tuple[int, ...]
@@ -86,16 +83,14 @@ class ValidationRecord:
     prediction_ok: bool
 
 
-@dataclass(frozen=True)
-class ErrataEntry:
+class ErrataEntry(NamedTuple):
     n: int
     theorem: str
     kind: str
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationSummary:
+class ValidationSummary(NamedTuple):
     range_lo: int
     range_hi: int
     count_small_recurrent: int
@@ -221,12 +216,13 @@ def jsonable(obj):
         return str(obj) if abs(obj) > _BIG else obj
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):  # not a record: a NamedTuple is a tuple too
         return [jsonable(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def canonical_json(obj) -> str:
+    import json
     return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
@@ -279,7 +275,8 @@ def _replace_when_done(path, mode="w", **kwargs):
 
 
 def write_summary_csv(path, summary: ValidationSummary) -> None:
-    row = asdict(summary)
+    import csv
+    row = summary._asdict()
     with _replace_when_done(path, newline="") as out:
         writer = csv.writer(out)
         writer.writerow(row)
@@ -288,6 +285,7 @@ def write_summary_csv(path, summary: ValidationSummary) -> None:
 
 def ledger_keys(path) -> set[tuple[int, str]]:
     """The (n, theorem) keys of an errata ledger; empty if it does not exist."""
+    import json
     path = Path(path)
     if not path.exists():
         return set()
@@ -472,8 +470,7 @@ def profile_sweep_failures(
 # allowlist of documented theorem discrepancies
 
 
-@dataclass(frozen=True)
-class AllowlistEntry:
+class AllowlistEntry(NamedTuple):
     theorem: str
     pattern: str
     justification: str
@@ -495,6 +492,7 @@ _FAMILIES = {
 
 def load_allowlist(path=None) -> tuple[AllowlistEntry, ...]:
     """Load allowlist entries; with no path, the packaged default."""
+    import json
     if path is None:
         data = resources.files("divrec").joinpath("data/allowlist.json").read_bytes()
     else:

@@ -8,7 +8,7 @@ never the other way around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import ContractViolation, Factorization
 from .fit import _EMPTY_FIT, _VACUOUS_FIT, FitKind, FitVerdict, _check_sequence, _fit
@@ -23,8 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RecurrenceVerdict:
+class RecurrenceVerdict(NamedTuple):
     recurrent: bool
     vacuous: bool
     fit: FitVerdict

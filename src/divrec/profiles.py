@@ -17,10 +17,9 @@ its reflection test compares two independently cut slices.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .arith import (
     ContractViolation,
@@ -40,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DivisorProfile:
+class DivisorProfile(NamedTuple):
     n: int
     small_strict: tuple[int, ...]
     large_strict: tuple[int, ...]

@@ -205,13 +205,18 @@ _L5_POOL_MIN_PMAX = 479_909  # the 40 000th prime
 _SPAN = 1 << 16
 
 
+@lru_cache(maxsize=1)  # a span task carries only the limit of its base primes
+def _base_primes(limit: int) -> list[int]:
+    return primes_upto(limit)
+
+
 def _scan_span(task) -> list:
     """Every hit of ``scan_p`` over the primes p with lo <= p < hi, for the
-    task (scan_p, base, lo, hi) with 2 <= lo < hi and ``base`` every prime up
-    to isqrt(hi - 1) at least: Eratosthenes over [lo, hi) with those primes."""
-    scan_p, base, lo, hi = task
+    task (scan_p, limit, lo, hi) with 2 <= lo < hi and isqrt(hi - 1) <= limit:
+    Eratosthenes over [lo, hi) with the primes up to ``limit``."""
+    scan_p, limit, lo, hi = task
     sieve = bytearray([1]) * (hi - lo)
-    for p in base:
+    for p in _base_primes(limit):
         if p * p >= hi:
             break
         first = max(p * p, -(-lo // p) * p) - lo
@@ -230,8 +235,9 @@ def _scan_primes(scan_p, p_max: int, jobs: int, pool_min_pmax: int) -> list:
     _guard(isqrt(p_max**5) + 1)
     if p_max < pool_min_pmax:
         jobs = 1
-    base = primes_upto(isqrt(p_max) + 1)
-    tasks = [(scan_p, base, lo, min(lo + _SPAN, p_max + 1))
+    limit = isqrt(p_max) + 1
+    _base_primes(limit)  # here, so that forked workers inherit the table
+    tasks = [(scan_p, limit, lo, min(lo + _SPAN, p_max + 1))
              for lo in range(2, p_max + 1, _SPAN)]
     return [hit for batch in _parallel_map(_scan_span, tasks, jobs)
             for hit in batch]

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from divrec.arith import ContractViolation, FactorSieve, _factor_range
@@ -136,7 +134,7 @@ def test_verify_prediction_examples():
     assert verify_prediction(m, p60)
     (m48,) = classify_large(48)
     assert verify_prediction(m48, profile(48))
-    corrupted = dataclasses.replace(m, predicted_set=(2, 3, 4))
+    corrupted = m._replace(predicted_set=(2, 3, 4))
     assert not verify_prediction(corrupted, p60)
     with pytest.raises(ContractViolation):
         verify_prediction(m, profile(61))
@@ -144,8 +142,8 @@ def test_verify_prediction_examples():
     # hand-built profile's set first
     repeated = (2, 3, 3)
     with pytest.raises(ContractViolation):
-        verify_prediction(dataclasses.replace(m, predicted_set=repeated),
-                          dataclasses.replace(p60, small_strict=repeated))
+        verify_prediction(m._replace(predicted_set=repeated),
+                          p60._replace(small_strict=repeated))
 
 
 def test_form_10_parameter_identities():

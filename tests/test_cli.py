@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import stat
@@ -367,7 +368,8 @@ def test_validate_interrupted_summary_and_ledger_keep_old_files(
             self.fh.write("partial,")
             raise OSError("disk full")
 
-    monkeypatch.setattr(harness.csv, "writer", HalfWriter)
+    # harness imports csv when it writes a summary: patch the module itself
+    monkeypatch.setattr(csv, "writer", HalfWriter)
     with pytest.raises(OSError, match="disk full"):
         main(argv)
     monkeypatch.undo()

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,52 @@ def test_big_integers_serialize_as_strings():
     assert encoded["n"] == str(1 << 61)
     assert encoded["small"] == 7
     assert jsonable(True) is True
+
+
+def test_canonical_json_refuses_records():
+    # a NamedTuple record is a tuple, but not one to write out as a list
+    for rec in (ErrataEntry(60, "Small", KIND_PREDICTION, "detail"), check_single(60)):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            canonical_json(rec)
+        with pytest.raises(TypeError, match="cannot serialize"):
+            canonical_json({"records": [rec]})
+
+
+def _nine_records():
+    """One of each record type that ``import divrec`` defines."""
+    return [
+        Factorization(12, ((2, 2), (3, 1))),
+        fit.FitVerdict(FitKind.POINT, (1, 2)),
+        profile(60),
+        classify.classify_small(60)[0],
+        large_verdict(60),
+        check_single(60),
+        ErrataEntry(60, "Small", KIND_PREDICTION, "detail"),
+        validate_range(2, 100)[0],
+        load_allowlist()[0],
+    ]
+
+
+def test_records_are_frozen_picklable_and_replaceable():
+    records = _nine_records()
+    assert len({type(rec) for rec in records}) == 9
+    for rec in records:
+        first = rec._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(rec, first, None)
+        # pool workers return errata and records through pickle
+        back = pickle.loads(pickle.dumps(rec))
+        assert back == rec and type(back) is type(rec)
+        changed = rec._replace(**{first: None})
+        assert getattr(changed, first) is None and changed[1:] == rec[1:]
+        assert tuple(rec) == rec  # a record is a tuple of its fields
+
+
+def test_record_reprs_keep_the_field_names():
+    assert repr(Factorization(12, ((2, 2), (3, 1)))) == (
+        "Factorization(n=12, factors=((2, 2), (3, 1)))")
+    assert repr(ErrataEntry(60, "Small", KIND_PREDICTION, "d")) == (
+        "ErrataEntry(n=60, theorem='Small', kind='PredictionMismatch', detail='d')")
 
 
 def test_validation_record_dict_field_names():
@@ -449,15 +496,25 @@ def test_import_and_check_single_leave_numpy_unloaded():
     assert _fresh_stdout(code) == "False 0"
 
 
-@pytest.mark.parametrize("call", [
-    "import divrec; divrec.check_single(60)",
-    "from divrec.cli import main; main(['classify', '60'])",
-])
+# Per start-up call, the modules it must not load: only a pool needs
+# multiprocessing, only a search needs divrec.search and dataclasses, and
+# only reports, ledgers and allowlists need json and csv.
+_START_UP_UNUSED = {
+    "import divrec; divrec.check_single(60)":
+        ("csv", "dataclasses", "divrec.search", "json", "multiprocessing"),
+    "from divrec.cli import main; main(['classify', '60'])":
+        ("dataclasses", "divrec.search", "multiprocessing"),
+}
+
+
+@pytest.mark.parametrize("call", list(_START_UP_UNUSED))
 def test_start_up_loads_no_pool_and_no_search(call):
-    # only a pool needs multiprocessing, and only a search needs divrec.search
-    code = (f"import sys; {call}; print('multiprocessing' in sys.modules,"
-            " 'divrec.search' in sys.modules)")
-    assert _fresh_stdout(code).splitlines()[-1] == "False False"
+    # against the modules of the bare interpreter, which ``site`` may have
+    # filled before the call runs
+    code = (f"import sys; bare = set(sys.modules); {call}; "
+            f"print([m for m in {_START_UP_UNUSED[call]!r} "
+            "if m in sys.modules and m not in bare])")
+    assert _fresh_stdout(code).splitlines()[-1] == "[]"
 
 
 def test_block_scan_matches_per_n_paths(tmp_path):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from divrec.arith import CapacityError, ContractViolation, primes_upto, set_input_bound
@@ -125,7 +123,7 @@ def test_short_sequences_share_one_frozen_vacuous_verdict():
     v = _verdict(())
     assert v is _verdict((2,)) is _verdict((2, 3)) is verdict_for_sequence([5, 7])
     assert v == verdict_by_constraints(())
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         v.recurrent = False
 
 
@@ -155,5 +153,5 @@ def test_empty_verdicts_share_one_frozen_verdict():
     assert v is verdict_for_sequence([2, 3, 5, 6, 7, 10, 11, 14, 15])
     assert v == verdict_by_constraints((2, 4, 7))
     assert v == RecurrenceVerdict(False, False, FitVerdict(FitKind.EMPTY), None)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         v.recurrent = True

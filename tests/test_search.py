@@ -1,6 +1,8 @@
 import json
 import random
+import pickle
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from math import isqrt
 from pathlib import Path
 
@@ -138,6 +140,30 @@ def test_large_searches_run_on_a_pool(monkeypatch):
     assert started == ["fork", "fork"]
 
 
+def test_pooled_span_tasks_carry_the_limit_not_the_primes(monkeypatch, pool_sizes):
+    # each task names its sieve limit; the base primes are built once, before
+    # the pool forks, and the workers read them from the inherited cache
+    import divrec.search as search
+
+    search._base_primes.cache_clear()
+    expected = search_s7(120_000)
+    pooled = []
+    run = search._parallel_map
+
+    def spy(worker, tasks, jobs):
+        assert search._base_primes.cache_info().currsize == 1
+        pooled.extend(tasks)
+        return run(worker, tasks, jobs)
+
+    monkeypatch.setattr(search, "_parallel_map", spy)
+    sizes = pool_sizes(2)
+    assert search_s7(120_000, jobs=2) == expected
+    assert sizes == [2] and sizes.tasks == [2] == [len(pooled)]
+    assert [task[1:] for task in pooled] == [(347, 2, 65_538), (347, 65_538, 120_001)]
+    assert all(len(pickle.dumps(task)) < 100 for task in pooled)
+    assert search._base_primes.cache_info().misses == 1
+
+
 def test_search_pool_is_capped_at_cpus(pool_sizes):
     expected = search_s7(120_000)
     sizes = pool_sizes(2)
@@ -233,6 +259,10 @@ def test_hostile_pmax_raises_before_any_table(monkeypatch):
     built, spans = [], []
     monkeypatch.setattr(search, "primes_upto", lambda limit: built.append(limit) or [])
     monkeypatch.setattr(search, "_scan_span", lambda task: spans.append(task[2:]) or [])
+    # a fresh table cache: an earlier search must not hide the build, and the
+    # stub's empty table must not outlive this test
+    monkeypatch.setattr(search, "_base_primes",
+                        lru_cache(maxsize=1)(search._base_primes.__wrapped__))
     for runner in (search_s7, search_large5):
         for p_max in (10**12, 29_210_830):  # the smallest p_max over 2^62
             with pytest.raises(CapacityError):
@@ -245,6 +275,7 @@ def test_hostile_pmax_raises_before_any_table(monkeypatch):
         assert all(a[1] == b[0] and b[1] - b[0] <= 2**16 for a, b in zip(spans, spans[1:]))
         built.clear()
         spans.clear()
+        search._base_primes.cache_clear()
 
 
 def _itself(p):
@@ -256,14 +287,12 @@ def _itself(p):
     (65_538, 131_074), (2, 300_000),
 ])
 def test_span_sieve_matches_primes_upto(lo, hi):
-    base = primes_upto(isqrt(hi - 1) + 1)
-    assert _scan_span((_itself, base, lo, hi)) == _window(primes_upto(hi), lo - 1, hi)
+    assert _scan_span((_itself, isqrt(hi - 1) + 1, lo, hi)) == _window(primes_upto(hi), lo - 1, hi)
 
 
 def test_span_sieve_near_1e12_matches_is_prime():
     lo, hi = 10**12 - 1_000, 10**12 + 2_000
-    base = primes_upto(isqrt(hi - 1) + 1)
-    assert _scan_span((_itself, base, lo, hi)) == [n for n in range(lo, hi) if is_prime(n)]
+    assert _scan_span((_itself, isqrt(hi - 1) + 1, lo, hi)) == [n for n in range(lo, hi) if is_prime(n)]
 
 
 def test_s7_fixture_pmax1000000():
