@@ -37,12 +37,11 @@ from .harness import (
     ValidationRecord,
     ValidationSummary,
     check_single,
-    evaluate_single,
     load_allowlist,
     split_errata,
     validate_range,
 )
-from .oracle import RecurrenceVerdict, large_verdict, small_verdict
+from .oracle import RecurrenceVerdict
 from .profiles import DivisorProfile, check_tau_identity, profile
 
 __version__ = "0.1.0"

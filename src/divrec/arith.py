@@ -22,7 +22,6 @@ __all__ = [
     "Factorization",
     "FactorSieve",
     "divisors_sorted",
-    "factor_range",
     "factorize",
     "input_bound",
     "is_prime",
@@ -44,7 +43,7 @@ _FULL_WITNESS_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _TRIAL_LIMIT = 1 << 16
 
-# factor_range sieves with the primes up to min(isqrt(hi), 2**20)
+# _factor_range sieves with the primes up to min(isqrt(hi), 2**20)
 _SEGMENT_PRIME_LIMIT = 1 << 20
 _MIN_SEGMENT = 512
 
@@ -246,11 +245,6 @@ def _segment_primes(t: int) -> array:
     return table[: bisect_right(table, t)]
 
 
-def factor_range(lo: int, hi_excl: int) -> Iterator[Factorization]:
-    """``factorize(n)`` for lo <= n < hi_excl, in order, by a segmented sieve."""
-    return (Factorization(n, f) for n, f in _factor_range(lo, hi_excl))
-
-
 def _factor_range(lo: int, hi_excl: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
     """``(n, factorize(n).factors)`` for lo <= n < hi_excl, in order.
 
@@ -273,7 +267,7 @@ def _factor_range(lo: int, hi_excl: int) -> Iterator[tuple[int, tuple[tuple[int,
     small when there are few primes.
     """
     if not 1 <= lo <= hi_excl:
-        raise ContractViolation("factor_range requires 1 <= lo <= hi_excl")
+        raise ContractViolation("_factor_range requires 1 <= lo <= hi_excl")
     if lo == hi_excl:
         return
     _guard(hi_excl - 1)
@@ -362,7 +356,7 @@ class FactorSieve:
 
     A lookup table for repeated factorization of scattered n: build once,
     then ``factorize`` runs in O(number of prime factors) with no trial
-    division.  Range scans use ``factor_range``, which needs no table of
+    division.  Range scans use ``_factor_range``, which needs no table of
     size n.
     """
 

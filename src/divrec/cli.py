@@ -7,7 +7,6 @@ check finds a non-allowlisted disagreement (the CI signal).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -20,7 +19,6 @@ from .harness import (
     append_ledger,
     canonical_json,
     default_jobs,
-    erratum_record,
     ledger_keys,
     load_allowlist,
     profile_sweep_failures,
@@ -162,6 +160,7 @@ def _fac_string(factors) -> str:
 
 
 def _csv_row(row: dict):
+    import csv  # only --format csv needs it
     writer = csv.writer(sys.stdout)
     writer.writerow(row)
     writer.writerow(row.values())
@@ -315,9 +314,9 @@ def _cmd_validate(args) -> int:
     if args.format == "json":
         print(canonical_json({
             "summary": summary._asdict(),
-            "errata": [erratum_record(e) for e in errata],
+            "errata": [e._asdict() for e in errata],
             "documented": len(documented),
-            "violations": [erratum_record(e) for e in violations],
+            "violations": [e._asdict() for e in violations],
         }))
     elif args.format == "csv":
         _csv_row(summary._asdict())
@@ -353,6 +352,7 @@ def _search_common(args, runner, hit_type):
         for rec in records:
             print(canonical_json(rec))
     elif args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout)
         writer.writerow(order)
         for rec in records:

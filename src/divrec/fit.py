@@ -15,11 +15,10 @@ that linear system:
 All arithmetic is exact; no bound on the magnitude of (a, b) is assumed.
 The plain-value core ``_solve`` tests its first row's gcd, applies
 Cramer's rule to the first row not parallel to it, and returns a tuple;
-validate reads only the kind from ``_solution(seq)``, and ``_fit`` and
-``solve_constraints`` wrap the tuple in a ``FitVerdict``, a ``NamedTuple``
-that costs less to build than the solve it describes.  ``_holds``
-states e3 = a*e2 + b*e1 once, for ``verify_params`` and the classifiers'
-prediction checks.
+validate reads only the kind from ``_solution(seq)``, and ``_fit`` wraps
+the tuple in a ``FitVerdict``, a ``NamedTuple`` that costs less to build
+than the solve it describes.  ``_holds`` states e3 = a*e2 + b*e1 once, for
+``verify_params`` and the classifiers' prediction checks.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "FitVerdict",
     "brute_force_fit",
     "constraints_of",
-    "solve_constraints",
     "solve_fit",
     "solutions_in_box",
     "verify_params",
@@ -146,11 +144,6 @@ def _as_verdict(sol: tuple) -> FitVerdict:
     b = rhs * pow(cb, -1, abs(ca)) % abs(ca)
     du, dv = (cb, -ca) if cb > 0 or (cb == 0 and ca < 0) else (-cb, ca)
     return FitVerdict(kind, None, ((rhs - cb * b) // ca, b), (du, dv))
-
-
-def solve_constraints(constraints: Iterable[tuple[int, int, int]]) -> FitVerdict:
-    """Solve {ca*a + cb*b = rhs} exactly over the integers (see ``_solve``)."""
-    return _as_verdict(_solve(constraints))
 
 
 def solve_fit(seq: Sequence[int]) -> FitVerdict:

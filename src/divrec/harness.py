@@ -3,7 +3,7 @@
 For every n in a range the harness computes the divisor profile, both
 brute-force verdicts, both classifications, and prediction checks, then
 files any disagreement as an erratum.  One core, ``_evaluate``, does this
-over plain values for block scans and ``evaluate_single`` alike: fit kinds
+over plain values for block scans and ``check_single`` alike: fit kinds
 from ``fit._solution``, form matches from the classifier cores, stated
 recurrences by ``fit._holds``.  It returns n's outcome as a plain tuple;
 errata, verdict objects and witnesses are built only when an outcome files
@@ -54,8 +54,6 @@ __all__ = [
     "canonical_json",
     "check_single",
     "default_jobs",
-    "erratum_record",
-    "evaluate_single",
     "jsonable",
     "ledger_keys",
     "load_allowlist",
@@ -120,16 +118,6 @@ def _available_cpus() -> int:
 
 # ----------------------------------------------------------------------
 # single-n evaluation
-
-
-def evaluate_single(n: int) -> tuple[ValidationRecord, list[ErrataEntry]]:
-    """The per-n record plus every oracle/classifier disagreement."""
-    f = factorize(n)
-    prof = profile(n, fac=f)
-    (s_rec, _, s_ids, l_rec, _, l_ids, ok), errata = _evaluate(
-        n, f.factors, prof.small_strict, prof.large_strict
-    )
-    return ValidationRecord(n, s_rec, s_ids, l_rec, l_ids, ok), list(errata)
 
 
 def _evaluate(n: int, sig, small: tuple[int, ...], large: tuple[int, ...]):
@@ -197,9 +185,15 @@ def _disagreement(n, theorem, recurrent, form_ids, divs) -> ErrataEntry:
 
 
 def check_single(n: int) -> ValidationRecord:
+    """The validation record of one n, from one ``profile``."""
     if n < 2:
         raise ContractViolation("check_single requires n >= 2")
-    return evaluate_single(n)[0]
+    f = factorize(n)
+    prof = profile(n, fac=f)
+    (s_rec, _, s_ids, l_rec, _, l_ids, ok), _ = _evaluate(
+        n, f.factors, prof.small_strict, prof.large_strict
+    )
+    return ValidationRecord(n, s_rec, s_ids, l_rec, l_ids, ok)
 
 
 # ----------------------------------------------------------------------
@@ -256,10 +250,6 @@ def _line_parts(small_oracle, small_forms, large_oracle, large_forms,
     )
 
 
-def erratum_record(e: ErrataEntry) -> dict:
-    return {"n": e.n, "theorem": e.theorem, "kind": e.kind, "detail": e.detail}
-
-
 @contextmanager
 def _replace_when_done(path, mode="w", **kwargs):
     """Open a temp file beside ``path``; move it onto ``path`` only once the
@@ -293,7 +283,7 @@ def ledger_keys(path) -> set[tuple[int, str]]:
         with open(path) as fh:
             objs = [json.loads(line) for line in fh if line.strip()]
         return {(int(obj["n"]), obj["theorem"]) for obj in objs}
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ContractViolation(f"malformed ledger {path}: {exc}") from None
 
 
@@ -307,7 +297,7 @@ def append_ledger(path, errata) -> int:
         if key in seen:
             continue
         seen.add(key)
-        lines.append(canonical_json(erratum_record(e)) + "\n")
+        lines.append(canonical_json(e._asdict()) + "\n")
     old = path.read_bytes() if path.exists() else b""
     if lines and old and not old.endswith(b"\n"):
         old += b"\n"  # else the first new entry would extend the last old line

@@ -10,15 +10,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arith import ContractViolation, Factorization
-from .fit import _EMPTY_FIT, _VACUOUS_FIT, FitKind, FitVerdict, _check_sequence, _fit
-from .profiles import profile
+from .fit import _EMPTY, _VACUOUS, FitKind, FitVerdict, _check_sequence, _fit
 
 __all__ = [
     "RecurrenceVerdict",
     "canonical_witness",
-    "large_verdict",
-    "small_verdict",
     "verdict_for_sequence",
 ]
 
@@ -53,12 +49,6 @@ def canonical_witness(fit: FitVerdict) -> tuple[int, int] | None:
     return best[1]
 
 
-# Every set of at most two terms satisfies every (a, b), and an empty fit
-# has no witness: one shared verdict each.
-_VACUOUS = RecurrenceVerdict(True, True, _VACUOUS_FIT, None)
-_EMPTY = RecurrenceVerdict(False, False, _EMPTY_FIT, None)
-
-
 def verdict_for_sequence(seq) -> RecurrenceVerdict:
     """Verdict for a strictly increasing positive sequence within the input bound."""
     seq = list(seq)
@@ -70,22 +60,5 @@ def _verdict(seq) -> RecurrenceVerdict:
     """``verdict_for_sequence`` for a sequence already known to pass its checks,
     such as a strict divisor set of a guarded n."""
     fit = _fit(seq)
-    if fit.kind is FitKind.VACUOUS:
-        return _VACUOUS
-    if fit.kind is FitKind.EMPTY:
-        return _EMPTY
-    return RecurrenceVerdict(True, False, fit, canonical_witness(fit))
-
-
-def small_verdict(n: int, *, fac: Factorization | None = None) -> RecurrenceVerdict:
-    """Does the strict small-divisor set of n satisfy some order-2 recurrence?"""
-    if n < 2:
-        raise ContractViolation("small_verdict requires n >= 2")
-    return verdict_for_sequence(profile(n, fac=fac).small_strict)
-
-
-def large_verdict(n: int, *, fac: Factorization | None = None) -> RecurrenceVerdict:
-    """Does the strict large-divisor set of n satisfy some order-2 recurrence?"""
-    if n < 2:
-        raise ContractViolation("large_verdict requires n >= 2")
-    return verdict_for_sequence(profile(n, fac=fac).large_strict)
+    kind = fit.kind
+    return RecurrenceVerdict(kind is not _EMPTY, kind is _VACUOUS, fit, canonical_witness(fit))

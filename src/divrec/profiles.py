@@ -35,7 +35,6 @@ __all__ = [
     "DivisorProfile",
     "check_tau_identity",
     "profile",
-    "tau_identity_holds",
 ]
 
 
@@ -69,19 +68,16 @@ def _strict_sets(n: int, factors) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return small, large
 
 
-def tau_identity_holds(prof: DivisorProfile) -> bool:
-    """Divisor count vs set sizes: 2|S'| + 2 (+1 more if n is a square)."""
-    return _tau_identity(prof.tau, prof.is_square, prof.small_strict, prof.large_strict)
-
-
 def _tau_identity(t: int, is_square: bool, small, large) -> bool:
+    """Divisor count vs set sizes: 2|S'| + 2 (+1 more if n is a square)."""
     base = 3 if is_square else 2
     return t == 2 * len(small) + base and t == 2 * len(large) + base
 
 
 def check_tau_identity(n: int) -> bool:
     """The divisor-count identity for n; False signals a bug, not a property of n."""
-    return tau_identity_holds(profile(n))
+    prof = profile(n)
+    return _tau_identity(prof.tau, prof.is_square, prof.small_strict, prof.large_strict)
 
 
 # A segment of the divisor sieve spans at most this many n, so its lists of

@@ -1,12 +1,12 @@
 """Slow, plain reference paths that tests compare the package's fast paths with.
 
 Nothing in the package calls these: each one restates a result the
-package computes another way, from public calls only.
+package computes another way, from public calls and ``_factor_range``.
 """
 
 from math import isqrt
 
-from divrec.arith import factor_range
+from divrec.arith import Factorization, _factor_range
 from divrec.classify import LARGE, SMALL, classify_large, classify_small, verify_prediction
 from divrec.harness import (
     KIND_CLASSIFIER_ONLY,
@@ -21,8 +21,16 @@ from divrec.profiles import profile
 
 def profiles_in_range(lo, hi):
     """Yield profile(n) for lo <= n <= hi, factorized by a segmented sieve."""
-    for f in factor_range(lo, hi + 1):
-        yield profile(f.n, fac=f)
+    for n, factors in _factor_range(lo, hi + 1):
+        yield profile(n, fac=Factorization(n, factors))
+
+
+def small_verdict(n, fac=None):
+    return verdict_for_sequence(profile(n, fac=fac).small_strict)
+
+
+def large_verdict(n, fac=None):
+    return verdict_for_sequence(profile(n, fac=fac).large_strict)
 
 
 def validation_record_dict(rec):

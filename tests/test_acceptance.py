@@ -27,10 +27,9 @@ from divrec.harness import (
     split_errata,
     validate_range,
 )
-from divrec.oracle import large_verdict, small_verdict
 from divrec.profiles import profile
 from divrec.search import search_large5, search_s7
-from references import profiles_in_range
+from references import large_verdict, profiles_in_range, small_verdict
 
 FULL_RANGE = 10**6
 MID_RANGE = 10**5

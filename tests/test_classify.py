@@ -11,8 +11,8 @@ from divrec.classify import (
     verify_prediction,
 )
 from divrec.fit import verify_params
-from divrec.oracle import large_verdict, small_verdict
 from divrec.profiles import profile
+from references import large_verdict, small_verdict
 
 
 def small_ids(n):

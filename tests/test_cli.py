@@ -141,9 +141,8 @@ def test_tau_check_out_of_bound_exits_one_before_work(capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["classify", "oracle"])
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_single_n_commands_build_one_profile(capsys, monkeypatch, command, fmt):
-    # one factorization and one profile per call, in every format
-    from divrec import oracle
-
+    # one factorization and one profile per call, in every format; the
+    # oracle takes sequences, so it cannot build a profile of its own
     calls = []
 
     def counting(name, fn):
@@ -154,7 +153,6 @@ def test_single_n_commands_build_one_profile(capsys, monkeypatch, command, fmt):
 
     monkeypatch.setattr(cli, "factorize", counting("factorize", cli.factorize))
     monkeypatch.setattr(cli, "profile", counting("profile", cli.profile))
-    monkeypatch.setattr(oracle, "profile", counting("profile", oracle.profile))
     code, out, _ = run(capsys, command, "360", "--format", fmt)
     assert code == 0 and out
     assert sorted(calls) == ["factorize", "profile"]
@@ -222,6 +220,18 @@ def test_validate_malformed_ledger_exits_one_before_output(capsys, tmp_path):
     assert "malformed ledger" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.errata.jsonl"]
     assert ledger.read_bytes() == before
+
+
+@pytest.mark.parametrize("n", ["1e400", "-1e400", "NaN", "Infinity"])
+def test_validate_non_finite_ledger_n_exits_one(capsys, tmp_path, n):
+    # json reads 1e400 as inf, and int() refuses inf with an OverflowError
+    ledger = tmp_path / "r.errata.jsonl"
+    ledger.write_text(f'{{"n": {n}, "theorem": "Small"}}\n')
+    code, out, err = run(capsys, "validate", "--from", "2", "--to", "10",
+                         "--out", str(tmp_path / "r.jsonl"))
+    assert code == 1 and out == ""
+    assert err.startswith(f"divrec: error: malformed ledger {ledger}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.errata.jsonl"]
 
 
 def _no_work(*args, **kwargs):

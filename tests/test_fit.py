@@ -8,11 +8,12 @@ from divrec.arith import ContractViolation
 from divrec.fit import (
     FitKind,
     FitVerdict,
+    _as_verdict,
     _fit,
     _solution,
+    _solve,
     brute_force_fit,
     constraints_of,
-    solve_constraints,
     solve_fit,
     solutions_in_box,
     verify_params,
@@ -232,7 +233,7 @@ def test_membership_soundness(vals):
 def test_constraint_order_insensitivity(vals):
     seq = sorted(vals)
     cons = constraints_of(seq)
-    assert solve_constraints(cons) == solve_constraints(list(reversed(cons)))
+    assert _as_verdict(_solve(cons)) == _as_verdict(_solve(list(reversed(cons))))
 
 
 def test_line_direction_is_primitive_and_normalized():
@@ -345,7 +346,7 @@ def test_lazy_solver_matches_eager_reference(ab, rows, zeros_before, zeros_after
         + cons[1:]
     )
     expected = solve_constraints_eager(cons)
-    assert solve_constraints(iter(cons)) == solve_constraints(cons) == expected
+    assert _as_verdict(_solve(iter(cons))) == _as_verdict(_solve(cons)) == expected
 
 
 @pytest.mark.parametrize("rows", [
@@ -362,7 +363,7 @@ def test_solver_stops_at_first_contradiction(rows):
         yield from rows
         raise AssertionError("read past the first contradiction")
 
-    assert solve_constraints(feed()).kind is FitKind.EMPTY
+    assert _as_verdict(_solve(feed())).kind is FitKind.EMPTY
 
 
 def _divisor_sets():

@@ -30,7 +30,6 @@ from divrec.harness import (
     canonical_json,
     check_single,
     default_jobs,
-    evaluate_single,
     jsonable,
     load_allowlist,
     profile_sweep_failures,
@@ -39,9 +38,14 @@ from divrec.harness import (
     validate_range,
     write_summary_csv,
 )
-from divrec.oracle import large_verdict
 from divrec.profiles import check_tau_identity, profile
-from references import evaluate_by_objects, validation_record_dict
+from references import evaluate_by_objects, large_verdict, validation_record_dict
+
+
+def errata_of(n):
+    f = factorize(n)
+    prof = profile(n, fac=f)
+    return list(harness._evaluate(n, f.factors, prof.small_strict, prof.large_strict)[1])
 
 
 def _reference_scan(lo, hi):
@@ -87,7 +91,7 @@ def test_check_single_60():
 
 
 def test_check_single_100_files_erratum():
-    rec, errata = evaluate_single(100)
+    rec, errata = check_single(100), errata_of(100)
     assert rec.large_oracle and rec.large_forms == ()
     assert len(errata) == 1
     e = errata[0]
@@ -109,7 +113,7 @@ def test_validate_range_2_1000():
     )
     # each erratum reproduces from a single-n run and has a valid witness
     for e in errata:
-        rec, errs = evaluate_single(e.n)
+        errs = errata_of(e.n)
         assert errs and errs[0].kind == e.kind
         v = large_verdict(e.n)
         assert v.recurrent and verify_params(
@@ -429,7 +433,7 @@ def test_validate_straddling_the_sieve_crossover_matches_per_n(monkeypatch, tmp_
     # CPUs or more both blocks of at most 4 001 n are sieved
     lo, hi = 39 * 10**7 - 2_000, 39 * 10**7 + 6_000
     expected_lines = "".join(record_line(check_single(n)) for n in range(lo, hi + 1))
-    expected_errata = [e for n in range(lo, hi + 1) for e in evaluate_single(n)[1]]
+    expected_errata = [e for n in range(lo, hi + 1) for e in errata_of(n)]
     reference = _reference_scan(lo, hi)
     per_n = []
     strict_sets = profiles._strict_sets
@@ -449,7 +453,7 @@ def test_validate_across_the_2_53_cut_matches_per_n(tmp_path):
     # carries n as a number below the cut and as a string above it
     lo, hi = 2**53 - 400, 2**53 + 400
     expected_lines = "".join(record_line(check_single(n)) for n in range(lo, hi + 1))
-    expected_errata = [e for n in range(lo, hi + 1) for e in evaluate_single(n)[1]]
+    expected_errata = [e for n in range(lo, hi + 1) for e in errata_of(n)]
     reference = _reference_scan(lo, hi)
     for jobs in (1, 2):
         path = tmp_path / f"report-{jobs}.jsonl"
@@ -498,12 +502,13 @@ def test_import_and_check_single_leave_numpy_unloaded():
 
 # Per start-up call, the modules it must not load: only a pool needs
 # multiprocessing, only a search needs divrec.search and dataclasses, and
-# only reports, ledgers and allowlists need json and csv.
+# only reports, ledgers and allowlists need json and csv, and the CLI
+# needs csv only for --format csv.
 _START_UP_UNUSED = {
     "import divrec; divrec.check_single(60)":
         ("csv", "dataclasses", "divrec.search", "json", "multiprocessing"),
     "from divrec.cli import main; main(['classify', '60'])":
-        ("dataclasses", "divrec.search", "multiprocessing"),
+        ("csv", "dataclasses", "divrec.search", "multiprocessing"),
 }
 
 
@@ -524,7 +529,7 @@ def test_block_scan_matches_per_n_paths(tmp_path):
     report, errata, counts = _scan(lo, hi, tmp_path)
     # the public per-n path
     assert report == "".join(record_line(check_single(n)) for n in range(lo, hi + 1))
-    assert errata == [e for n in range(lo, hi + 1) for e in evaluate_single(n)[1]]
+    assert errata == [e for n in range(lo, hi + 1) for e in errata_of(n)]
     # the verdict and match objects, counts included
     assert (report, errata, counts) == _reference_scan(lo, hi)
 

@@ -1,17 +1,10 @@
 import pytest
 
 from divrec.arith import CapacityError, ContractViolation, primes_upto, set_input_bound
-from divrec.fit import FitKind, FitVerdict, constraints_of, solve_constraints, verify_params
-from divrec.oracle import (
-    RecurrenceVerdict,
-    _verdict,
-    canonical_witness,
-    large_verdict,
-    small_verdict,
-    verdict_for_sequence,
-)
+from divrec.fit import FitKind, FitVerdict, _as_verdict, _solve, constraints_of, verify_params
+from divrec.oracle import RecurrenceVerdict, _verdict, canonical_witness, verdict_for_sequence
 from divrec.profiles import profile
-from references import profiles_in_range
+from references import large_verdict, profiles_in_range, small_verdict
 
 
 def test_small_60():
@@ -105,7 +98,7 @@ def verdict_by_constraints(seq):
     """Reference: the verdict as built from the constraint list on every call,
     not from the fit core that ``solve_fit`` and ``_verdict`` share; a list
     with no constraints, that of at most two terms, solves as vacuous."""
-    fit = solve_constraints(constraints_of(list(seq)))
+    fit = _as_verdict(_solve(constraints_of(list(seq))))
     vacuous = fit.kind is FitKind.VACUOUS
     recurrent = fit.kind is not FitKind.EMPTY
     witness = canonical_witness(fit) if recurrent and not vacuous else None
@@ -121,7 +114,8 @@ def test_core_matches_public_verdict_over_range():
 
 def test_short_sequences_share_one_frozen_vacuous_verdict():
     v = _verdict(())
-    assert v is _verdict((2,)) is _verdict((2, 3)) is verdict_for_sequence([5, 7])
+    assert v == _verdict((2,)) == _verdict((2, 3)) == verdict_for_sequence([5, 7])
+    assert v.fit is _verdict((2,)).fit is verdict_for_sequence([5, 7]).fit
     assert v == verdict_by_constraints(())
     with pytest.raises(AttributeError):
         v.recurrent = False
@@ -149,8 +143,9 @@ def test_empty_verdicts_share_one_frozen_verdict():
     # (2, 4, 7) fails at its only constraint, 100's S' = (2, 4, 5) too, and
     # the long sequence only at its third
     v = _verdict((2, 4, 7))
-    assert v is _verdict(profile(100).small_strict)
-    assert v is verdict_for_sequence([2, 3, 5, 6, 7, 10, 11, 14, 15])
+    assert v == _verdict(profile(100).small_strict)
+    assert v == verdict_for_sequence([2, 3, 5, 6, 7, 10, 11, 14, 15])
+    assert v.fit is _verdict(profile(100).small_strict).fit
     assert v == verdict_by_constraints((2, 4, 7))
     assert v == RecurrenceVerdict(False, False, FitVerdict(FitKind.EMPTY), None)
     with pytest.raises(AttributeError):

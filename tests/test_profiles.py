@@ -17,8 +17,8 @@ from divrec.profiles import (
     DivisorProfile,
     _profile_range,
     check_tau_identity,
+    _tau_identity,
     profile,
-    tau_identity_holds,
 )
 from references import profiles_in_range
 
@@ -157,8 +157,6 @@ def test_sieved_profiles_match_profile(monkeypatch, lo, length, per_n):
     ]
     # the divisor sieve against the factor sieve's divisor count
     assert all(
-        tau_identity_holds(DivisorProfile(
-            n, small, large, tau(Factorization(n, factors)), isqrt_exact(n)[1]
-        ))
+        _tau_identity(tau(Factorization(n, factors)), isqrt_exact(n)[1], small, large)
         for n, factors, small, large in rows
     )

@@ -19,7 +19,6 @@ from divrec.arith import (
     set_input_bound,
 )
 from divrec.classify import _divides, _s7_solution, classify_small
-from divrec.oracle import large_verdict, small_verdict
 from divrec.search import (
     _S7_MODULI,
     L5Pair,
@@ -31,7 +30,7 @@ from divrec.search import (
     search_large5,
     search_s7,
 )
-from references import s7_candidates
+from references import large_verdict, s7_candidates, small_verdict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
