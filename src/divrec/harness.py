@@ -7,16 +7,17 @@ over plain values for block scans and ``check_single`` alike: fit kinds
 from ``fit._solution``, form matches from the classifier cores, stated
 recurrences by ``fit._holds``.  It returns n's outcome as a plain tuple;
 errata, verdict objects and witnesses are built only when an outcome files
-one.  A block has few distinct outcomes (8 to 20 in blocks of 5000 to
-65536 n from 2 to 10**12), and keeps each one's count and report-line text
-(split around n) once.  Scans run in contiguous blocks, optionally across
-worker processes; the merged output is deterministic and independent of
-the worker count, byte for byte.  A validate block gets its factorizations
-from the factor sieve and its divisor sets from the divisor sieve of
-``profiles._profile_range``; ``check_single`` builds one ``profile``.  The
-``tau-check`` sweep also runs on plain values: factor tuples from the
-factor sieve, and both sets of each n cut on their own by
-``profiles._strict_sets``.
+one.  Scans run in contiguous blocks, optionally across worker processes.
+A block has few distinct outcomes (8 to 20 in blocks of 5000 to 65536 n
+from 2 to 10**12); it returns them and each n's index into them, and
+renders no text.  The parent adds the blocks' counts into one outcome
+histogram and writes the report from each outcome's text split around n,
+so the output is independent of the worker count, byte for byte.  A
+validate block gets its factorizations from the factor sieve and its
+divisor sets from the divisor sieve of ``profiles._profile_range``;
+``check_single`` builds one ``profile``.  The ``tau-check`` sweep also
+runs on plain values: factor tuples from the factor sieve, and both sets
+of each n cut on their own by ``profiles._strict_sets``.
 
 Report formats:
   * report:  JSONL, one validation record per line, sorted keys, integers
@@ -28,9 +29,9 @@ Report formats:
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
-from contextlib import contextmanager
+from array import array
+from collections import Counter
+from contextlib import contextmanager, nullcontext, suppress
 from importlib import resources
 from math import isqrt
 from pathlib import Path
@@ -102,9 +103,10 @@ class ValidationSummary(NamedTuple):
 def default_jobs() -> int:
     env = os.environ.get(JOBS_ENV)
     if env:
-        if not env.strip().isdecimal() or int(env) < 1:
-            raise ContractViolation(f"{JOBS_ENV} must be a positive integer")
-        return int(env)
+        with suppress(ValueError):  # int() refuses more than 4300 digits
+            if env.strip().isdecimal() and int(env) >= 1:
+                return int(env)
+        raise ContractViolation(f"{JOBS_ENV} must be a positive integer")
     return _available_cpus()
 
 
@@ -283,7 +285,7 @@ def ledger_keys(path) -> set[tuple[int, str]]:
         with open(path) as fh:
             objs = [json.loads(line) for line in fh if line.strip()]
         return {(int(obj["n"]), obj["theorem"]) for obj in objs}
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ContractViolation(f"malformed ledger {path}: {exc}") from None
 
 
@@ -320,51 +322,45 @@ def get_context(method: str):
     return multiprocessing.get_context(method)
 
 
-def _parallel_map(worker, tasks, jobs) -> list:
-    """``[worker(t) for t in tasks]``, on up to ``jobs`` forked workers, one
-    task at a time each.
+def _parallel_map(worker, tasks, jobs):
+    """``map(worker, tasks)``, on up to ``jobs`` forked workers, one task at a
+    time each: an iterator of the results in task order.
 
     The pool never has more workers than tasks or than CPUs this process
     may use; ``jobs`` and the task list alone decide whether there is one.
+    Without one, this is ``map`` itself: no generator frame on the serial path.
     """
     if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with get_context("fork").Pool(min(jobs, len(tasks), _available_cpus())) as pool:
-        return pool.map(worker, tasks, chunksize=1)
+        return map(worker, tasks)
+    return _pool_imap(worker, tasks, min(jobs, len(tasks), _available_cpus()))
 
 
-def _scan_validation_block(task):
-    """Counts, errata and (into ``part``, unless None) report lines of
-    [lo, hi_excl), from one count and line text per distinct outcome."""
-    lo, hi_excl, part = task
-    seen = {}  # outcome -> [count, line head, line tail]
+def _pool_imap(worker, tasks, processes):
+    """Pool results in task order, as they come; closing this ends the pool."""
+    with get_context("fork").Pool(processes) as pool:
+        yield from pool.imap(worker, tasks)
+
+
+def _scan_validation_block(span):
+    """The outcomes of [lo, hi_excl): its distinct outcomes in order of first
+    appearance, an ``array("I")`` of each n's index into them, and its errata."""
+    lo, hi_excl = span
+    seen = {}  # outcome -> its index
+    index = array("I")
     errata: list[ErrataEntry] = []
-    lines: list[str] = []
-    collect = part is not None
     for n, sig, small, large in _profile_range(lo, hi_excl):
         outcome, errs = _evaluate(n, sig, small, large)
         if errs:
             errata.extend(errs)
-        entry = seen.get(outcome)
-        if entry is None:
-            s_rec, _, s_ids, l_rec, _, l_ids, ok = outcome
-            entry = seen[outcome] = [0, *_line_parts(s_rec, s_ids, l_rec, l_ids, ok)]
-        entry[0] += 1
-        if collect:
-            lines.append(entry[1] + _json_int(n) + entry[2])
-    if collect:
-        with open(part, "w") as fh:
-            fh.writelines(lines)
-    # small rec, small vac, large rec, large vac: outcome fields 0, 1, 3, 4
-    counts = [sum(o[i] * c for o, (c, _, _) in seen.items()) for i in (0, 1, 3, 4)]
-    return counts, errata
+        index.append(seen.setdefault(outcome, len(seen)))
+    return list(seen), index, errata
 
 
 def _blocks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
     """[start, end) spans covering [lo, hi]: one per worker, at most _BLOCK n each.
 
     Callers pass ``jobs`` capped at the CPUs: a span per job that cannot
-    run at once would only add a block set-up and a part file.
+    run at once would only add a block set-up.
     """
     size = min(_BLOCK, -(-(hi - lo + 1) // jobs))
     return [(start, min(start + size, hi + 1)) for start in range(lo, hi + 1, size)]
@@ -391,35 +387,31 @@ def validate_range(
     """Cross-validate every n in [lo, hi]; optionally stream the JSONL report.
 
     The result is independent of ``jobs``; with a report path the emitted
-    bytes are identical for any worker count.
+    bytes are identical for any worker count.  The report is written a line
+    at a time as the blocks come, and moved onto ``report_path`` at the end.
     """
     spans = _range_spans(lo, hi, jobs)
-    with tempfile.TemporaryDirectory() as tmp:
-        if report_path is not None:
-            tasks = [
-                (b_lo, b_hi, os.path.join(tmp, f"part-{i:06d}.jsonl"))
-                for i, (b_lo, b_hi) in enumerate(spans)
-            ]
-        else:
-            tasks = [(b_lo, b_hi, None) for b_lo, b_hi in spans]
-        results = _parallel_map(_scan_validation_block, tasks, jobs)
-
-        if report_path is not None:
-            with _replace_when_done(report_path, "wb") as out:
-                for _, _, part in tasks:
-                    with open(part, "rb") as fh:
-                        shutil.copyfileobj(fh, out)
-
-    counts = [0, 0, 0, 0]
+    histogram: Counter = Counter()  # outcome -> count over the range
     errata: list[ErrataEntry] = []
-    for block_counts, block_errata in results:
-        for i in range(4):
-            counts[i] += block_counts[i]
-        errata.extend(block_errata)
+    results = _parallel_map(_scan_validation_block, spans, jobs)
+    try:
+        with nullcontext() if report_path is None else _replace_when_done(report_path) as out:
+            for (b_lo, b_hi), (outcomes, index, block_errata) in zip(spans, results):
+                histogram.update({outcomes[i]: c for i, c in Counter(index).items()})
+                errata.extend(block_errata)
+                if out is not None:
+                    parts = [_line_parts(s_rec, s_ids, l_rec, l_ids, ok)
+                             for s_rec, _, s_ids, l_rec, _, l_ids, ok in outcomes]
+                    out.writelines(parts[i][0] + _json_int(n) + parts[i][1]
+                                   for n, i in zip(range(b_lo, b_hi), index))
+    finally:
+        if hasattr(results, "close"):  # a pool: end its workers now, also on failure
+            results.close()
 
+    # small rec, small vac, large rec, large vac: outcome fields 0, 1, 3, 4
+    counts = [sum(o[i] * c for o, c in histogram.items()) for i in (0, 1, 3, 4)]
     summary = ValidationSummary(
-        lo, hi,
-        counts[0], counts[1], counts[2], counts[3],
+        lo, hi, *counts,
         sum(e.theorem == SMALL for e in errata),
         sum(e.theorem == LARGE for e in errata),
     )
@@ -450,7 +442,7 @@ def profile_sweep_failures(
     lo: int, hi: int, *, jobs: int = 1
 ) -> tuple[list[int], list[int]]:
     """(tau-identity failures, reflection failures) over [lo, hi]; expect ([], [])."""
-    results = _parallel_map(_scan_profile_block, _range_spans(lo, hi, jobs), jobs)
+    results = list(_parallel_map(_scan_profile_block, _range_spans(lo, hi, jobs), jobs))
     tau_bad = [n for bad, _ in results for n in bad]
     reflect_bad = [n for _, bad in results for n in bad]
     return tau_bad, reflect_bad
@@ -496,7 +488,7 @@ def load_allowlist(path=None) -> tuple[AllowlistEntry, ...]:
             for obj in json.loads(data)
         )
         unknown = [e.pattern for e in entries if e.pattern not in _FAMILIES]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ContractViolation(f"malformed allowlist: {exc}") from None
     if unknown:
         raise ContractViolation(f"unknown allowlist pattern {unknown[0]!r}")

@@ -24,9 +24,9 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, worker, tasks, chunksize=None):
+    def imap(self, worker, tasks):
         self.log.tasks.append(len(tasks))
-        return [worker(t) for t in tasks]
+        return map(worker, tasks)
 
 
 @pytest.fixture

@@ -1,13 +1,16 @@
+import contextlib
 import csv
 import json
+import multiprocessing
 import os
 import stat
+import tempfile
 
 import pytest
 
 from divrec import cli, harness, search
 from divrec.cli import main
-from divrec.harness import check_single
+from divrec.harness import check_single, record_line
 from references import validation_record_dict
 
 
@@ -208,6 +211,28 @@ def test_validate_bad_jobs_env_exits_one(capsys, monkeypatch):
     assert "DIVREC_JOBS" in err
 
 
+def test_tau_check_jobs_env_beyond_int_digits_exits_one(capsys, monkeypatch):
+    # int() refuses a decimal string of more than 4300 digits
+    monkeypatch.setenv("DIVREC_JOBS", "9" * 5000)
+    code, out, err = run(capsys, "tau-check", "--from", "2", "--to", "50")
+    assert code == 1 and out == ""
+    assert err == "divrec: error: DIVREC_JOBS must be a positive integer\n"
+
+
+@pytest.mark.parametrize("name, what", [
+    ("allow.json", "allowlist"), ("r.errata.jsonl", "ledger"),
+])
+def test_validate_deeply_nested_json_exits_one(capsys, tmp_path, name, what):
+    # json's decoder recurses once per level: this raises RecursionError
+    (tmp_path / name).write_text("[" * 200_000 + "]" * 200_000 + "\n")
+    extra = ["--allowlist", str(tmp_path / name)] if what == "allowlist" else []
+    code, out, err = run(capsys, "validate", "--from", "2", "--to", "50", *extra,
+                         "--out", str(tmp_path / "r.jsonl"))
+    assert code == 1 and out == ""
+    assert err.startswith(f"divrec: error: malformed {what}")
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def test_validate_malformed_ledger_exits_one_before_output(capsys, tmp_path):
     ledger = tmp_path / "report.errata.jsonl"
     ledger.write_text('{"n": 100, "theorem": "Large"}\n{not json\n')
@@ -346,17 +371,74 @@ def test_jobs_below_one_names_the_flag(capsys, command, jobs):
     assert err == "divrec: error: --jobs must be >= 1\n"
 
 
-def _fail_part_way(src, dst, *args):
-    dst.write(src.read(100))
-    raise OSError("disk full")
+def _interrupt_validate(tmp_path, monkeypatch, jobs):
+    """Run ``validate --out`` over [2, 300] in blocks of 100 n, failing in
+    ``_evaluate`` at n = 250, in the last block; return the bytes the report
+    held when the failure reached the parent."""
+    real_evaluate, real_replace = harness._evaluate, harness._replace_when_done
+    held = []
+
+    def evaluate(n, *args):
+        if n == 250:
+            raise RuntimeError("injected at n = 250")
+        return real_evaluate(n, *args)
+
+    @contextlib.contextmanager
+    def replace_when_done(path, *args, **kwargs):
+        with real_replace(path, *args, **kwargs) as fh:
+            try:
+                yield fh
+            finally:
+                held.append(fh.tell())
+
+    monkeypatch.setattr(harness, "_BLOCK", 100)
+    monkeypatch.setattr(harness, "_evaluate", evaluate)
+    monkeypatch.setattr(harness, "_replace_when_done", replace_when_done)
+    with pytest.raises(RuntimeError, match="injected"):
+        main(["validate", "--from", "2", "--to", "300", "--jobs", str(jobs),
+              "--out", str(tmp_path / "report.jsonl")])
+    monkeypatch.undo()
+    assert multiprocessing.active_children() == []
+    return held
+
+
+def _check_interrupted_report(tmp_path, monkeypatch, jobs):
+    # no report yet: none is left, nor its temp file
+    held = _interrupt_validate(tmp_path, monkeypatch, jobs)
+    assert list(tmp_path.iterdir()) == []
+    argv = ["validate", "--from", "2", "--to", "300", "--jobs", "1",
+            "--out", str(tmp_path / "report.jsonl")]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # the first two blocks, n = 2 ... 201, had been written when it failed
+    first_two = b"".join(before["report.jsonl"].splitlines(keepends=True)[:200])
+    assert held == [len(first_two)]
+    # an older report stays as it was
+    assert _interrupt_validate(tmp_path, monkeypatch, jobs) == held
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_validate_interrupted_report_leaves_no_file(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(harness.shutil, "copyfileobj", _fail_part_way)
-    with pytest.raises(OSError, match="disk full"):
-        main(["validate", "--from", "2", "--to", "300", "--jobs", "1",
-              "--out", str(tmp_path / "report.jsonl")])
-    assert list(tmp_path.iterdir()) == []
+    _check_interrupted_report(tmp_path, monkeypatch, 1)
+
+
+def test_validate_interrupted_pool_leaves_no_file_and_no_worker(
+    capsys, tmp_path, monkeypatch
+):
+    _check_interrupted_report(tmp_path, monkeypatch, 2)
+
+
+def test_validate_writes_nothing_outside_the_report_directory(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    argv = ["validate", "--from", "2", "--to", "3000", "--jobs", "2",
+            "--out", str(tmp_path / "r.jsonl")]
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "r.errata.jsonl", "r.jsonl", "r.summary.csv",
+    ]
+    assert (tmp_path / "r.jsonl").read_text() == "".join(
+        record_line(check_single(n)) for n in range(2, 3001)
+    )
 
 
 def test_validate_interrupted_summary_and_ledger_keep_old_files(

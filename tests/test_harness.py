@@ -1,5 +1,6 @@
 import itertools
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -411,7 +412,7 @@ def test_default_jobs_counts_the_affinity_mask(monkeypatch):
 ])
 def test_pool_is_capped_at_jobs_tasks_and_cpus(pool_sizes, jobs, tasks, cpus, size):
     sizes = pool_sizes(cpus)
-    assert harness._parallel_map(abs, list(range(-tasks, 0)), jobs) == list(range(tasks, 0, -1))
+    assert list(harness._parallel_map(abs, list(range(-tasks, 0)), jobs)) == list(range(tasks, 0, -1))
     assert sizes == [size]
 
 
@@ -425,6 +426,24 @@ def test_validate_with_huge_jobs_asks_one_worker_per_cpu(pool_sizes, tmp_path):
     assert path.read_bytes() == expected.read_bytes()
     assert profile_sweep_failures(2, 3_000, jobs=5_000) == ([], [])
     assert sizes == [2, 2] and sizes.tasks == [2, 2]
+
+
+def test_validate_failing_in_the_parent_ends_its_pool(monkeypatch, tmp_path):
+    # the parent fails while rendering block 2, with block 3 still in the
+    # pool; the workers must end with the call, not when the traceback goes
+    real = harness._json_int
+
+    def json_int(v):
+        if v == 150:
+            raise OSError("disk full")
+        return real(v)
+
+    monkeypatch.setattr(harness, "_BLOCK", 100)
+    monkeypatch.setattr(harness, "_json_int", json_int)
+    with pytest.raises(OSError, match="disk full") as info:
+        validate_range(2, 300, jobs=2, report_path=tmp_path / "r.jsonl")
+    assert info.traceback and multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_straddling_the_sieve_crossover_matches_per_n(monkeypatch, tmp_path):
