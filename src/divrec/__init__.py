@@ -22,6 +22,7 @@ from .arith import (
     set_input_bound,
     tau,
 )
+from .check import ErrataEntry, ValidationRecord, check_single
 from .classify import FormMatch, LARGE, SMALL, classify_large, classify_small, verify_prediction
 from .fit import (
     FitKind,
@@ -31,28 +32,32 @@ from .fit import (
     solutions_in_box,
     verify_params,
 )
-from .harness import (
-    AllowlistEntry,
-    ErrataEntry,
-    ValidationRecord,
-    ValidationSummary,
-    check_single,
-    load_allowlist,
-    split_errata,
-    validate_range,
-)
 from .oracle import RecurrenceVerdict
 from .profiles import DivisorProfile, check_tau_identity, profile
 
 __version__ = "0.1.0"
 
-# Only the searches need ``divrec.search``; it is loaded on first access.
-_SEARCH_NAMES = frozenset({"L5Pair", "S7Triple", "search_large5", "search_s7"})
+# Only range scans need ``divrec.harness`` and only the searches need
+# ``divrec.search``; each is loaded on first access to one of its names.
+_LAZY = {
+    "AllowlistEntry": "harness", "ValidationSummary": "harness", "load_allowlist": "harness",
+    "split_errata": "harness", "validate_range": "harness",
+    "L5Pair": "search", "S7Triple": "search", "search_large5": "search", "search_s7": "search",
+}
+
+__all__ = [
+    "CapacityError", "ContractViolation", "DivisorProfile", "ErrataEntry", "Factorization",
+    "FactorSieve", "FitKind", "FitVerdict", "FormMatch", "LARGE", "RecurrenceVerdict", "SMALL",
+    "ValidationRecord", "brute_force_fit", "check_single", "check_tau_identity",
+    "classify_large", "classify_small", "divisors_sorted", "factorize", "input_bound",
+    "is_prime", "isqrt_exact", "primes_upto", "profile", "set_input_bound", "solutions_in_box",
+    "solve_fit", "tau", "verify_params", "verify_prediction", *_LAZY,
+]
 
 
 def __getattr__(name):
-    if name in _SEARCH_NAMES:
-        from . import search
+    if name in _LAZY:
+        from importlib import import_module
 
-        return getattr(search, name)
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,13 +3,14 @@
 Everything here is exact; no floating point is used anywhere, so results
 are reliable all the way up to the configured input bound (2**62 by
 default, configurable).  Primality is deterministic: a fixed Miller-Rabin
-witness set with a proven range, never a probabilistic verdict.
+witness set with a proven range, never a probabilistic verdict.  The
+segmented factor sieve of range scans, ``harness._factor_range``, builds
+on ``_odd_primes`` and ``_factor_into`` here.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
@@ -43,9 +44,6 @@ _FULL_WITNESS_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _TRIAL_LIMIT = 1 << 16
 
-# _factor_range sieves with the primes up to min(isqrt(hi), 2**20)
-_SEGMENT_PRIME_LIMIT = 1 << 20
-_MIN_SEGMENT = 512
 
 
 class CapacityError(Exception):
@@ -230,90 +228,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(pairs))
 
 
-@lru_cache(maxsize=1)
-def _segment_prime_table() -> array:
-    """Every prime <= 2**20 (82 025 of them), as C ints: the sieve's primes
-    go straight into the array, with no list of ints in between."""
-    table = array("i", [2])
-    table.extend(_odd_primes(_SEGMENT_PRIME_LIMIT))
-    return table
-
-
-def _segment_primes(t: int) -> array:
-    """The primes <= t, for t <= 2**20."""
-    table = _segment_prime_table()
-    return table[: bisect_right(table, t)]
-
-
-def _factor_range(lo: int, hi_excl: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-    """``(n, factorize(n).factors)`` for lo <= n < hi_excl, in order.
-
-    Every prime p <= top = min(isqrt(hi_excl - 1), 2**20) divides itself
-    out of its multiples in the current segment, in two passes.  A prime
-    up to the segment length walks its multiples from the first one.  A
-    larger prime has at most one multiple, at index size - 1 - last % p
-    when last % p < size (last = the segment's largest n, so the dividend
-    is positive; CPython takes a slower path for a negative one).  A
-    cofactor m > 1 then has no prime factor <= top, so it is prime when
-    m < (top + 1)**2, which always holds below 2**40; a larger one goes to
-    the Miller-Rabin and Brent-rho tail of ``factorize``.
-
-    Each prime costs one division per segment, so the range is cut into
-    the fewest equal segments of at most max(512, an eighth as many n as
-    there are sieving primes) n, and no short last segment pays for every
-    prime: at 10**12, over 20 000 n, a single segment took 1.66 us
-    per n, an eighth 1.79, a sixteenth 2.01 and a thirty-second 2.57 (CPU
-    time, best of 9, 2-CPU VM).  Short segments keep the working set
-    small when there are few primes.
-    """
-    if not 1 <= lo <= hi_excl:
-        raise ContractViolation("_factor_range requires 1 <= lo <= hi_excl")
-    if lo == hi_excl:
-        return
-    _guard(hi_excl - 1)
-    top = min(isqrt(hi_excl - 1), _SEGMENT_PRIME_LIMIT)
-    primes = _segment_primes(top)
-    proven = (top + 1) ** 2
-    total = hi_excl - lo
-    count = -(-total // max(_MIN_SEGMENT, len(primes) // 8))
-    for j in range(count):
-        start = lo + total * j // count
-        size = lo + total * (j + 1) // count - start
-        rem = list(range(start, start + size))
-        pairs: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-        k = bisect_right(primes, size)
-        neg = -start  # one negation per segment, not one per prime
-        for p in primes[:k]:
-            i = neg % p
-            while i < size:
-                m = rem[i] // p
-                e = 1
-                while not m % p:
-                    m //= p
-                    e += 1
-                rem[i] = m
-                pairs[i].append((p, e))
-                i += p
-        last = start + size - 1
-        for p in [p for p in primes[k:] if last % p < size]:
-            i = size - 1 - last % p
-            m = rem[i] // p
-            e = 1
-            while not m % p:
-                m //= p
-                e += 1
-            rem[i] = m
-            pairs[i].append((p, e))
-        for n, m, f in zip(range(start, start + size), rem, pairs):
-            if m >= proven:
-                acc: dict[int, int] = {}
-                _factor_into(m, acc)
-                f.extend(sorted(acc.items()))
-            elif m > 1:
-                f.append((m, 1))
-            yield n, tuple(f)
-
-
 def isqrt_exact(n: int) -> tuple[int, bool]:
     """(floor sqrt, whether n is a perfect square); exact for any size."""
     if n < 0:
@@ -356,8 +270,8 @@ class FactorSieve:
 
     A lookup table for repeated factorization of scattered n: build once,
     then ``factorize`` runs in O(number of prime factors) with no trial
-    division.  Range scans use ``_factor_range``, which needs no table of
-    size n.
+    division.  Range scans use ``harness._factor_range``, which needs no
+    table of size n.
     """
 
     def __init__(self, limit: int):

@@ -12,20 +12,9 @@ from functools import lru_cache
 from pathlib import Path
 
 from .arith import CapacityError, ContractViolation, factorize
+from .check import canonical_json
 from .classify import classify_large, classify_small, verify_prediction
 from .fit import FitVerdict, brute_force_fit
-from .harness import (
-    _replace_when_done,
-    append_ledger,
-    canonical_json,
-    default_jobs,
-    ledger_keys,
-    load_allowlist,
-    profile_sweep_failures,
-    split_errata,
-    validate_range,
-    write_summary_csv,
-)
 from .oracle import verdict_for_sequence
 from .profiles import profile
 
@@ -191,6 +180,8 @@ def _check_range(args) -> None:
 def _jobs(args) -> int:
     """``--jobs``, or the default worker count when it is not given."""
     if args.jobs is None:
+        from .harness import default_jobs
+
         return default_jobs()
     if args.jobs < 1:
         raise ContractViolation("--jobs must be >= 1")
@@ -296,6 +287,10 @@ def _report_paths(out):
 
 
 def _cmd_validate(args) -> int:
+    # divrec.harness is loaded only by the commands that scan a range
+    from .harness import (append_ledger, ledger_keys, load_allowlist, split_errata,
+                          validate_range, write_summary_csv)
+
     _check_range(args)
     jobs = _jobs(args)
     allowlist = load_allowlist(args.allowlist)
@@ -345,6 +340,8 @@ def _search_common(args, runner, hit_type):
     hits = runner(args.pmax, jobs=jobs)
     records = [asdict(h) for h in hits]
     if args.out:
+        from .harness import _replace_when_done  # loaded with divrec.search already
+
         with _replace_when_done(args.out) as fh:
             for rec in records:
                 fh.write(canonical_json(rec) + "\n")
@@ -379,6 +376,8 @@ def _cmd_search_large5(args) -> int:
 
 
 def _cmd_tau_check(args) -> int:
+    from .harness import profile_sweep_failures
+
     _check_range(args)
     jobs = _jobs(args)
     tau_bad, reflect_bad = profile_sweep_failures(args.lo, args.hi, jobs=jobs)

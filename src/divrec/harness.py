@@ -1,23 +1,17 @@
-"""Range cross-validation of oracle vs classifier, reports, errata ledger.
+"""Range scans: cross-validation, the profile sweep, reports, errata ledger.
 
-For every n in a range the harness computes the divisor profile, both
-brute-force verdicts, both classifications, and prediction checks, then
-files any disagreement as an erratum.  One core, ``_evaluate``, does this
-over plain values for block scans and ``check_single`` alike: fit kinds
-from ``fit._solution``, form matches from the classifier cores, stated
-recurrences by ``fit._holds``.  It returns n's outcome as a plain tuple;
-errata, verdict objects and witnesses are built only when an outcome files
-one.  Scans run in contiguous blocks, optionally across worker processes.
-A block has few distinct outcomes (8 to 20 in blocks of 5000 to 65536 n
-from 2 to 10**12); it returns them and each n's index into them, and
-renders no text.  The parent adds the blocks' counts into one outcome
-histogram and writes the report from each outcome's text split around n,
-so the output is independent of the worker count, byte for byte.  A
-validate block gets its factorizations from the factor sieve and its
-divisor sets from the divisor sieve of ``profiles._profile_range``;
-``check_single`` builds one ``profile``.  The ``tau-check`` sweep also
-runs on plain values: factor tuples from the factor sieve, and both sets
-of each n cut on their own by ``profiles._strict_sets``.
+A validate scan runs the one-n core ``check._evaluate``, read here as a
+module global, on every n of a range, in contiguous blocks, optionally
+across worker processes.  A block has few distinct outcomes (8 to 20 in
+blocks of 5000 to 65536 n from 2 to 10**12); it returns them and each n's
+index into them, and renders no text.  The parent adds the blocks' counts
+into one outcome histogram and writes the report from each outcome's text
+split around n, so the output is independent of the worker count, byte
+for byte.  Both range sieves are here, loaded only with a range scan: a
+validate block gets its factorizations from the segmented factor sieve
+``_factor_range`` and its divisor sets from the divisor sieve
+``_profile_range``; the ``tau-check`` sweep cuts both sets of each n on
+their own by ``profiles._strict_sets`` from the factor sieve's tuples.
 
 Report formats:
   * report:  JSONL, one validation record per line, sorted keys, integers
@@ -30,63 +24,31 @@ from __future__ import annotations
 
 import os
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager, nullcontext, suppress
+from functools import lru_cache
 from importlib import resources
+from itertools import islice
 from math import isqrt
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .arith import ContractViolation, _factor_range, _guard, _tau, factorize
-from .classify import LARGE, SMALL, _large_forms, _prediction_holds, _small_forms
-from .fit import _EMPTY, _VACUOUS, _solution
-from .oracle import _verdict
-from .profiles import _profile_range, _strict_sets, _tau_identity, profile
+from .arith import ContractViolation, _factor_into, _guard, _odd_primes, _tau, factorize
+# the one-n names; those this module does not use are still read from it
+from .check import (KIND_CLASSIFIER_ONLY, KIND_ORACLE_ONLY, KIND_PREDICTION, _BIG, ErrataEntry,
+                    ValidationRecord, _evaluate, canonical_json, check_single, jsonable)
+from .classify import LARGE, SMALL
+from .profiles import _strict_sets, _tau_identity
 
 __all__ = [
-    "AllowlistEntry",
-    "ErrataEntry",
-    "KIND_CLASSIFIER_ONLY",
-    "KIND_ORACLE_ONLY",
-    "KIND_PREDICTION",
-    "ValidationRecord",
-    "ValidationSummary",
-    "append_ledger",
-    "canonical_json",
-    "check_single",
-    "default_jobs",
-    "jsonable",
-    "ledger_keys",
-    "load_allowlist",
-    "profile_sweep_failures",
-    "record_line",
-    "split_errata",
-    "validate_range",
-    "write_summary_csv",
+    "AllowlistEntry", "ValidationSummary", "append_ledger", "default_jobs", "ledger_keys",
+    "load_allowlist", "profile_sweep_failures", "record_line", "split_errata",
+    "validate_range", "write_summary_csv",
 ]
-
-KIND_ORACLE_ONLY = "OracleYesClassifierNo"
-KIND_CLASSIFIER_ONLY = "OracleNoClassifierYes"
-KIND_PREDICTION = "PredictionMismatch"
 
 JOBS_ENV = "DIVREC_JOBS"
 _BLOCK = 65536  # largest contiguous work unit, one task of the parallel map
-
-
-class ValidationRecord(NamedTuple):
-    n: int
-    small_oracle: bool
-    small_forms: tuple[int, ...]
-    large_oracle: bool
-    large_forms: tuple[int, ...]
-    prediction_ok: bool
-
-
-class ErrataEntry(NamedTuple):
-    n: int
-    theorem: str
-    kind: str
-    detail: str
 
 
 class ValidationSummary(NamedTuple):
@@ -119,108 +81,7 @@ def _available_cpus() -> int:
 
 
 # ----------------------------------------------------------------------
-# single-n evaluation
-
-
-def _evaluate(n: int, sig, small: tuple[int, ...], large: tuple[int, ...]):
-    """Oracle against classifiers for n with signature ``sig`` and strict sets
-    ``small`` and ``large``: ``(outcome, errata)``.
-
-    ``outcome`` is a plain tuple of bools and int tuples, so a block can key
-    on it: (small recurrent, small vacuous, small form ids, large recurrent,
-    large vacuous, large form ids, prediction_ok).  ``errata`` is ``()``
-    unless the outcome files one.
-    """
-    # divisor sets of n are sorted, positive and below n, which is guarded:
-    # neither the fit nor the prediction checks test them again
-    s_kind = _solution(small)[0]
-    l_kind = _solution(large)[0]
-    sm = _small_forms(sig)
-    lm = _large_forms(sig)
-    ok = True
-    for _, _, pset, pu in sm:
-        if not _prediction_holds(pset, pu, small):
-            ok = False
-    for _, _, pset, pu in lm:
-        if not _prediction_holds(pset, pu, large):
-            ok = False
-    s_rec = s_kind is not _EMPTY
-    l_rec = l_kind is not _EMPTY
-    # most sides match no form
-    s_ids = tuple([m[0] for m in sm]) if sm else ()
-    l_ids = tuple([m[0] for m in lm]) if lm else ()
-    outcome = (s_rec, s_kind is _VACUOUS, s_ids, l_rec, l_kind is _VACUOUS, l_ids, ok)
-    if ok and s_rec == bool(s_ids) and l_rec == bool(l_ids):
-        return outcome, ()
-    errata = [
-        ErrataEntry(
-            n, theorem, KIND_PREDICTION,
-            f"form {form_id} predicted {list(pset or ())} "
-            f"u={pu}, computed {list(computed)}",
-        )
-        for theorem, forms, computed in ((SMALL, sm, small), (LARGE, lm, large))
-        for form_id, _, pset, pu in forms
-        if not _prediction_holds(pset, pu, computed)
-    ]
-    if s_rec != bool(s_ids):
-        errata.append(_disagreement(n, SMALL, s_rec, s_ids, small))
-    if l_rec != bool(l_ids):
-        errata.append(_disagreement(n, LARGE, l_rec, l_ids, large))
-    return outcome, errata
-
-
-def _disagreement(n, theorem, recurrent, form_ids, divs) -> ErrataEntry:
-    """The erratum for an oracle verdict that its form matches contradict."""
-    name = "S'" if theorem == SMALL else "L'"
-    if recurrent:
-        witness = _verdict(divs).witness
-        text = "vacuously recurrent" if witness is None else f"witness (a, b) = {witness}"
-        return ErrataEntry(
-            n, theorem, KIND_ORACLE_ONLY,
-            f"{name} = {list(divs)}; {text}; no form matches",
-        )
-    return ErrataEntry(
-        n, theorem, KIND_CLASSIFIER_ONLY,
-        f"forms {list(form_ids)} matched but "
-        f"{name} = {list(divs)} admits no fit",
-    )
-
-
-def check_single(n: int) -> ValidationRecord:
-    """The validation record of one n, from one ``profile``."""
-    if n < 2:
-        raise ContractViolation("check_single requires n >= 2")
-    f = factorize(n)
-    prof = profile(n, fac=f)
-    (s_rec, _, s_ids, l_rec, _, l_ids, ok), _ = _evaluate(
-        n, f.factors, prof.small_strict, prof.large_strict
-    )
-    return ValidationRecord(n, s_rec, s_ids, l_rec, l_ids, ok)
-
-
-# ----------------------------------------------------------------------
 # serialization
-
-_BIG = 1 << 53
-
-
-def jsonable(obj):
-    """Recursively convert to JSON-safe data; big integers become strings."""
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (str, float)):
-        return obj
-    if isinstance(obj, int):
-        return str(obj) if abs(obj) > _BIG else obj
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if type(obj) in (list, tuple):  # not a record: a NamedTuple is a tuple too
-        return [jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def canonical_json(obj) -> str:
-    import json
-    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
-
 
 _JSON_BOOL = {True: "true", False: "false"}
 
@@ -307,6 +168,139 @@ def append_ledger(path, errata) -> int:
         fh.write(old)
         fh.write("".join(lines).encode())
     return len(lines)
+
+
+# ----------------------------------------------------------------------
+# range sieves
+
+# _factor_range sieves with the primes up to min(isqrt(hi), 2**20)
+_SEGMENT_PRIME_LIMIT = 1 << 20
+_MIN_SEGMENT = 512
+
+
+@lru_cache(maxsize=1)
+def _segment_prime_table() -> array:
+    """Every prime <= 2**20 (82 025 of them), as C ints: the sieve's primes
+    go straight into the array, with no list of ints in between."""
+    table = array("i", [2])
+    table.extend(_odd_primes(_SEGMENT_PRIME_LIMIT))
+    return table
+
+
+def _segment_primes(t: int) -> array:
+    """The primes <= t, for t <= 2**20."""
+    table = _segment_prime_table()
+    return table[: bisect_right(table, t)]
+
+
+def _factor_range(lo: int, hi_excl: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    """``(n, factorize(n).factors)`` for lo <= n < hi_excl, in order.
+
+    Every prime p <= top = min(isqrt(hi_excl - 1), 2**20) divides itself
+    out of its multiples in the current segment, in two passes.  A prime
+    up to the segment length walks its multiples from the first one.  A
+    larger prime has at most one multiple, at index size - 1 - last % p
+    when last % p < size (last = the segment's largest n, so the dividend
+    is positive; CPython takes a slower path for a negative one).  A
+    cofactor m > 1 then has no prime factor <= top, so it is prime when
+    m < (top + 1)**2, which always holds below 2**40; a larger one goes to
+    the Miller-Rabin and Brent-rho tail of ``factorize``.
+
+    Each prime costs one division per segment, so the range is cut into
+    the fewest equal segments of at most max(512, an eighth as many n as
+    there are sieving primes) n, and no short last segment pays for every
+    prime: at 10**12, over 20 000 n, a single segment took 1.66 us
+    per n, an eighth 1.79, a sixteenth 2.01 and a thirty-second 2.57 (CPU
+    time, best of 9, 2-CPU VM).  Short segments keep the working set
+    small when there are few primes.
+    """
+    if not 1 <= lo <= hi_excl:
+        raise ContractViolation("_factor_range requires 1 <= lo <= hi_excl")
+    if lo == hi_excl:
+        return
+    _guard(hi_excl - 1)
+    top = min(isqrt(hi_excl - 1), _SEGMENT_PRIME_LIMIT)
+    primes = _segment_primes(top)
+    proven = (top + 1) ** 2
+    total = hi_excl - lo
+    count = -(-total // max(_MIN_SEGMENT, len(primes) // 8))
+    for j in range(count):
+        start = lo + total * j // count
+        size = lo + total * (j + 1) // count - start
+        rem = list(range(start, start + size))
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        k = bisect_right(primes, size)
+        neg = -start  # one negation per segment, not one per prime
+        for p in primes[:k]:
+            i = neg % p
+            while i < size:
+                m = rem[i] // p
+                e = 1
+                while not m % p:
+                    m //= p
+                    e += 1
+                rem[i] = m
+                pairs[i].append((p, e))
+                i += p
+        last = start + size - 1
+        for p in [p for p in primes[k:] if last % p < size]:
+            i = size - 1 - last % p
+            m = rem[i] // p
+            e = 1
+            while not m % p:
+                m //= p
+                e += 1
+            rem[i] = m
+            pairs[i].append((p, e))
+        for n, m, f in zip(range(start, start + size), rem, pairs):
+            if m >= proven:
+                acc: dict[int, int] = {}
+                _factor_into(m, acc)
+                f.extend(sorted(acc.items()))
+            elif m > 1:
+                f.append((m, 1))
+            yield n, tuple(f)
+
+
+# A segment of the divisor sieve spans at most this many n, so its lists of
+# small divisors stay a small working set.
+_SIEVE_SEGMENT = 4096
+# The sieve walks every d <= isqrt(end - 1) once per segment, so a segment
+# is sieved only when that many d stay within this multiple of its length;
+# otherwise each n goes through ``_strict_sets``.  CPU time, best of 15 on a
+# 2-CPU VM, factor sieve included, sieve against per-n in µs per n: 4 096 n
+# at 2.7*10^8 (isqrt/length 4.0) 11.5 vs 13.3, at 4.2*10^8 (5.0) 13.1 vs
+# 13.4, at 6.0*10^8 (6.0) 15.0 vs 14.5, at 10^9 (7.7) 16.9 vs 14.9; 500 n
+# at 4*10^6 (4.0) 8.7 vs 9.9, at 6.25*10^6 (5.0) 10.4 vs 10.2, at 9*10^6
+# (6.0) 11.2 vs 9.7, at 1.6*10^7 (8.0) 13.8 vs 10.3.
+_SIEVE_MAX_ROOT_RATIO = 5
+
+
+def _profile_range(lo: int, hi_excl: int) -> Iterator[tuple[int, tuple, tuple, tuple]]:
+    """``(n, factors, S'(n), L'(n))`` for lo <= n < hi_excl, in order, 2 <= lo,
+    with the sets of ``profile(n)`` and the factors of ``factorize(n)``.
+
+    Factorizations come from ``_factor_range``.  Where a segment is cheap to
+    sieve, each d >= 2 is appended to the list of every multiple n > d*d,
+    which yields S'(n) sorted and leaves out the root of a square; L'(n) is
+    n // d over S'(n) reversed.
+    """
+    facs = _factor_range(lo, hi_excl)
+    for start in range(lo, hi_excl, _SIEVE_SEGMENT):
+        end = min(start + _SIEVE_SEGMENT, hi_excl)
+        size = end - start
+        top = isqrt(end - 1)
+        if top > _SIEVE_MAX_ROOT_RATIO * size:
+            for n, factors in islice(facs, size):
+                yield n, factors, *_strict_sets(n, factors)
+            continue
+        small: list[list[int]] = [[] for _ in range(size)]
+        for d in range(2, top + 1):
+            first = max(d * d + d, -(-start // d) * d)
+            for divs in small[first - start :: d]:
+                divs.append(d)
+        for divs, (n, factors) in zip(small, facs):
+            yield n, factors, tuple(divs), tuple([n // d for d in reversed(divs)])
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ package computes another way, from public calls and ``_factor_range``.
 
 from math import isqrt
 
-from divrec.arith import Factorization, _factor_range
+from divrec.arith import Factorization
 from divrec.classify import LARGE, SMALL, classify_large, classify_small, verify_prediction
 from divrec.harness import (
     KIND_CLASSIFIER_ONLY,
@@ -14,6 +14,7 @@ from divrec.harness import (
     KIND_PREDICTION,
     ErrataEntry,
     ValidationRecord,
+    _factor_range,
 )
 from divrec.oracle import verdict_for_sequence
 from divrec.profiles import profile

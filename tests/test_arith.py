@@ -6,13 +6,10 @@ from math import isqrt
 import pytest
 
 from divrec.arith import (
-    _MIN_SEGMENT,
     CapacityError,
     ContractViolation,
     Factorization,
     FactorSieve,
-    _factor_range,
-    _segment_primes,
     divisors_sorted,
     factorize,
     input_bound,
@@ -22,6 +19,7 @@ from divrec.arith import (
     set_input_bound,
     tau,
 )
+from divrec.harness import _MIN_SEGMENT, _factor_range, _segment_primes
 
 
 def naive_is_prime(n):

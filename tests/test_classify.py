@@ -1,6 +1,6 @@
 import pytest
 
-from divrec.arith import ContractViolation, FactorSieve, _factor_range
+from divrec.arith import ContractViolation, FactorSieve
 from divrec.classify import (
     LARGE,
     SMALL,
@@ -11,6 +11,7 @@ from divrec.classify import (
     verify_prediction,
 )
 from divrec.fit import verify_params
+from divrec.harness import _factor_range
 from divrec.profiles import profile
 from references import large_verdict, small_verdict
 

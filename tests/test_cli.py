@@ -264,7 +264,7 @@ def _no_work(*args, **kwargs):
 
 
 def test_validate_missing_paths_exit_one_before_work(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "validate_range", _no_work)
+    monkeypatch.setattr(harness, "validate_range", _no_work)
     for extra in (
         ["--allowlist", str(tmp_path / "missing.json")],
         ["--out", str(tmp_path / "missing" / "r.jsonl")],
@@ -296,7 +296,7 @@ def test_validate_out_path_that_is_a_directory_exits_one_before_work(
     capsys, tmp_path, monkeypatch, taken
 ):
     # the report, its ledger or its summary: each would fail only after the scan
-    monkeypatch.setattr(cli, "validate_range", _no_work)
+    monkeypatch.setattr(harness, "validate_range", _no_work)
     (tmp_path / taken).mkdir()
     code, out, err = run(
         capsys, "validate", "--from", "2", "--to", "50", "--out", str(tmp_path / "r.jsonl")
@@ -327,7 +327,7 @@ def test_validate_out_path_that_is_a_fifo_exits_one_before_work(
     capsys, tmp_path, monkeypatch, taken
 ):
     # the finished run would rename a regular file over the FIFO
-    monkeypatch.setattr(cli, "validate_range", _no_work)
+    monkeypatch.setattr(harness, "validate_range", _no_work)
     os.mkfifo(tmp_path / taken)
     code, out, err = run(
         capsys, "validate", "--from", "2", "--to", "50", "--out", str(tmp_path / "r.jsonl")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import divrec
-from divrec import arith, classify, fit, harness, profiles
+from divrec import arith, check, classify, fit, harness, profiles
 from divrec.arith import (
     CapacityError,
     ContractViolation,
@@ -338,7 +338,7 @@ def test_profile_sweep():
 ])
 def test_profile_sweep_kernel_matches_per_n_paths(lo, hi_excl):
     ns = range(lo, hi_excl)
-    rows = list(arith._factor_range(lo, hi_excl))
+    rows = list(harness._factor_range(lo, hi_excl))
     assert rows == [(n, factorize(n).factors) for n in ns]
     profs = [profile(n) for n in ns]
     for (n, factors), p in zip(rows, profs):
@@ -456,7 +456,7 @@ def test_validate_straddling_the_sieve_crossover_matches_per_n(monkeypatch, tmp_
     reference = _reference_scan(lo, hi)
     per_n = []
     strict_sets = profiles._strict_sets
-    monkeypatch.setattr(profiles, "_strict_sets",
+    monkeypatch.setattr(harness, "_strict_sets",
                         lambda n, factors: per_n.append(n) or strict_sets(n, factors))
     for jobs in (1, 2):
         path = tmp_path / f"report-{jobs}.jsonl"
@@ -511,23 +511,47 @@ def _fresh_stdout(code):
 
 
 def test_import_and_check_single_leave_numpy_unloaded():
-    # nor the prime table of range scans, which only factor_range builds
+    # nor divrec.harness, so no prime table of range scans is built either
     code = (
         "import sys, divrec; divrec.check_single(60); print('numpy' in sys.modules,"
-        " divrec.arith._segment_prime_table.cache_info().currsize)"
+        " 'divrec.harness' in sys.modules)"
     )
-    assert _fresh_stdout(code) == "False 0"
+    assert _fresh_stdout(code) == "False False"
+
+
+def test_check_single_loads_only_the_one_n_modules():
+    code = ("import sys, divrec; divrec.check_single(60); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'divrec'))")
+    assert _fresh_stdout(code) == repr(sorted([
+        "divrec", "divrec.arith", "divrec.check", "divrec.classify", "divrec.fit",
+        "divrec.oracle", "divrec.profiles",
+    ]))
+
+
+def test_star_import_binds_every_public_name():
+    # the lazy names too, though a plain import loads neither lazy module
+    code = ("import sys, divrec; lazy = [m for m in ('divrec.harness', 'divrec.search') "
+            "if m in sys.modules]; from divrec import *; "
+            "print(lazy, [n for n in divrec.__all__ if n not in globals()])")
+    assert _fresh_stdout(code) == "[] []"
+    assert {"validate_range", "search_s7", "S7Triple", "L5Pair"} <= set(divrec.__all__)
 
 
 # Per start-up call, the modules it must not load: only a pool needs
-# multiprocessing, only a search needs divrec.search and dataclasses, and
-# only reports, ledgers and allowlists need json and csv, and the CLI
-# needs csv only for --format csv.
+# multiprocessing, only a search needs divrec.search and dataclasses, only
+# a range scan needs divrec.harness, and only reports, ledgers and
+# allowlists need json and csv, and the CLI needs csv only for --format csv.
 _START_UP_UNUSED = {
     "import divrec; divrec.check_single(60)":
-        ("csv", "dataclasses", "divrec.search", "json", "multiprocessing"),
+        ("csv", "dataclasses", "divrec.harness", "divrec.search", "json", "multiprocessing"),
     "from divrec.cli import main; main(['classify', '60'])":
-        ("csv", "dataclasses", "divrec.search", "multiprocessing"),
+        ("csv", "dataclasses", "divrec.harness", "divrec.search", "multiprocessing"),
+    "from divrec.cli import main; main(['oracle', '60'])":
+        ("csv", "dataclasses", "divrec.harness", "divrec.search", "multiprocessing"),
+    "from divrec.cli import main; "
+    + "; ".join(f"main([{cmd!r}, '60', '--format', {fmt!r}])"
+                for cmd in ("classify", "oracle") for fmt in ("json", "csv")):
+        ("dataclasses", "divrec.harness", "divrec.search", "multiprocessing"),
 }
 
 
@@ -595,11 +619,11 @@ def _shifted_recurrence(core, da, db):
      {KIND_PREDICTION, KIND_ORACLE_ONLY}),
 ])
 def test_forced_disagreements_match_object_reference(monkeypatch, tmp_path, patch, kinds):
-    # each core is replaced both where the harness reads it and where the
-    # public classifiers and verdicts read it (``fit._fit`` wraps the plain
-    # fit core ``fit._solution``)
+    # each core is replaced both where the one-n core ``check._evaluate``
+    # reads it and where the public classifiers and verdicts read it
+    # (``fit._fit`` wraps the plain fit core ``fit._solution``)
     for name, fake in patch.items():
-        monkeypatch.setattr(harness, name, fake)
+        monkeypatch.setattr(check, name, fake)
         monkeypatch.setattr(fit if name == "_solution" else classify, name, fake)
     lo, hi = 2, 3_000
     got = _scan(lo, hi, tmp_path)

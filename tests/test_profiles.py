@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from divrec import profiles
+from divrec import harness, profiles
 from divrec.arith import (
     ContractViolation,
     Factorization,
@@ -15,11 +15,11 @@ from divrec.arith import (
 from divrec.fit import FitKind, solve_fit
 from divrec.profiles import (
     DivisorProfile,
-    _profile_range,
     check_tau_identity,
     _tau_identity,
     profile,
 )
+from divrec.harness import _profile_range
 from references import profiles_in_range
 
 
@@ -145,7 +145,7 @@ _rng = random.Random(4_096)
 def test_sieved_profiles_match_profile(monkeypatch, lo, length, per_n):
     calls = []
     strict_sets = profiles._strict_sets
-    monkeypatch.setattr(profiles, "_strict_sets",
+    monkeypatch.setattr(harness, "_strict_sets",
                         lambda n, factors: calls.append(n) or strict_sets(n, factors))
     rows = list(_profile_range(lo, lo + length))
     assert len(calls) == per_n

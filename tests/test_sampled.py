@@ -6,7 +6,7 @@ order of the divisors changes: the first log-uniform below 2*10^3, each
 later one the next or previous prime around b^(m/k), m <= 12, k <= 8, for
 b an earlier prime or the product of the first two.  Primes go up to
 10^22, and N is never factorized: its sets come from ``profile`` with the
-sampled factorization, and its outcome from ``harness._evaluate``, the
+sampled factorization, and its outcome from ``check._evaluate``, the
 core of every validate scan.
 """
 
@@ -19,8 +19,8 @@ from math import log, prod
 import pytest
 
 from divrec.arith import Factorization, input_bound, is_prime, set_input_bound
+from divrec.check import KIND_ORACLE_ONLY, _evaluate
 from divrec.classify import LARGE
-from divrec.harness import KIND_ORACLE_ONLY, _evaluate
 from divrec.profiles import profile
 
 SEED = 1_729
