@@ -2,7 +2,8 @@
 
 Every case runs ``main`` in process and compares its exit code, stdout and
 stderr with ``fixtures/cli_golden.json``: ``classify`` and ``oracle`` in
-every format (``oracle`` also with grids), ``validate`` and both searches.
+every format (``oracle`` also with grids), ``validate``, both searches and
+``tau-check``.
 A stdout longer than ``_INLINE`` characters (the full grids of vacuous sets)
 is stored as its SHA-256.  Run this file as a script to rewrite the fixture
 from the current code.
@@ -35,6 +36,8 @@ def _cases():
         for command in ("search-s7", "search-large5"):
             for pmax in (1, 50, 300, 10_000):
                 yield f"{command} --pmax {pmax} --jobs 1 --format {fmt}"
+    yield "tau-check --from 2 --to 3000 --jobs 1"
+    yield "tau-check --from 1 --to 10 --jobs 1"
 
 
 CASES = list(_cases())
