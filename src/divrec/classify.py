@@ -237,11 +237,9 @@ def _large_forms(sig) -> list[Form]:
                                        p ** ((k + 3) // 2), p, k)
                 out.append((4, {"p": p, "q": q, "k": k}, pset,
                             _with_u(pset, 0, p)))
-            if k == 4 and p * p < q < p**3:
-                d = p**5 - q * q
-                if _divides(d, p * p - q) and _divides(d, p**3 - q):
-                    pset = (p * q, p**4, p * p * q, p**3 * q)
-                    out.append((5, {"p": p, "q": q}, pset, None))
+            if k == 4 and p * p < q < p**3 and _l5_condition(p, q):
+                pset = (p * q, p**4, p * p * q, p**3 * q)
+                out.append((5, {"p": p, "q": q}, pset, None))
         # q*q > p**3 keeps q^2 below the square root so the displayed
         # five-element set starts at q^2; without it (e.g. 675 = 3^3*5^2)
         # the set is wrong and no fit exists.
@@ -269,6 +267,12 @@ def _large_forms(sig) -> list[Form]:
                         _with_u(pset, 0, q)))
 
     return out  # appended in form-id order, so already sorted
+
+
+def _l5_condition(p: int, q: int) -> bool:
+    """Large form 5's divisibility: p^5 - q^2 divides p^2 - q and p^3 - q."""
+    d = p**5 - q * q
+    return _divides(d, p * p - q) and _divides(d, p**3 - q)
 
 
 def verify_prediction(m: FormMatch, prof: DivisorProfile) -> bool:

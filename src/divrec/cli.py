@@ -1,5 +1,12 @@
 """Command-line surface: classify, oracle, validate, search, tau-check.
 
+Each command computes its result once and returns it in every format:
+``(exit code, JSON objects, CSV rows, text lines)``, the CSV header first;
+``oracle``'s lines are a generator, so that only text renders its grids.
+``main`` prints the one that ``--format`` asks for: each object as one
+line of canonical JSON, the rows through ``csv.writer``, or the lines as
+they are; ``tau-check`` has no ``--format`` and always prints text.
+
 Exit codes: 0 success; 1 usage or contract violation; 2 when a range
 check finds a non-allowlisted disagreement (the CI signal).
 """
@@ -144,15 +151,9 @@ def _fit_text(fit: dict) -> str:
     return fit["kind"]
 
 
-def _fac_string(factors) -> str:
-    return " * ".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in factors)
-
-
-def _csv_row(row: dict):
-    import csv  # only --format csv needs it
-    writer = csv.writer(sys.stdout)
-    writer.writerow(row)
-    writer.writerow(row.values())
+def _table(row: dict) -> list:
+    """One CSV row under its header."""
+    return [list(row), list(row.values())]
 
 
 def _flat(value):
@@ -188,7 +189,7 @@ def _jobs(args) -> int:
     return args.jobs
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     n = args.n
     _check_n(n)
     fac = factorize(n)
@@ -203,41 +204,38 @@ def _cmd_classify(args) -> int:
         "large_forms": [_match_dict(m) for m in lm],
         "prediction_ok": all(verify_prediction(m, prof) for m in (*sm, *lm)),
     }
-    if args.format == "json":
-        print(canonical_json(payload))
-    elif args.format == "csv":
-        _csv_row({
-            "n": n,
-            "factorization": ";".join(f"{p}^{e}" for p, e in payload["factorization"]),
-            "tau": payload["tau"],
-            "is_square": payload["is_square"],
-            "small_divisors": _flat(payload["small_divisors"]),
-            "large_divisors": _flat(payload["large_divisors"]),
-            "small_recurrent": payload["small"]["recurrent"],
-            "small_forms": _flat([m["form_id"] for m in payload["small_forms"]]),
-            "large_recurrent": payload["large"]["recurrent"],
-            "large_forms": _flat([m["form_id"] for m in payload["large_forms"]]),
-            "prediction_ok": payload["prediction_ok"],
-        })
-    else:
-        print(f"n = {n} = {_fac_string(payload['factorization'])}")
-        print(f"tau = {payload['tau']}  square = {'yes' if payload['is_square'] else 'no'}")
-        for side in ("small", "large"):
-            print(_side_text(payload, side))
-            for m in payload[f"{side}_forms"]:
-                params = " ".join(f"{k}={v}" for k, v in sorted(m["params"].items()))
-                line = f"  form {m['form_id']} [{params}]"
-                if m["predicted_set"] is not None:
-                    line += f" predicts {m['predicted_set']}"
-                if m["predicted_u"] is not None:
-                    u = m["predicted_u"]
-                    line += f" via U({u[0]}, {u[1]}, {u[2]}, {u[3]})"
-                print(line)
-        print(f"prediction_ok = {payload['prediction_ok']}")
-    return 0
+    row = {
+        "n": n,
+        "factorization": ";".join(f"{p}^{e}" for p, e in payload["factorization"]),
+        "tau": payload["tau"],
+        "is_square": payload["is_square"],
+        "small_divisors": _flat(payload["small_divisors"]),
+        "large_divisors": _flat(payload["large_divisors"]),
+        "small_recurrent": payload["small"]["recurrent"],
+        "small_forms": _flat([m["form_id"] for m in payload["small_forms"]]),
+        "large_recurrent": payload["large"]["recurrent"],
+        "large_forms": _flat([m["form_id"] for m in payload["large_forms"]]),
+        "prediction_ok": payload["prediction_ok"],
+    }
+    fac_text = " * ".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in fac.factors)
+    lines = [f"n = {n} = {fac_text}",
+             f"tau = {payload['tau']}  square = {'yes' if payload['is_square'] else 'no'}"]
+    for side in ("small", "large"):
+        lines.append(_side_text(payload, side))
+        for m in payload[f"{side}_forms"]:
+            params = " ".join(f"{k}={v}" for k, v in sorted(m["params"].items()))
+            line = f"  form {m['form_id']} [{params}]"
+            if m["predicted_set"] is not None:
+                line += f" predicts {m['predicted_set']}"
+            if m["predicted_u"] is not None:
+                u = m["predicted_u"]
+                line += f" via U({u[0]}, {u[1]}, {u[2]}, {u[3]})"
+            lines.append(line)
+    lines.append(f"prediction_ok = {payload['prediction_ok']}")
+    return 0, [payload], _table(row), lines
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     if args.bound is not None and not 1 <= args.bound <= _MAX_GRID_BOUND:
         raise ContractViolation(f"--bound must be in [1, {_MAX_GRID_BOUND}]")
     n = args.n
@@ -245,27 +243,23 @@ def _cmd_oracle(args) -> int:
     payload = _verdict_payload(n, profile(n, fac=factorize(n)))
     if args.bound is not None:
         payload["grid_bound"] = args.bound
+    row = {"n": n}
+    for side in ("small", "large"):
+        divs, v = payload[f"{side}_divisors"], payload[side]
+        if args.bound is not None:
+            payload[f"{side}_grid"] = [list(p) for p in brute_force_fit(divs, args.bound)]
+        row[f"{side}_divisors"] = _flat(divs)
+        row[f"{side}_recurrent"] = v["recurrent"]
+        row[f"{side}_vacuous"] = v["vacuous"]
+        row[f"{side}_witness"] = _flat(v["witness"])  # csv writes None as ""
+
+    def lines():  # a generator: a grid at bound 300 takes 0.13 s to print as text
         for side in ("small", "large"):
-            payload[f"{side}_grid"] = [
-                list(p) for p in brute_force_fit(payload[f"{side}_divisors"], args.bound)
-            ]
-    if args.format == "json":
-        print(canonical_json(payload))
-    elif args.format == "csv":
-        row = {"n": n}
-        for side in ("small", "large"):
-            v = payload[side]
-            row[f"{side}_divisors"] = _flat(payload[f"{side}_divisors"])
-            row[f"{side}_recurrent"] = v["recurrent"]
-            row[f"{side}_vacuous"] = v["vacuous"]
-            row[f"{side}_witness"] = _flat(v["witness"])  # csv writes None as ""
-        _csv_row(row)
-    else:
-        for side in ("small", "large"):
-            print(f"{_side_text(payload, side)}  [{_fit_text(payload[side]['fit'])}]")
+            yield f"{_side_text(payload, side)}  [{_fit_text(payload[side]['fit'])}]"
             if args.bound is not None:
-                print(f"  grid |a|,|b| <= {args.bound}: {payload[f'{side}_grid']}")
-    return 0
+                yield f"  grid |a|,|b| <= {args.bound}: {payload[f'{side}_grid']}"
+
+    return 0, [payload], _table(row), lines()
 
 
 def _check_out_dir(*paths):
@@ -281,12 +275,7 @@ def _check_out_dir(*paths):
             raise ContractViolation(f"output path {path} is not a regular file")
 
 
-def _report_paths(out):
-    base = out[:-6] if out.endswith(".jsonl") else out
-    return f"{base}.summary.csv", f"{base}.errata.jsonl"
-
-
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     # divrec.harness is loaded only by the commands that scan a range
     from .harness import (append_ledger, ledger_keys, load_allowlist, split_errata,
                           validate_range, write_summary_csv)
@@ -295,44 +284,46 @@ def _cmd_validate(args) -> int:
     jobs = _jobs(args)
     allowlist = load_allowlist(args.allowlist)
     if args.out:
-        summary_path, ledger_path = _report_paths(args.out)
+        base = args.out[:-6] if args.out.endswith(".jsonl") else args.out
+        summary_path, ledger_path = f"{base}.summary.csv", f"{base}.errata.jsonl"
         _check_out_dir(args.out, summary_path, ledger_path)
         ledger_keys(ledger_path)  # reject a malformed ledger before any output
-    summary, errata = validate_range(args.lo, args.hi, jobs=jobs,
-                                     report_path=args.out)
+    summary, errata = validate_range(args.lo, args.hi, jobs=jobs, report_path=args.out)
     documented, violations = split_errata(errata, allowlist)
 
     if args.out:
         write_summary_csv(summary_path, summary)
         append_ledger(ledger_path, errata)
 
-    if args.format == "json":
-        print(canonical_json({
-            "summary": summary._asdict(),
-            "errata": [e._asdict() for e in errata],
-            "documented": len(documented),
-            "violations": [e._asdict() for e in violations],
-        }))
-    elif args.format == "csv":
-        _csv_row(summary._asdict())
-    else:
-        s = summary
-        print(f"range [{s.range_lo}, {s.range_hi}]")
-        print(f"small: recurrent {s.count_small_recurrent} "
-              f"(vacuous {s.count_small_vacuous}), errata {s.errata_small}")
-        print(f"large: recurrent {s.count_large_recurrent} "
-              f"(vacuous {s.count_large_vacuous}), errata {s.errata_large}")
-        print(f"documented errata: {len(documented)}, violations: {len(violations)}")
-        for e in violations:
-            print(f"  VIOLATION n={e.n} {e.theorem} {e.kind}: {e.detail}")
-    return 2 if violations else 0
+    report = {
+        "summary": summary._asdict(),
+        "errata": [e._asdict() for e in errata],
+        "documented": len(documented),
+        "violations": [e._asdict() for e in violations],
+    }
+    s = summary
+    lines = [
+        f"range [{s.range_lo}, {s.range_hi}]",
+        f"small: recurrent {s.count_small_recurrent} "
+        f"(vacuous {s.count_small_vacuous}), errata {s.errata_small}",
+        f"large: recurrent {s.count_large_recurrent} "
+        f"(vacuous {s.count_large_vacuous}), errata {s.errata_large}",
+        f"documented errata: {len(documented)}, violations: {len(violations)}",
+        *(f"  VIOLATION n={e.n} {e.theorem} {e.kind}: {e.detail}" for e in violations),
+    ]
+    return 2 if violations else 0, [report], _table(report["summary"]), lines
 
 
-def _search_common(args, runner, hit_type):
+def _cmd_search(args):
     from dataclasses import asdict, fields  # loaded with divrec.search already
+
+    # divrec.search is loaded only by the commands that run a search
+    from .search import L5Pair, S7Triple, search_large5, search_s7
 
     if args.pmax < 2:
         raise ContractViolation("--pmax must be >= 2")
+    runner, hit_type = {"search-s7": (search_s7, S7Triple),
+                        "search-large5": (search_large5, L5Pair)}[args.command]
     order = [f.name for f in fields(hit_type)]
     jobs = _jobs(args)
     if args.out:
@@ -343,60 +334,31 @@ def _search_common(args, runner, hit_type):
         from .harness import _replace_when_done  # loaded with divrec.search already
 
         with _replace_when_done(args.out) as fh:
-            for rec in records:
-                fh.write(canonical_json(rec) + "\n")
-    if args.format == "json":
-        for rec in records:
-            print(canonical_json(rec))
-    elif args.format == "csv":
-        import csv
-        writer = csv.writer(sys.stdout)
-        writer.writerow(order)
-        for rec in records:
-            writer.writerow([rec[c] for c in order])
-    else:
-        if not records:
-            print("no hits")
-        for rec in records:
-            print(" ".join(f"{c}={rec[c]}" for c in order))
-    return 0
+            fh.writelines(canonical_json(rec) + "\n" for rec in records)
+    rows = [[rec[c] for c in order] for rec in records]
+    lines = [" ".join(f"{c}={v}" for c, v in zip(order, row)) for row in rows]
+    return 0, records, [order, *rows], lines or ["no hits"]
 
 
-def _cmd_search_s7(args) -> int:
-    # divrec.search is loaded only by the commands that run a search
-    from .search import S7Triple, search_s7
-
-    return _search_common(args, search_s7, S7Triple)
-
-
-def _cmd_search_large5(args) -> int:
-    from .search import L5Pair, search_large5
-
-    return _search_common(args, search_large5, L5Pair)
-
-
-def _cmd_tau_check(args) -> int:
+def _cmd_tau_check(args):
     from .harness import profile_sweep_failures
 
     _check_range(args)
     jobs = _jobs(args)
     tau_bad, reflect_bad = profile_sweep_failures(args.lo, args.hi, jobs=jobs)
-    print(f"range [{args.lo}, {args.hi}]: "
-          f"{len(tau_bad)} tau-identity failures, "
-          f"{len(reflect_bad)} reflection failures")
-    for n in tau_bad[:20]:
-        print(f"  tau identity fails at n={n}")
-    for n in reflect_bad[:20]:
-        print(f"  reflection fails at n={n}")
-    return 2 if tau_bad or reflect_bad else 0
+    lines = [f"range [{args.lo}, {args.hi}]: {len(tau_bad)} tau-identity failures, "
+             f"{len(reflect_bad)} reflection failures",
+             *(f"  tau identity fails at n={n}" for n in tau_bad[:20]),
+             *(f"  reflection fails at n={n}" for n in reflect_bad[:20])]
+    return 2 if tau_bad or reflect_bad else 0, None, None, lines
 
 
 _COMMANDS = {
     "classify": _cmd_classify,
     "oracle": _cmd_oracle,
     "validate": _cmd_validate,
-    "search-s7": _cmd_search_s7,
-    "search-large5": _cmd_search_large5,
+    "search-s7": _cmd_search,
+    "search-large5": _cmd_search,
     "tau-check": _cmd_tau_check,
 }
 
@@ -404,10 +366,21 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code, objects, rows, lines = _COMMANDS[args.command](args)
     except (ContractViolation, CapacityError) as exc:
         print(f"divrec: error: {exc}", file=sys.stderr)
         return 1
+    fmt = getattr(args, "format", "text")  # tau-check has no --format
+    if fmt == "json":
+        for obj in objects:
+            print(canonical_json(obj))
+    elif fmt == "csv":
+        import csv  # only --format csv needs it
+        csv.writer(sys.stdout).writerows(rows)
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

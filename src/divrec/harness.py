@@ -35,15 +35,14 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .arith import ContractViolation, _factor_into, _guard, _odd_primes, _tau, factorize
-# the one-n names; those this module does not use are still read from it
-from .check import (KIND_CLASSIFIER_ONLY, KIND_ORACLE_ONLY, KIND_PREDICTION, _BIG, ErrataEntry,
-                    ValidationRecord, _evaluate, canonical_json, check_single, jsonable)
+from .check import (KIND_ORACLE_ONLY, _BIG, ErrataEntry, ValidationRecord, _evaluate,
+                    canonical_json)
 from .classify import LARGE, SMALL
 from .profiles import _strict_sets, _tau_identity
 
 __all__ = [
     "AllowlistEntry", "ValidationSummary", "append_ledger", "default_jobs", "ledger_keys",
-    "load_allowlist", "profile_sweep_failures", "record_line", "split_errata",
+    "load_allowlist", "profile_sweep_failures", "split_errata",
     "validate_range", "write_summary_csv",
 ]
 
@@ -83,34 +82,19 @@ def _available_cpus() -> int:
 # ----------------------------------------------------------------------
 # serialization
 
-_JSON_BOOL = {True: "true", False: "false"}
-
 
 def _json_int(v: int) -> str:
     return str(v) if abs(v) <= _BIG else f'"{v}"'
 
 
-def record_line(rec: ValidationRecord) -> str:
-    """One report line: ``rec`` as canonical JSON, newline-terminated."""
-    head, tail = _line_parts(rec.small_oracle, rec.small_forms,
-                             rec.large_oracle, rec.large_forms, rec.prediction_ok)
-    return head + _json_int(rec.n) + tail
-
-
-def _line_parts(small_oracle, small_forms, large_oracle, large_forms,
-                prediction_ok) -> tuple[str, str]:
-    """The report line of a validation record, less its n: the text before
-    and after the n field.  The six keys are written directly in sorted
-    order, integers above 2**53 as strings; the line is
+def _line_parts(outcome) -> tuple[str, str]:
+    """The report line of an outcome, less its n: the canonical JSON of its
+    ``ValidationRecord`` with n = 0, cut around that 0.  The line of n is
     ``head + _json_int(n) + tail``."""
-    return (
-        f'{{"large_forms":[{",".join(map(_json_int, large_forms))}],'
-        f'"large_oracle":{_JSON_BOOL[large_oracle]},'
-        '"n":',
-        f',"prediction_ok":{_JSON_BOOL[prediction_ok]},'
-        f'"small_forms":[{",".join(map(_json_int, small_forms))}],'
-        f'"small_oracle":{_JSON_BOOL[small_oracle]}}}\n'
-    )
+    s_rec, _, s_ids, l_rec, _, l_ids, ok = outcome
+    text = canonical_json(ValidationRecord(0, s_rec, s_ids, l_rec, l_ids, ok)._asdict())
+    head, tail = text.split('"n":0')
+    return head + '"n":', tail + "\n"
 
 
 @contextmanager
@@ -394,8 +378,7 @@ def validate_range(
                 histogram.update({outcomes[i]: c for i, c in Counter(index).items()})
                 errata.extend(block_errata)
                 if out is not None:
-                    parts = [_line_parts(s_rec, s_ids, l_rec, l_ids, ok)
-                             for s_rec, _, s_ids, l_rec, _, l_ids, ok in outcomes]
+                    parts = [_line_parts(o) for o in outcomes]
                     out.writelines(parts[i][0] + _json_int(n) + parts[i][1]
                                    for n, i in zip(range(b_lo, b_hi), index))
     finally:

@@ -22,7 +22,7 @@ from itertools import compress
 from math import isqrt
 
 from .arith import ContractViolation, Factorization, _guard, is_prime, primes_upto
-from .classify import _divides, _s7_solution
+from .classify import _divides, _l5_condition, _s7_solution
 from .harness import _parallel_map
 from .oracle import _verdict
 from .profiles import profile
@@ -177,12 +177,10 @@ def _l5_candidates(p: int) -> list[int]:
 
 def _l5_scan_p(p: int) -> list[L5Pair]:
     """Every large5 pair (p, q) for this p, checked as in ``_s7_scan_p``."""
-    p2 = p * p
     hits = []
     for q in _l5_candidates(p):
-        d = p**5 - q * q
-        if _divides(d, p2 - q) and _divides(d, p2 * p - q) and is_prime(q):
-            n = p2 * p2 * q
+        if _l5_condition(p, q) and is_prime(q):
+            n = p**4 * q
             prof = profile(n, fac=Factorization(n, ((p, 4), (q, 1))))
             hits.append(L5Pair(p, q, n, _verdict(prof.large_strict).recurrent))
     return hits

@@ -7,15 +7,16 @@ package computes another way, from public calls and ``_factor_range``.
 from math import isqrt
 
 from divrec.arith import Factorization
-from divrec.classify import LARGE, SMALL, classify_large, classify_small, verify_prediction
-from divrec.harness import (
+from divrec.check import (
     KIND_CLASSIFIER_ONLY,
     KIND_ORACLE_ONLY,
     KIND_PREDICTION,
     ErrataEntry,
     ValidationRecord,
-    _factor_range,
+    canonical_json,
 )
+from divrec.classify import LARGE, SMALL, classify_large, classify_small, verify_prediction
+from divrec.harness import _factor_range
 from divrec.oracle import verdict_for_sequence
 from divrec.profiles import profile
 
@@ -44,6 +45,11 @@ def validation_record_dict(rec):
         "large_forms": list(rec.large_forms),
         "prediction_ok": rec.prediction_ok,
     }
+
+
+def record_line(rec):
+    """One report line: ``rec`` as canonical JSON, newline-terminated."""
+    return canonical_json(rec._asdict()) + "\n"
 
 
 def evaluate_by_objects(f, prof):

@@ -14,12 +14,10 @@ from contextlib import contextmanager
 import pytest
 
 from divrec.arith import FactorSieve, factorize
+from divrec.check import KIND_CLASSIFIER_ONLY, KIND_ORACLE_ONLY, KIND_PREDICTION
 from divrec.classify import classify_large, classify_small
 from divrec.fit import FitKind, brute_force_fit, solve_fit, solutions_in_box, verify_params
 from divrec.harness import (
-    KIND_CLASSIFIER_ONLY,
-    KIND_ORACLE_ONLY,
-    KIND_PREDICTION,
     _parallel_map,
     default_jobs,
     load_allowlist,

@@ -9,9 +9,9 @@ import tempfile
 import pytest
 
 from divrec import cli, harness, search
+from divrec.check import check_single
 from divrec.cli import main
-from divrec.harness import check_single, record_line
-from references import validation_record_dict
+from references import record_line, validation_record_dict
 
 
 def run(capsys, *argv):

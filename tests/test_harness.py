@@ -18,29 +18,30 @@ from divrec.arith import (
     divisors_sorted,
     factorize,
 )
-from divrec.fit import FitKind, verify_params
-from divrec.harness import (
-    _BLOCK,
-    _blocks,
+from divrec.check import (
     KIND_CLASSIFIER_ONLY,
     KIND_ORACLE_ONLY,
     KIND_PREDICTION,
     ErrataEntry,
     ValidationRecord,
-    append_ledger,
     canonical_json,
     check_single,
-    default_jobs,
     jsonable,
+)
+from divrec.fit import FitKind, verify_params
+from divrec.harness import (
+    _BLOCK,
+    _blocks,
+    append_ledger,
+    default_jobs,
     load_allowlist,
     profile_sweep_failures,
-    record_line,
     split_errata,
     validate_range,
     write_summary_csv,
 )
 from divrec.profiles import check_tau_identity, profile
-from references import evaluate_by_objects, large_verdict, validation_record_dict
+from references import evaluate_by_objects, large_verdict, record_line, validation_record_dict
 
 
 def errata_of(n):
@@ -189,15 +190,23 @@ def test_record_json_round_trip():
     assert parsed["small_forms"] == [10]
 
 
-def test_record_line_matches_canonical_json():
-    # the direct writer against the generic encoder it replaces, around the
-    # 2**53 cut where integers turn into strings
+def test_line_parts_split_canonical_json():
+    # each outcome is rendered once with n = 0 and cut around that 0; every
+    # n, also around the 2**53 cut where integers turn into strings, must get
+    # its record's canonical JSON
+    outcomes = set(harness._scan_validation_block((2, 20_001))[0])
+    assert len(outcomes) >= 8
     forms = [(), (1,), (2, 7, 9)]
-    for n in (2, 2**53 - 1, 2**53, 2**53 + 1, 2**62):
-        for small_forms, large_forms in itertools.product(forms, forms):
-            for small, large, ok in itertools.product((False, True), repeat=3):
-                rec = ValidationRecord(n, small, small_forms, large, large_forms, ok)
-                assert record_line(rec) == canonical_json(validation_record_dict(rec)) + "\n"
+    for small_forms, large_forms in itertools.product(forms, forms):
+        for small, large, ok in itertools.product((False, True), repeat=3):
+            outcomes.add((small, False, small_forms, large, False, large_forms, ok))
+    for outcome in outcomes:
+        head, tail = harness._line_parts(outcome)
+        s_rec, _, s_ids, l_rec, _, l_ids, ok = outcome
+        for n in (2, 2**53 - 1, 2**53, 2**53 + 1, 2**62):
+            rec = ValidationRecord(n, s_rec, s_ids, l_rec, l_ids, ok)
+            assert (head + harness._json_int(n) + tail
+                    == canonical_json(validation_record_dict(rec)) + "\n")
 
 
 def test_big_integers_serialize_as_strings():
