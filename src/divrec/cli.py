@@ -181,7 +181,7 @@ def _check_range(args) -> None:
 def _jobs(args) -> int:
     """``--jobs``, or the default worker count when it is not given."""
     if args.jobs is None:
-        from .harness import default_jobs
+        from .runner import default_jobs
 
         return default_jobs()
     if args.jobs < 1:
@@ -277,8 +277,8 @@ def _check_out_dir(*paths):
 
 def _cmd_validate(args):
     # divrec.harness is loaded only by the commands that scan a range
-    from .harness import (append_ledger, ledger_keys, load_allowlist, split_errata,
-                          validate_range, write_summary_csv)
+    from .harness import append_ledger, ledger_keys, load_allowlist, split_errata, validate_range
+    from .runner import _replace_when_done
 
     _check_range(args)
     jobs = _jobs(args)
@@ -290,11 +290,6 @@ def _cmd_validate(args):
         ledger_keys(ledger_path)  # reject a malformed ledger before any output
     summary, errata = validate_range(args.lo, args.hi, jobs=jobs, report_path=args.out)
     documented, violations = split_errata(errata, allowlist)
-
-    if args.out:
-        write_summary_csv(summary_path, summary)
-        append_ledger(ledger_path, errata)
-
     report = {
         "summary": summary._asdict(),
         "errata": [e._asdict() for e in errata],
@@ -311,33 +306,36 @@ def _cmd_validate(args):
         f"documented errata: {len(documented)}, violations: {len(violations)}",
         *(f"  VIOLATION n={e.n} {e.theorem} {e.kind}: {e.detail}" for e in violations),
     ]
-    return 2 if violations else 0, [report], _table(report["summary"]), lines
+    rows = _table(report["summary"])
+    if args.out:  # the report is written; then the summary, then the ledger
+        import csv
+        with _replace_when_done(summary_path, newline="") as fh:
+            writer = csv.writer(fh)
+            for row in rows:
+                writer.writerow(row)
+        append_ledger(ledger_path, errata)
+    return 2 if violations else 0, [report], rows, lines
 
 
 def _cmd_search(args):
-    from dataclasses import asdict, fields  # loaded with divrec.search already
-
     # divrec.search is loaded only by the commands that run a search
+    from .runner import _replace_when_done
     from .search import L5Pair, S7Triple, search_large5, search_s7
 
     if args.pmax < 2:
         raise ContractViolation("--pmax must be >= 2")
-    runner, hit_type = {"search-s7": (search_s7, S7Triple),
+    search_fn, hit_type = {"search-s7": (search_s7, S7Triple),
                         "search-large5": (search_large5, L5Pair)}[args.command]
-    order = [f.name for f in fields(hit_type)]
     jobs = _jobs(args)
     if args.out:
         _check_out_dir(args.out)
-    hits = runner(args.pmax, jobs=jobs)
-    records = [asdict(h) for h in hits]
+    hits = search_fn(args.pmax, jobs=jobs)
+    records = [h._asdict() for h in hits]
     if args.out:
-        from .harness import _replace_when_done  # loaded with divrec.search already
-
         with _replace_when_done(args.out) as fh:
             fh.writelines(canonical_json(rec) + "\n" for rec in records)
-    rows = [[rec[c] for c in order] for rec in records]
-    lines = [" ".join(f"{c}={v}" for c, v in zip(order, row)) for row in rows]
-    return 0, records, [order, *rows], lines or ["no hits"]
+    lines = [" ".join(f"{c}={v}" for c, v in zip(hit_type._fields, h)) for h in hits]
+    return 0, records, [hit_type._fields, *hits], lines or ["no hits"]
 
 
 def _cmd_tau_check(args):

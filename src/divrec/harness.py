@@ -2,32 +2,32 @@
 
 A validate scan runs the one-n core ``check._evaluate``, read here as a
 module global, on every n of a range, in contiguous blocks, optionally
-across worker processes.  A block has few distinct outcomes (8 to 20 in
-blocks of 5000 to 65536 n from 2 to 10**12); it returns them and each n's
-index into them, and renders no text.  The parent adds the blocks' counts
-into one outcome histogram and writes the report from each outcome's text
-split around n, so the output is independent of the worker count, byte
-for byte.  Both range sieves are here, loaded only with a range scan: a
-validate block gets its factorizations from the segmented factor sieve
-``_factor_range`` and its divisor sets from the divisor sieve
-``_profile_range``; the ``tau-check`` sweep cuts both sets of each n on
-their own by ``profiles._strict_sets`` from the factor sieve's tuples.
+across the workers of ``runner._parallel_map``.  A block has few distinct
+outcomes (8 to 20 in blocks of 5000 to 65536 n from 2 to 10**12); it
+returns them and each n's index into them, and renders no text.  The
+parent adds the blocks' counts into one outcome histogram and writes the
+report from each outcome's text split around n, so the output is
+independent of the worker count, byte for byte.  Both range sieves are
+here, loaded only with a range scan: a validate block gets its
+factorizations from the segmented factor sieve ``_factor_range`` and its
+divisor sets from the divisor sieve ``_profile_range``; the ``tau-check``
+sweep cuts both sets of each n on their own by ``profiles._strict_sets``
+from the factor sieve's tuples.
 
 Report formats:
   * report:  JSONL, one validation record per line, sorted keys, integers
     above 2**53 rendered as decimal strings;
-  * summary: CSV with fixed columns;
+  * summary: CSV, the rows of ``validate --format csv``, written by the CLI;
   * ledger:  JSONL of errata entries, deduplicated by (n, theorem).
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from contextlib import contextmanager, nullcontext, suppress
-from functools import lru_cache
+from contextlib import nullcontext
+from functools import lru_cache, partial
 from importlib import resources
 from itertools import islice
 from math import isqrt
@@ -39,14 +39,13 @@ from .check import (KIND_ORACLE_ONLY, _BIG, ErrataEntry, ValidationRecord, _eval
                     canonical_json)
 from .classify import LARGE, SMALL
 from .profiles import _strict_sets, _tau_identity
+from .runner import _available_cpus, _parallel_map, _replace_when_done
 
 __all__ = [
-    "AllowlistEntry", "ValidationSummary", "append_ledger", "default_jobs", "ledger_keys",
-    "load_allowlist", "profile_sweep_failures", "split_errata",
-    "validate_range", "write_summary_csv",
+    "AllowlistEntry", "ValidationSummary", "append_ledger", "ledger_keys", "load_allowlist",
+    "profile_sweep_failures", "split_errata", "validate_range",
 ]
 
-JOBS_ENV = "DIVREC_JOBS"
 _BLOCK = 65536  # largest contiguous work unit, one task of the parallel map
 
 
@@ -59,24 +58,6 @@ class ValidationSummary(NamedTuple):
     count_large_vacuous: int
     errata_small: int
     errata_large: int
-
-
-def default_jobs() -> int:
-    env = os.environ.get(JOBS_ENV)
-    if env:
-        with suppress(ValueError):  # int() refuses more than 4300 digits
-            if env.strip().isdecimal() and int(env) >= 1:
-                return int(env)
-        raise ContractViolation(f"{JOBS_ENV} must be a positive integer")
-    return _available_cpus()
-
-
-def _available_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where there is one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 # ----------------------------------------------------------------------
@@ -95,29 +76,6 @@ def _line_parts(outcome) -> tuple[str, str]:
     text = canonical_json(ValidationRecord(0, s_rec, s_ids, l_rec, l_ids, ok)._asdict())
     head, tail = text.split('"n":0')
     return head + '"n":', tail + "\n"
-
-
-@contextmanager
-def _replace_when_done(path, mode="w", **kwargs):
-    """Open a temp file beside ``path``; move it onto ``path`` only once the
-    block completes, so an interrupted write leaves no partial file."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def write_summary_csv(path, summary: ValidationSummary) -> None:
-    import csv
-    row = summary._asdict()
-    with _replace_when_done(path, newline="") as out:
-        writer = csv.writer(out)
-        writer.writerow(row)
-        writer.writerow(row.values())
 
 
 def ledger_keys(path) -> set[tuple[int, str]]:
@@ -291,42 +249,14 @@ def _profile_range(lo: int, hi_excl: int) -> Iterator[tuple[int, tuple, tuple, t
 # block scans
 
 
-def get_context(method: str):
-    """``multiprocessing.get_context(method)``.  Only a pool needs
-    ``multiprocessing``, so it is imported on the first call: a process that
-    never starts one does not pay for loading it."""
-    import multiprocessing
-
-    return multiprocessing.get_context(method)
-
-
-def _parallel_map(worker, tasks, jobs):
-    """``map(worker, tasks)``, on up to ``jobs`` forked workers, one task at a
-    time each: an iterator of the results in task order.
-
-    The pool never has more workers than tasks or than CPUs this process
-    may use; ``jobs`` and the task list alone decide whether there is one.
-    Without one, this is ``map`` itself: no generator frame on the serial path.
-    """
-    if jobs <= 1 or len(tasks) <= 1:
-        return map(worker, tasks)
-    return _pool_imap(worker, tasks, min(jobs, len(tasks), _available_cpus()))
-
-
-def _pool_imap(worker, tasks, processes):
-    """Pool results in task order, as they come; closing this ends the pool."""
-    with get_context("fork").Pool(processes) as pool:
-        yield from pool.imap(worker, tasks)
-
-
-def _scan_validation_block(span):
-    """The outcomes of [lo, hi_excl): its distinct outcomes in order of first
-    appearance, an ``array("I")`` of each n's index into them, and its errata."""
-    lo, hi_excl = span
+def _scan_validation_block(starts: range, lo: int):
+    """The outcomes of the block of ``starts`` from lo (see ``_blocks``): its
+    distinct outcomes in order of first appearance, an ``array("I")`` of each
+    n's index into them, and its errata."""
     seen = {}  # outcome -> its index
     index = array("I")
     errata: list[ErrataEntry] = []
-    for n, sig, small, large in _profile_range(lo, hi_excl):
+    for n, sig, small, large in _profile_range(lo, min(lo + starts.step, starts.stop)):
         outcome, errs = _evaluate(n, sig, small, large)
         if errs:
             errata.extend(errs)
@@ -334,24 +264,22 @@ def _scan_validation_block(span):
     return list(seen), index, errata
 
 
-def _blocks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
-    """[start, end) spans covering [lo, hi]: one per worker, at most _BLOCK n each.
-
-    Callers pass ``jobs`` capped at the CPUs: a span per job that cannot
-    run at once would only add a block set-up.
-    """
-    size = min(_BLOCK, -(-(hi - lo + 1) // jobs))
-    return [(start, min(start + size, hi + 1)) for start in range(lo, hi + 1, size)]
+def _blocks(lo: int, hi: int, jobs: int) -> range:
+    """The starts of the spans [start, min(start + step, stop)) that cover
+    [lo, hi], one per worker and at most _BLOCK n each, as a ``range``: O(1)
+    memory for any range.  Callers pass ``jobs`` capped at the CPUs: a span
+    per job that cannot run at once would only add a block set-up."""
+    return range(lo, hi + 1, min(_BLOCK, -(-(hi - lo + 1) // jobs)))
 
 
-def _range_spans(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
+def _range_spans(lo: int, hi: int, jobs: int) -> range:
     """The ``_blocks`` of a range scan over [lo, hi], once its arguments pass
     their checks."""
     if not 2 <= lo <= hi:
         raise ContractViolation("need 2 <= lo <= hi")
     if jobs < 1:
         raise ContractViolation("jobs must be >= 1")
-    _guard(hi)  # first: _blocks lists (hi - lo) / _BLOCK spans
+    _guard(hi)  # first: a range past the bound exits before any span
     return _blocks(lo, hi, min(jobs, _available_cpus()))
 
 
@@ -368,19 +296,19 @@ def validate_range(
     bytes are identical for any worker count.  The report is written a line
     at a time as the blocks come, and moved onto ``report_path`` at the end.
     """
-    spans = _range_spans(lo, hi, jobs)
+    starts = _range_spans(lo, hi, jobs)
     histogram: Counter = Counter()  # outcome -> count over the range
     errata: list[ErrataEntry] = []
-    results = _parallel_map(_scan_validation_block, spans, jobs)
+    results = _parallel_map(partial(_scan_validation_block, starts), starts, jobs)
     try:
         with nullcontext() if report_path is None else _replace_when_done(report_path) as out:
-            for (b_lo, b_hi), (outcomes, index, block_errata) in zip(spans, results):
+            for b_lo, (outcomes, index, block_errata) in zip(starts, results):
                 histogram.update({outcomes[i]: c for i, c in Counter(index).items()})
                 errata.extend(block_errata)
                 if out is not None:
                     parts = [_line_parts(o) for o in outcomes]
                     out.writelines(parts[i][0] + _json_int(n) + parts[i][1]
-                                   for n, i in zip(range(b_lo, b_hi), index))
+                                   for n, i in enumerate(index, b_lo))
     finally:
         if hasattr(results, "close"):  # a pool: end its workers now, also on failure
             results.close()
@@ -399,14 +327,13 @@ def validate_range(
 # profile identity sweep (tau identity and reflection bijection)
 
 
-def _scan_profile_block(task):
-    """Both checks of the sweep over [lo, hi_excl), from plain values: the
-    divisor count from the exponents against each set's length, and L'
-    reflected through n // d against S'."""
-    lo, hi_excl = task
+def _scan_profile_block(starts: range, lo: int):
+    """Both checks of the sweep over the block of ``starts`` from lo, from
+    plain values: the divisor count from the exponents against each set's
+    length, and L' reflected through n // d against S'."""
     tau_bad: list[int] = []
     reflect_bad: list[int] = []
-    for n, factors in _factor_range(lo, hi_excl):
+    for n, factors in _factor_range(lo, min(lo + starts.step, starts.stop)):
         small, large = _strict_sets(n, factors)
         if not _tau_identity(_tau(factors), isqrt(n) ** 2 == n, small, large):
             tau_bad.append(n)
@@ -419,7 +346,8 @@ def profile_sweep_failures(
     lo: int, hi: int, *, jobs: int = 1
 ) -> tuple[list[int], list[int]]:
     """(tau-identity failures, reflection failures) over [lo, hi]; expect ([], [])."""
-    results = list(_parallel_map(_scan_profile_block, _range_spans(lo, hi, jobs), jobs))
+    starts = _range_spans(lo, hi, jobs)
+    results = list(_parallel_map(partial(_scan_profile_block, starts), starts, jobs))
     tau_bad = [n for bad, _ in results for n in bad]
     reflect_bad = [n for _, bad in results for n in bad]
     return tau_bad, reflect_bad

@@ -11,27 +11,26 @@ span of p at a time, so memory stays O(sqrt(p_max)) plus one span; the
 proofs are in the docstrings of ``_s7_candidates`` and ``_l5_candidates``.
 Every hit is confirmed by the brute-force oracle from its known
 factorization, and results are deterministic regardless of how the work
-is split across processes.
+is split across the processes of ``runner._parallel_map``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import isqrt
+from typing import NamedTuple
 
 from .arith import ContractViolation, Factorization, _guard, is_prime, primes_upto
 from .classify import _divides, _l5_condition, _s7_solution
-from .harness import _parallel_map
 from .oracle import _verdict
 from .profiles import profile
+from .runner import _parallel_map
 
 __all__ = ["L5Pair", "S7Triple", "search_large5", "search_s7"]
 
 
-@dataclass(frozen=True)
-class S7Triple:
+class S7Triple(NamedTuple):
     """A prime triple putting p^2*q*r in the exceptional five-element form."""
 
     p: int
@@ -43,8 +42,7 @@ class S7Triple:
     oracle_confirmed: bool
 
 
-@dataclass(frozen=True)
-class L5Pair:
+class L5Pair(NamedTuple):
     """A prime pair putting p^4*q in the conditional four-element form."""
 
     p: int
@@ -251,7 +249,7 @@ def search_s7(p_max: int, *, jobs: int = 1) -> list[S7Triple]:
     arithmetic check get a primality test.
     """
     hits = _scan_primes(_s7_scan_p, p_max, jobs, _S7_POOL_MIN_PMAX)
-    hits.sort(key=lambda t: (t.p, t.q, t.r))
+    hits.sort()
     return hits
 
 
@@ -262,5 +260,5 @@ def search_large5(p_max: int, *, jobs: int = 1) -> list[L5Pair]:
     (see ``_l5_candidates``).
     """
     hits = _scan_primes(_l5_scan_p, p_max, jobs, _L5_POOL_MIN_PMAX)
-    hits.sort(key=lambda t: (t.p, t.q))
+    hits.sort()
     return hits

@@ -1,6 +1,6 @@
 import pytest
 
-from divrec import harness
+from divrec import harness, runner
 
 
 class _PoolLog(list):
@@ -32,7 +32,7 @@ class _SerialPool:
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Call with a CPU count; returns the ``_PoolLog`` of the pools that
-    ``harness._parallel_map`` then requests.  No process is started."""
+    ``runner._parallel_map`` then requests.  No process is started."""
 
     def install(cpus):
         sizes = _PoolLog()
@@ -43,7 +43,9 @@ def pool_sizes(monkeypatch):
                 sizes.append(processes)
                 return _SerialPool(sizes)
 
-        monkeypatch.setattr(harness, "get_context", lambda method: Context)
+        monkeypatch.setattr(runner, "get_context", lambda method: Context)
+        # the pool reads the CPU count in runner, the range scans' blocks in harness
+        monkeypatch.setattr(runner, "_available_cpus", lambda: cpus)
         monkeypatch.setattr(harness, "_available_cpus", lambda: cpus)
         return sizes
 

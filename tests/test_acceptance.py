@@ -17,15 +17,9 @@ from divrec.arith import FactorSieve, factorize
 from divrec.check import KIND_CLASSIFIER_ONLY, KIND_ORACLE_ONLY, KIND_PREDICTION
 from divrec.classify import classify_large, classify_small
 from divrec.fit import FitKind, brute_force_fit, solve_fit, solutions_in_box, verify_params
-from divrec.harness import (
-    _parallel_map,
-    default_jobs,
-    load_allowlist,
-    profile_sweep_failures,
-    split_errata,
-    validate_range,
-)
+from divrec.harness import load_allowlist, profile_sweep_failures, split_errata, validate_range
 from divrec.profiles import profile
+from divrec.runner import _parallel_map, default_jobs
 from divrec.search import search_large5, search_s7
 from references import large_verdict, profiles_in_range, small_verdict
 

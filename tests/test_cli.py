@@ -8,7 +8,7 @@ import tempfile
 
 import pytest
 
-from divrec import cli, harness, search
+from divrec import cli, harness, runner, search
 from divrec.check import check_single
 from divrec.cli import main
 from references import record_line, validation_record_dict
@@ -276,13 +276,13 @@ def test_validate_missing_paths_exit_one_before_work(capsys, tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command,runner", [
+@pytest.mark.parametrize("command,search_fn", [
     ("search-s7", "search_s7"), ("search-large5", "search_large5"),
 ])
 def test_search_missing_out_dir_exits_one_before_work(
-    capsys, tmp_path, monkeypatch, command, runner
+    capsys, tmp_path, monkeypatch, command, search_fn
 ):
-    monkeypatch.setattr(search, runner, _no_work)
+    monkeypatch.setattr(search, search_fn, _no_work)
     code, out, err = run(
         capsys, command, "--pmax", "50", "--out", str(tmp_path / "missing" / "h.jsonl")
     )
@@ -307,13 +307,13 @@ def test_validate_out_path_that_is_a_directory_exits_one_before_work(
     assert list((tmp_path / taken).iterdir()) == []
 
 
-@pytest.mark.parametrize("command,runner", [
+@pytest.mark.parametrize("command,search_fn", [
     ("search-s7", "search_s7"), ("search-large5", "search_large5"),
 ])
 def test_search_out_path_that_is_a_directory_exits_one_before_work(
-    capsys, tmp_path, monkeypatch, command, runner
+    capsys, tmp_path, monkeypatch, command, search_fn
 ):
-    monkeypatch.setattr(search, runner, _no_work)
+    monkeypatch.setattr(search, search_fn, _no_work)
     (tmp_path / "hits").mkdir()
     code, out, err = run(capsys, command, "--pmax", "10", "--out", str(tmp_path / "hits"))
     assert code == 1 and out == ""
@@ -338,13 +338,13 @@ def test_validate_out_path_that_is_a_fifo_exits_one_before_work(
     assert stat.S_ISFIFO((tmp_path / taken).stat().st_mode)
 
 
-@pytest.mark.parametrize("command,runner", [
+@pytest.mark.parametrize("command,search_fn", [
     ("search-s7", "search_s7"), ("search-large5", "search_large5"),
 ])
 def test_search_out_path_that_is_a_fifo_exits_one_before_work(
-    capsys, tmp_path, monkeypatch, command, runner
+    capsys, tmp_path, monkeypatch, command, search_fn
 ):
-    monkeypatch.setattr(search, runner, _no_work)
+    monkeypatch.setattr(search, search_fn, _no_work)
     os.mkfifo(tmp_path / "hits")
     code, out, err = run(capsys, command, "--pmax", "10", "--out", str(tmp_path / "hits"))
     assert code == 1 and out == ""
@@ -375,7 +375,7 @@ def _interrupt_validate(tmp_path, monkeypatch, jobs):
     """Run ``validate --out`` over [2, 300] in blocks of 100 n, failing in
     ``_evaluate`` at n = 250, in the last block; return the bytes the report
     held when the failure reached the parent."""
-    real_evaluate, real_replace = harness._evaluate, harness._replace_when_done
+    real_evaluate, real_replace = harness._evaluate, runner._replace_when_done
     held = []
 
     def evaluate(n, *args):
@@ -460,14 +460,14 @@ def test_validate_interrupted_summary_and_ledger_keep_old_files(
             self.fh.write("partial,")
             raise OSError("disk full")
 
-    # harness imports csv when it writes a summary: patch the module itself
+    # the CLI imports csv when it writes a summary: patch the module itself
     monkeypatch.setattr(csv, "writer", HalfWriter)
     with pytest.raises(OSError, match="disk full"):
         main(argv)
     monkeypatch.undo()
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    real_replace = harness.os.replace
+    real_replace = runner.os.replace
 
     def fail_ledger(src, dst):
         if str(dst).endswith(".errata.jsonl"):
@@ -475,7 +475,7 @@ def test_validate_interrupted_summary_and_ledger_keep_old_files(
         real_replace(src, dst)
 
     # a wider range has one more erratum (n = 484) to append
-    monkeypatch.setattr(harness.os, "replace", fail_ledger)
+    monkeypatch.setattr(runner.os, "replace", fail_ledger)
     with pytest.raises(OSError, match="disk full"):
         main([*argv[:4], "500", *argv[5:]])
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)

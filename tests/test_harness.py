@@ -5,12 +5,13 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import divrec
-from divrec import arith, check, classify, fit, harness, profiles
+from divrec import arith, check, classify, fit, harness, profiles, runner
 from divrec.arith import (
     CapacityError,
     ContractViolation,
@@ -28,19 +29,19 @@ from divrec.check import (
     check_single,
     jsonable,
 )
+from divrec.cli import main
 from divrec.fit import FitKind, verify_params
 from divrec.harness import (
     _BLOCK,
     _blocks,
     append_ledger,
-    default_jobs,
     load_allowlist,
     profile_sweep_failures,
     split_errata,
     validate_range,
-    write_summary_csv,
 )
 from divrec.profiles import check_tau_identity, profile
+from divrec.runner import default_jobs
 from references import evaluate_by_objects, large_verdict, record_line, validation_record_dict
 
 
@@ -173,13 +174,81 @@ def test_report_near_1e12_identical_across_jobs_and_to_single_n(tmp_path):
     assert _scan(lo, hi, tmp_path) == _reference_scan(lo, hi)
 
 
+def _span(starts, start):
+    """The [start, end) span that begins at ``start`` among the ``_blocks``
+    starts ``starts``, as a block scan cuts it."""
+    return start, min(start + starts.step, starts.stop)
+
+
+def _spans(starts):
+    return [_span(starts, start) for start in starts]
+
+
+def _span_list(lo, hi, jobs):
+    """The list of spans that ``_blocks`` built before its spans were lazy."""
+    size = min(_BLOCK, -(-(hi - lo + 1) // jobs))
+    return [(start, min(start + size, hi + 1)) for start in range(lo, hi + 1, size)]
+
+
 def test_blocks_give_every_worker_a_share():
-    assert _blocks(2, 3001, 1) == [(2, 3002)]
-    assert _blocks(2, 3001, 2) == [(2, 1502), (1502, 3002)]
-    assert _blocks(10, 12, 5) == [(10, 11), (11, 12), (12, 13)]
-    spans = _blocks(1, 3 * _BLOCK, 2)
+    assert _spans(_blocks(2, 3001, 1)) == [(2, 3002)]
+    assert _spans(_blocks(2, 3001, 2)) == [(2, 1502), (1502, 3002)]
+    assert _spans(_blocks(10, 12, 5)) == [(10, 11), (11, 12), (12, 13)]
+    spans = _spans(_blocks(1, 3 * _BLOCK, 2))
     assert [b - a for a, b in spans] == [_BLOCK] * 3
     assert spans[0][0] == 1 and spans[-1][1] == 3 * _BLOCK + 1
+
+
+def test_blocks_match_the_span_list_in_constant_memory():
+    for lo, hi, jobs in itertools.product(
+        (2, 3, 1000), (2, 3, 17, 1000, _BLOCK, 3 * _BLOCK + 5), (1, 2, 3, 7, 64)
+    ):
+        if lo <= hi:
+            assert _spans(_blocks(lo, hi, jobs)) == _span_list(lo, hi, jobs), (lo, hi, jobs)
+    # [2, 2**62], the default input bound, has 2**46 spans of _BLOCK n
+    tracemalloc.start()
+    try:
+        starts = harness._range_spans(2, 2**62, 2)
+        count, first, last = len(starts), _span(starts, starts[0]), _span(starts, starts[-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert count == 2**46
+    assert first == (2, 2 + _BLOCK)
+    assert last == (2**62 + 1 - (2**62 - 1) % _BLOCK, 2**62 + 1)
+
+
+class _FirstBlock(Exception):
+    pass
+
+
+def _stop_at_first_block(starts, lo):
+    raise _FirstBlock(len(starts), lo)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("scan, worker", [
+    (validate_range, "_scan_validation_block"),
+    (profile_sweep_failures, "_scan_profile_block"),
+])
+def test_range_scan_to_the_input_bound_starts_in_constant_memory(
+    monkeypatch, pool_sizes, scan, worker, jobs
+):
+    # the scans hand their spans to the pool as they go: no list of the
+    # 2**46 spans of [2, 2**62] is built before the first block runs
+    sizes = pool_sizes(2)
+    monkeypatch.setattr(harness, worker, _stop_at_first_block)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_FirstBlock) as stopped:
+            scan(2, 2**62, jobs=jobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert stopped.value.args == (2**46, 2)
+    assert (sizes, sizes.tasks) == (([2], [2**46]) if jobs > 1 else ([], []))
 
 
 def test_record_json_round_trip():
@@ -194,7 +263,7 @@ def test_line_parts_split_canonical_json():
     # each outcome is rendered once with n = 0 and cut around that 0; every
     # n, also around the 2**53 cut where integers turn into strings, must get
     # its record's canonical JSON
-    outcomes = set(harness._scan_validation_block((2, 20_001))[0])
+    outcomes = set(harness._scan_validation_block(_blocks(2, 20_000, 1), 2)[0])
     assert len(outcomes) >= 8
     forms = [(), (1,), (2, 7, 9)]
     for small_forms, large_forms in itertools.product(forms, forms):
@@ -275,10 +344,14 @@ def test_validation_record_dict_field_names():
     ]
 
 
-def test_summary_csv(tmp_path):
-    summary, _ = validate_range(2, 100)
-    path = tmp_path / "summary.csv"
-    write_summary_csv(path, summary)
+def test_summary_csv(tmp_path, capsys):
+    # the summary file holds the rows of ``validate --format csv``
+    argv = ["validate", "--from", "2", "--to", "100"]
+    assert main([*argv, "--format", "csv"]) == 0
+    rows = capsys.readouterr().out
+    assert main([*argv, "--out", str(tmp_path / "r.jsonl")]) == 0
+    path = tmp_path / "r.summary.csv"
+    assert path.read_bytes().decode() == rows
     header, row = path.read_text().strip().splitlines()
     assert header.split(",") == [
         "range_lo",
@@ -362,7 +435,8 @@ def test_profile_sweep_kernel_matches_per_n_paths(lo, hi_excl):
     reflect_bad = [
         p.n for p in profs if tuple(p.n // d for d in reversed(p.large_strict)) != p.small_strict
     ]
-    assert harness._scan_profile_block((lo, hi_excl)) == (tau_bad, reflect_bad) == ([], [])
+    block = harness._scan_profile_block(_blocks(lo, hi_excl - 1, 1), lo)
+    assert block == (tau_bad, reflect_bad) == ([], [])
 
 
 @pytest.mark.parametrize("side", [0, 1])  # S', L'
@@ -421,7 +495,7 @@ def test_default_jobs_counts_the_affinity_mask(monkeypatch):
 ])
 def test_pool_is_capped_at_jobs_tasks_and_cpus(pool_sizes, jobs, tasks, cpus, size):
     sizes = pool_sizes(cpus)
-    assert list(harness._parallel_map(abs, list(range(-tasks, 0)), jobs)) == list(range(tasks, 0, -1))
+    assert list(runner._parallel_map(abs, list(range(-tasks, 0)), jobs)) == list(range(tasks, 0, -1))
     assert sizes == [size]
 
 
@@ -547,9 +621,10 @@ def test_star_import_binds_every_public_name():
 
 
 # Per start-up call, the modules it must not load: only a pool needs
-# multiprocessing, only a search needs divrec.search and dataclasses, only
-# a range scan needs divrec.harness, and only reports, ledgers and
-# allowlists need json and csv, and the CLI needs csv only for --format csv.
+# multiprocessing, only a search needs divrec.search, only a range scan
+# needs divrec.harness, nothing needs dataclasses, only reports, ledgers,
+# allowlists and JSON output need json, and the CLI needs csv only for
+# --format csv.  A search's --out file is ``<out>``, in a temp directory.
 _START_UP_UNUSED = {
     "import divrec; divrec.check_single(60)":
         ("csv", "dataclasses", "divrec.harness", "divrec.search", "json", "multiprocessing"),
@@ -561,17 +636,24 @@ _START_UP_UNUSED = {
     + "; ".join(f"main([{cmd!r}, '60', '--format', {fmt!r}])"
                 for cmd in ("classify", "oracle") for fmt in ("json", "csv")):
         ("dataclasses", "divrec.harness", "divrec.search", "multiprocessing"),
+    "import divrec; divrec.search_large5(50)":
+        ("csv", "dataclasses", "divrec.harness", "json", "multiprocessing"),
+    "from divrec.cli import main; "
+    "main(['search-s7', '--pmax', '20', '--out', <out>, '--format', 'json'])":
+        ("csv", "dataclasses", "divrec.harness", "multiprocessing"),
 }
 
 
 @pytest.mark.parametrize("call", list(_START_UP_UNUSED))
-def test_start_up_loads_no_pool_and_no_search(call):
+def test_start_up_loads_no_pool_and_no_search(call, tmp_path):
     # against the modules of the bare interpreter, which ``site`` may have
     # filled before the call runs
-    code = (f"import sys; bare = set(sys.modules); {call}; "
+    out = tmp_path / "hits.jsonl"
+    code = (f"import sys; bare = set(sys.modules); {call.replace('<out>', repr(str(out)))}; "
             f"print([m for m in {_START_UP_UNUSED[call]!r} "
             "if m in sys.modules and m not in bare])")
     assert _fresh_stdout(code).splitlines()[-1] == "[]"
+    assert out.exists() == ("<out>" in call)
 
 
 def test_block_scan_matches_per_n_paths(tmp_path):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from divrec import harness
+from divrec import runner
 from divrec.arith import (
     CapacityError,
     ContractViolation,
@@ -122,7 +122,7 @@ def test_small_searches_start_no_pool(monkeypatch):
     def no_pool(*args):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(harness, "get_context", no_pool)
+    monkeypatch.setattr(runner, "get_context", no_pool)
     assert search_s7(100, jobs=2) == expected[0]
     assert search_large5(100, jobs=2) == expected[1]
     assert search_large5(120_000, jobs=2) == expected[2]
@@ -132,8 +132,8 @@ def test_large_searches_run_on_a_pool(monkeypatch):
     # 11 301 primes up to 120 000, above _S7_POOL_MIN_PRIMES, and 41 538 up
     # to 500 000, above _L5_POOL_MIN_PRIMES
     started = []
-    fork = harness.get_context
-    monkeypatch.setattr(harness, "get_context", lambda m: started.append(m) or fork(m))
+    fork = runner.get_context
+    monkeypatch.setattr(runner, "get_context", lambda m: started.append(m) or fork(m))
     assert search_s7(120_000, jobs=2) == search_s7(120_000, jobs=1)
     assert search_large5(500_000, jobs=2) == search_large5(500_000, jobs=1) == []
     assert started == ["fork", "fork"]
