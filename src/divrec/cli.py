@@ -182,7 +182,6 @@ def _jobs(args) -> int:
     """``--jobs``, or the default worker count when it is not given."""
     if args.jobs is None:
         from .runner import default_jobs
-
         return default_jobs()
     if args.jobs < 1:
         raise ContractViolation("--jobs must be >= 1")
@@ -318,6 +317,7 @@ def _cmd_validate(args):
 
 
 def _cmd_search(args):
+    from dataclasses import asdict, fields  # loaded with divrec.search already
     # divrec.search is loaded only by the commands that run a search
     from .runner import _replace_when_done
     from .search import L5Pair, S7Triple, search_large5, search_s7
@@ -325,17 +325,17 @@ def _cmd_search(args):
     if args.pmax < 2:
         raise ContractViolation("--pmax must be >= 2")
     search_fn, hit_type = {"search-s7": (search_s7, S7Triple),
-                        "search-large5": (search_large5, L5Pair)}[args.command]
+                           "search-large5": (search_large5, L5Pair)}[args.command]
+    order = [f.name for f in fields(hit_type)]
     jobs = _jobs(args)
     if args.out:
         _check_out_dir(args.out)
-    hits = search_fn(args.pmax, jobs=jobs)
-    records = [h._asdict() for h in hits]
+    records = [asdict(h) for h in search_fn(args.pmax, jobs=jobs)]
     if args.out:
         with _replace_when_done(args.out) as fh:
             fh.writelines(canonical_json(rec) + "\n" for rec in records)
-    lines = [" ".join(f"{c}={v}" for c, v in zip(hit_type._fields, h)) for h in hits]
-    return 0, records, [hit_type._fields, *hits], lines or ["no hits"]
+    lines = [" ".join(f"{c}={v}" for c, v in rec.items()) for rec in records]
+    return 0, records, [order, *(list(rec.values()) for rec in records)], lines or ["no hits"]
 
 
 def _cmd_tau_check(args):

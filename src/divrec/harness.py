@@ -2,22 +2,20 @@
 
 A validate scan runs the one-n core ``check._evaluate``, read here as a
 module global, on every n of a range, in contiguous blocks, optionally
-across the workers of ``runner._parallel_map``.  A block has few distinct
-outcomes (8 to 20 in blocks of 5000 to 65536 n from 2 to 10**12); it
-returns them and each n's index into them, and renders no text.  The
-parent adds the blocks' counts into one outcome histogram and writes the
-report from each outcome's text split around n, so the output is
-independent of the worker count, byte for byte.  Both range sieves are
-here, loaded only with a range scan: a validate block gets its
-factorizations from the segmented factor sieve ``_factor_range`` and its
-divisor sets from the divisor sieve ``_profile_range``; the ``tau-check``
-sweep cuts both sets of each n on their own by ``profiles._strict_sets``
-from the factor sieve's tuples.
+across the workers of ``runner``.  A block has few distinct outcomes (8
+to 20 in blocks of 5000 to 65536 n from 2 to 10**12); it returns them and
+each n's index into them, and renders no text.  The parent adds the
+blocks' counts into one outcome histogram and writes the report from each
+outcome's text split around n, so the output is independent of the worker
+count, byte for byte.  Both range sieves are here, loaded only with a
+range scan: a validate block gets its factorizations from the segmented
+factor sieve ``_factor_range`` and its divisor sets from the divisor sieve
+``_profile_range``; the ``tau-check`` sweep cuts both sets of each n on
+their own by ``profiles._strict_sets`` from the factor sieve's tuples.
 
 Report formats:
   * report:  JSONL, one validation record per line, sorted keys, integers
     above 2**53 rendered as decimal strings;
-  * summary: CSV, the rows of ``validate --format csv``, written by the CLI;
   * ledger:  JSONL of errata entries, deduplicated by (n, theorem).
 """
 
@@ -39,7 +37,7 @@ from .check import (KIND_ORACLE_ONLY, _BIG, ErrataEntry, ValidationRecord, _eval
                     canonical_json)
 from .classify import LARGE, SMALL
 from .profiles import _strict_sets, _tau_identity
-from .runner import _available_cpus, _parallel_map, _replace_when_done
+from .runner import _cpu_jobs, _parallel_map, _replace_when_done
 
 __all__ = [
     "AllowlistEntry", "ValidationSummary", "append_ledger", "ledger_keys", "load_allowlist",
@@ -98,17 +96,14 @@ def append_ledger(path, errata) -> int:
     seen = ledger_keys(path)
     lines = []
     for e in errata:
-        key = (e.n, e.theorem)
-        if key in seen:
-            continue
-        seen.add(key)
-        lines.append(canonical_json(e._asdict()) + "\n")
+        if (e.n, e.theorem) not in seen:
+            seen.add((e.n, e.theorem))
+            lines.append(canonical_json(e._asdict()) + "\n")
     old = path.read_bytes() if path.exists() else b""
     if lines and old and not old.endswith(b"\n"):
         old += b"\n"  # else the first new entry would extend the last old line
     with _replace_when_done(path, "wb") as fh:
-        fh.write(old)
-        fh.write("".join(lines).encode())
+        fh.write(old + "".join(lines).encode())
     return len(lines)
 
 
@@ -250,13 +245,13 @@ def _profile_range(lo: int, hi_excl: int) -> Iterator[tuple[int, tuple, tuple, t
 
 
 def _scan_validation_block(starts: range, lo: int):
-    """The outcomes of the block of ``starts`` from lo (see ``_blocks``): its
+    """The outcomes of the ``_span`` of ``starts`` from lo: its
     distinct outcomes in order of first appearance, an ``array("I")`` of each
     n's index into them, and its errata."""
     seen = {}  # outcome -> its index
     index = array("I")
     errata: list[ErrataEntry] = []
-    for n, sig, small, large in _profile_range(lo, min(lo + starts.step, starts.stop)):
+    for n, sig, small, large in _profile_range(*_span(starts, lo)):
         outcome, errs = _evaluate(n, sig, small, large)
         if errs:
             errata.extend(errs)
@@ -265,22 +260,25 @@ def _scan_validation_block(starts: range, lo: int):
 
 
 def _blocks(lo: int, hi: int, jobs: int) -> range:
-    """The starts of the spans [start, min(start + step, stop)) that cover
-    [lo, hi], one per worker and at most _BLOCK n each, as a ``range``: O(1)
-    memory for any range.  Callers pass ``jobs`` capped at the CPUs: a span
-    per job that cannot run at once would only add a block set-up."""
+    """The starts of the ``_span``s over [lo, hi], at most _BLOCK n each and
+    one per job, as a ``range``: O(1) memory.  Callers cap ``jobs`` at the
+    CPUs: a span per job that cannot run at once only adds a block set-up."""
     return range(lo, hi + 1, min(_BLOCK, -(-(hi - lo + 1) // jobs)))
 
 
+def _span(starts: range, start: int) -> tuple[int, int]:
+    """The [start, end) span of n that begins at ``start`` among ``starts``."""
+    return start, min(start + starts.step, starts.stop)
+
+
 def _range_spans(lo: int, hi: int, jobs: int) -> range:
-    """The ``_blocks`` of a range scan over [lo, hi], once its arguments pass
-    their checks."""
+    """The ``_blocks`` of a range scan over [lo, hi], its arguments checked."""
     if not 2 <= lo <= hi:
         raise ContractViolation("need 2 <= lo <= hi")
     if jobs < 1:
         raise ContractViolation("jobs must be >= 1")
     _guard(hi)  # first: a range past the bound exits before any span
-    return _blocks(lo, hi, min(jobs, _available_cpus()))
+    return _blocks(lo, hi, _cpu_jobs(jobs))
 
 
 def validate_range(
@@ -328,12 +326,12 @@ def validate_range(
 
 
 def _scan_profile_block(starts: range, lo: int):
-    """Both checks of the sweep over the block of ``starts`` from lo, from
+    """Both checks of the sweep over the ``_span`` of ``starts`` from lo, from
     plain values: the divisor count from the exponents against each set's
     length, and L' reflected through n // d against S'."""
     tau_bad: list[int] = []
     reflect_bad: list[int] = []
-    for n, factors in _factor_range(lo, min(lo + starts.step, starts.stop)):
+    for n, factors in _factor_range(*_span(starts, lo)):
         small, large = _strict_sets(n, factors)
         if not _tau_identity(_tau(factors), isqrt(n) ** 2 == n, small, large):
             tau_bad.append(n)

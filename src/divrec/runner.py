@@ -53,7 +53,12 @@ def _parallel_map(worker, tasks, jobs):
     """
     if jobs <= 1 or len(tasks) <= 1:
         return map(worker, tasks)
-    return _pool_imap(worker, tasks, min(jobs, len(tasks), _available_cpus()))
+    return _pool_imap(worker, tasks, min(_cpu_jobs(jobs), len(tasks)))
+
+
+def _cpu_jobs(jobs: int) -> int:
+    """``jobs``, capped at the CPUs this process may use."""
+    return min(jobs, _available_cpus())
 
 
 def _pool_imap(worker, tasks, processes):

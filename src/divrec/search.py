@@ -16,10 +16,10 @@ is split across the processes of ``runner._parallel_map``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import isqrt
-from typing import NamedTuple
 
 from .arith import ContractViolation, Factorization, _guard, is_prime, primes_upto
 from .classify import _divides, _l5_condition, _s7_solution
@@ -30,7 +30,8 @@ from .runner import _parallel_map
 __all__ = ["L5Pair", "S7Triple", "search_large5", "search_s7"]
 
 
-class S7Triple(NamedTuple):
+@dataclass(frozen=True, order=True)
+class S7Triple:
     """A prime triple putting p^2*q*r in the exceptional five-element form."""
 
     p: int
@@ -42,7 +43,8 @@ class S7Triple(NamedTuple):
     oracle_confirmed: bool
 
 
-class L5Pair(NamedTuple):
+@dataclass(frozen=True, order=True)
+class L5Pair:
     """A prime pair putting p^4*q in the conditional four-element form."""
 
     p: int
@@ -235,8 +237,7 @@ def _scan_primes(scan_p, p_max: int, jobs: int, pool_min_pmax: int) -> list:
     _base_primes(limit)  # here, so that forked workers inherit the table
     tasks = [(scan_p, limit, lo, min(lo + _SPAN, p_max + 1))
              for lo in range(2, p_max + 1, _SPAN)]
-    return [hit for batch in _parallel_map(_scan_span, tasks, jobs)
-            for hit in batch]
+    return [hit for batch in _parallel_map(_scan_span, tasks, jobs) for hit in batch]
 
 
 def search_s7(p_max: int, *, jobs: int = 1) -> list[S7Triple]:
@@ -248,9 +249,7 @@ def search_s7(p_max: int, *, jobs: int = 1) -> list[S7Triple]:
     by the square-root equation, and only a q and r that pass every
     arithmetic check get a primality test.
     """
-    hits = _scan_primes(_s7_scan_p, p_max, jobs, _S7_POOL_MIN_PMAX)
-    hits.sort()
-    return hits
+    return sorted(_scan_primes(_s7_scan_p, p_max, jobs, _S7_POOL_MIN_PMAX))
 
 
 def search_large5(p_max: int, *, jobs: int = 1) -> list[L5Pair]:
@@ -259,6 +258,4 @@ def search_large5(p_max: int, *, jobs: int = 1) -> list[L5Pair]:
     Only q = isqrt(p^5) or isqrt(p^5) + 1 with p^5 - q^2 | p - 1 can qualify
     (see ``_l5_candidates``).
     """
-    hits = _scan_primes(_l5_scan_p, p_max, jobs, _L5_POOL_MIN_PMAX)
-    hits.sort()
-    return hits
+    return sorted(_scan_primes(_l5_scan_p, p_max, jobs, _L5_POOL_MIN_PMAX))

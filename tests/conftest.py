@@ -1,6 +1,6 @@
 import pytest
 
-from divrec import harness, runner
+from divrec import runner
 
 
 class _PoolLog(list):
@@ -44,9 +44,7 @@ def pool_sizes(monkeypatch):
                 return _SerialPool(sizes)
 
         monkeypatch.setattr(runner, "get_context", lambda method: Context)
-        # the pool reads the CPU count in runner, the range scans' blocks in harness
         monkeypatch.setattr(runner, "_available_cpus", lambda: cpus)
-        monkeypatch.setattr(harness, "_available_cpus", lambda: cpus)
         return sizes
 
     return install

@@ -34,6 +34,7 @@ from divrec.fit import FitKind, verify_params
 from divrec.harness import (
     _BLOCK,
     _blocks,
+    _span,
     append_ledger,
     load_allowlist,
     profile_sweep_failures,
@@ -172,12 +173,6 @@ def test_report_near_1e12_identical_across_jobs_and_to_single_n(tmp_path):
     expected = "".join(record_line(check_single(n)) for n in range(lo, hi + 1))
     assert paths[0].decode() == expected
     assert _scan(lo, hi, tmp_path) == _reference_scan(lo, hi)
-
-
-def _span(starts, start):
-    """The [start, end) span that begins at ``start`` among the ``_blocks``
-    starts ``starts``, as a block scan cuts it."""
-    return start, min(start + starts.step, starts.stop)
 
 
 def _spans(starts):
@@ -622,9 +617,10 @@ def test_star_import_binds_every_public_name():
 
 # Per start-up call, the modules it must not load: only a pool needs
 # multiprocessing, only a search needs divrec.search, only a range scan
-# needs divrec.harness, nothing needs dataclasses, only reports, ledgers,
-# allowlists and JSON output need json, and the CLI needs csv only for
-# --format csv.  A search's --out file is ``<out>``, in a temp directory.
+# needs divrec.harness, only a search needs dataclasses (for its hit
+# records), only reports, ledgers, allowlists and JSON output need json,
+# and the CLI needs csv only for --format csv.  A search's --out file is
+# ``<out>``, in a temp directory.
 _START_UP_UNUSED = {
     "import divrec; divrec.check_single(60)":
         ("csv", "dataclasses", "divrec.harness", "divrec.search", "json", "multiprocessing"),
@@ -637,10 +633,10 @@ _START_UP_UNUSED = {
                 for cmd in ("classify", "oracle") for fmt in ("json", "csv")):
         ("dataclasses", "divrec.harness", "divrec.search", "multiprocessing"),
     "import divrec; divrec.search_large5(50)":
-        ("csv", "dataclasses", "divrec.harness", "json", "multiprocessing"),
+        ("csv", "divrec.harness", "json", "multiprocessing"),
     "from divrec.cli import main; "
     "main(['search-s7', '--pmax', '20', '--out', <out>, '--format', 'json'])":
-        ("csv", "dataclasses", "divrec.harness", "multiprocessing"),
+        ("csv", "divrec.harness", "multiprocessing"),
 }
 
 
