@@ -40,8 +40,7 @@ __version__ = "0.1.0"
 # Only range scans need ``divrec.harness`` and only the searches need
 # ``divrec.search``; each is loaded on first access to one of its names.
 _LAZY = {
-    "AllowlistEntry": "harness", "ValidationSummary": "harness", "load_allowlist": "harness",
-    "split_errata": "harness", "validate_range": "harness",
+    "ValidationSummary": "harness", "split_errata": "harness", "validate_range": "harness",
     "L5Pair": "search", "S7Triple": "search", "search_large5": "search", "search_s7": "search",
 }
 

@@ -8,7 +8,7 @@ line of canonical JSON, the rows through ``csv.writer``, or the lines as
 they are; ``tau-check`` has no ``--format`` and always prints text.
 
 Exit codes: 0 success; 1 usage or contract violation; 2 when a range
-check finds a non-allowlisted disagreement (the CI signal).
+check finds a disagreement outside the documented errata (the CI signal).
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--out", default=None,
                    help="write the JSONL report here (plus .summary.csv and .errata.jsonl)")
-    p.add_argument("--allowlist", default=None,
-                   help="allowlist JSON path (default: the packaged one)")
     _add_format(p)
 
     for name, form in (("search-s7", "exceptional p^2*q*r small"),
@@ -276,19 +274,18 @@ def _check_out_dir(*paths):
 
 def _cmd_validate(args):
     # divrec.harness is loaded only by the commands that scan a range
-    from .harness import append_ledger, ledger_keys, load_allowlist, split_errata, validate_range
+    from .harness import append_ledger, ledger_keys, split_errata, validate_range
     from .runner import _replace_when_done
 
     _check_range(args)
     jobs = _jobs(args)
-    allowlist = load_allowlist(args.allowlist)
     if args.out:
         base = args.out[:-6] if args.out.endswith(".jsonl") else args.out
         summary_path, ledger_path = f"{base}.summary.csv", f"{base}.errata.jsonl"
         _check_out_dir(args.out, summary_path, ledger_path)
         ledger_keys(ledger_path)  # reject a malformed ledger before any output
     summary, errata = validate_range(args.lo, args.hi, jobs=jobs, report_path=args.out)
-    documented, violations = split_errata(errata, allowlist)
+    documented, violations = split_errata(errata)
     report = {
         "summary": summary._asdict(),
         "errata": [e._asdict() for e in errata],

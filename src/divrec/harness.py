@@ -1,4 +1,5 @@
-"""Range scans: cross-validation, the profile sweep, reports, errata ledger.
+"""Range scans: cross-validation, the profile sweep, reports, errata ledger,
+and the one documented family of errata (``_documented``).
 
 A validate scan runs the one-n core ``check._evaluate``, read here as a
 module global, on every n of a range, in contiguous blocks, optionally
@@ -26,7 +27,6 @@ from bisect import bisect_right
 from collections import Counter
 from contextlib import nullcontext
 from functools import lru_cache, partial
-from importlib import resources
 from itertools import islice
 from math import isqrt
 from pathlib import Path
@@ -40,8 +40,8 @@ from .profiles import _strict_sets, _tau_identity
 from .runner import _cpu_jobs, _parallel_map, _replace_when_done
 
 __all__ = [
-    "AllowlistEntry", "ValidationSummary", "append_ledger", "ledger_keys", "load_allowlist",
-    "profile_sweep_failures", "split_errata", "validate_range",
+    "ValidationSummary", "append_ledger", "ledger_keys", "profile_sweep_failures",
+    "split_errata", "validate_range",
 ]
 
 _BLOCK = 65536  # largest contiguous work unit, one task of the parallel map
@@ -352,64 +352,28 @@ def profile_sweep_failures(
 
 
 # ----------------------------------------------------------------------
-# allowlist of documented theorem discrepancies
+# the documented errata
 
 
-class AllowlistEntry(NamedTuple):
-    theorem: str
-    pattern: str
-    justification: str
+def _documented(e: ErrataEntry) -> bool:
+    """Whether an erratum is the one known gap of the large-side forms: an
+    oracle-only Large erratum at n = p^2*q^2 with q > p^2.
 
-
-def _family_p2q2_large(n: int) -> bool:
-    f = factorize(n)
-    if len(f.factors) != 2:
+    There the three large divisors sort as p^2*q < q^2 < p*q^2, and
+    a*q^2 + b*p^2*q = p*q^2 is always solvable (gcd q divides p*q^2), so the
+    oracle says recurrent; no enumerated large form covers this window.
+    Confirmed by oracle runs over [2, 10^6].  Soundness and prediction
+    failures are never documented.
+    """
+    if e.kind != KIND_ORACLE_ONLY or e.theorem != LARGE:
         return False
-    (p, a), (q, b) = f.factors
-    return a == 2 and b == 2 and q > p * p
+    f = factorize(e.n).factors  # ((p, 2), (q, 2)) with q > p^2
+    return len(f) == 2 and f[0][1] == f[1][1] == 2 and f[1][0] > f[0][0] ** 2
 
 
-# Named errata families; an allowlist file refers to these by pattern name.
-_FAMILIES = {
-    "p2q2-q-gt-p2": _family_p2q2_large,
-}
-
-
-def load_allowlist(path=None) -> tuple[AllowlistEntry, ...]:
-    """Load allowlist entries; with no path, the packaged default."""
-    import json
-    if path is None:
-        data = resources.files("divrec").joinpath("data/allowlist.json").read_bytes()
-    else:
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            raise ContractViolation(f"cannot read allowlist {path}: {exc.strerror}") from None
-    try:  # json.loads decodes the bytes; a UnicodeDecodeError is a ValueError
-        entries = tuple(
-            AllowlistEntry(obj["theorem"], obj["pattern"], obj["justification"])
-            for obj in json.loads(data)
-        )
-        unknown = [e.pattern for e in entries if e.pattern not in _FAMILIES]
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise ContractViolation(f"malformed allowlist: {exc}") from None
-    if unknown:
-        raise ContractViolation(f"unknown allowlist pattern {unknown[0]!r}")
-    return entries
-
-
-def _allowed(e: ErrataEntry, allowlist) -> bool:
-    if e.kind != KIND_ORACLE_ONLY:
-        return False  # soundness and prediction failures are never waived
-    return any(
-        entry.theorem == e.theorem and _FAMILIES[entry.pattern](e.n)
-        for entry in allowlist
-    )
-
-
-def split_errata(errata, allowlist) -> tuple[list[ErrataEntry], list[ErrataEntry]]:
+def split_errata(errata) -> tuple[list[ErrataEntry], list[ErrataEntry]]:
     """Partition errata into (documented, violations)."""
     documented, violations = [], []
     for e in errata:
-        (documented if _allowed(e, allowlist) else violations).append(e)
+        (documented if _documented(e) else violations).append(e)
     return documented, violations

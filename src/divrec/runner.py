@@ -50,10 +50,11 @@ def _parallel_map(worker, tasks, jobs):
     The pool never has more workers than tasks or than CPUs this process
     may use; ``jobs`` and the task list alone decide whether there is one.
     Without one, this is ``map`` itself: no generator frame on the serial path.
+    Only slices of ``tasks`` are measured: a ``range`` past sys.maxsize has no len.
     """
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs <= 1 or len(tasks[:2]) <= 1:
         return map(worker, tasks)
-    return _pool_imap(worker, tasks, min(_cpu_jobs(jobs), len(tasks)))
+    return _pool_imap(worker, tasks, len(tasks[:_cpu_jobs(jobs)]))
 
 
 def _cpu_jobs(jobs: int) -> int:

@@ -17,7 +17,7 @@ from divrec.arith import FactorSieve, factorize
 from divrec.check import KIND_CLASSIFIER_ONLY, KIND_ORACLE_ONLY, KIND_PREDICTION
 from divrec.classify import classify_large, classify_small
 from divrec.fit import FitKind, brute_force_fit, solve_fit, solutions_in_box, verify_params
-from divrec.harness import load_allowlist, profile_sweep_failures, split_errata, validate_range
+from divrec.harness import profile_sweep_failures, split_errata, validate_range
 from divrec.profiles import profile
 from divrec.runner import _parallel_map, default_jobs
 from divrec.search import search_large5, search_s7
@@ -197,7 +197,7 @@ def test_criterion_7_classifier_completeness(full_validation):
         large_gaps = [e for e in gaps if e.theorem == "Large"]
         assert len(large_gaps) == len(errata)  # nothing else in the ledger
 
-        documented, violations = split_errata(errata, load_allowlist())
+        documented, violations = split_errata(errata)
         assert violations == []
         assert len(documented) == len(large_gaps) > 0
 

@@ -90,13 +90,10 @@ def test_validate_exit_zero_with_default_allowlist(capsys, tmp_path):
     assert [json.loads(x)["n"] for x in ledger] == [100, 196]
 
 
-def test_validate_exit_two_with_empty_allowlist(capsys, tmp_path):
-    allow = tmp_path / "empty.json"
-    allow.write_text("[]")
-    code, out, _ = run(
-        capsys, "validate", "--from", "90", "--to", "110",
-        "--jobs", "1", "--allowlist", str(allow),
-    )
+def test_validate_exit_two_with_empty_allowlist(capsys, monkeypatch):
+    # with no erratum documented, the known p^2*q^2 family is a violation
+    monkeypatch.setattr(harness, "_documented", lambda e: False)
+    code, out, _ = run(capsys, "validate", "--from", "90", "--to", "110", "--jobs", "1")
     assert code == 2
     assert "VIOLATION n=100" in out
 
@@ -219,14 +216,11 @@ def test_tau_check_jobs_env_beyond_int_digits_exits_one(capsys, monkeypatch):
     assert err == "divrec: error: DIVREC_JOBS must be a positive integer\n"
 
 
-@pytest.mark.parametrize("name, what", [
-    ("allow.json", "allowlist"), ("r.errata.jsonl", "ledger"),
-])
+@pytest.mark.parametrize("name, what", [("r.errata.jsonl", "ledger")])
 def test_validate_deeply_nested_json_exits_one(capsys, tmp_path, name, what):
     # json's decoder recurses once per level: this raises RecursionError
     (tmp_path / name).write_text("[" * 200_000 + "]" * 200_000 + "\n")
-    extra = ["--allowlist", str(tmp_path / name)] if what == "allowlist" else []
-    code, out, err = run(capsys, "validate", "--from", "2", "--to", "50", *extra,
+    code, out, err = run(capsys, "validate", "--from", "2", "--to", "50",
                          "--out", str(tmp_path / "r.jsonl"))
     assert code == 1 and out == ""
     assert err.startswith(f"divrec: error: malformed {what}")
@@ -265,14 +259,11 @@ def _no_work(*args, **kwargs):
 
 def test_validate_missing_paths_exit_one_before_work(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "validate_range", _no_work)
-    for extra in (
-        ["--allowlist", str(tmp_path / "missing.json")],
-        ["--out", str(tmp_path / "missing" / "r.jsonl")],
-    ):
-        code, out, err = run(capsys, "validate", "--from", "2", "--to", "50", *extra)
-        assert code == 1 and out == ""
-        assert err.startswith("divrec: error:")
-        assert "missing" in err
+    code, out, err = run(capsys, "validate", "--from", "2", "--to", "50",
+                         "--out", str(tmp_path / "missing" / "r.jsonl"))
+    assert code == 1 and out == ""
+    assert err.startswith("divrec: error:")
+    assert "missing" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -520,14 +511,3 @@ def test_validate_appends_after_a_ledger_line_without_newline(capsys, tmp_path):
     assert main(argv) == 0
     lines = ledger.read_text().splitlines()
     assert [json.loads(x)["n"] for x in lines] == [100, 196, 484]
-
-
-def test_validate_allowlist_that_is_not_utf8_exits_one(capsys, tmp_path):
-    allow = tmp_path / "allow.json"
-    allow.write_bytes(b"\xff\xfe\xff")
-    code, out, err = run(
-        capsys, "validate", "--from", "2", "--to", "50", "--allowlist", str(allow),
-    )
-    assert code == 1 and out == ""
-    assert err.startswith("divrec: error:") and "allowlist" in err
-    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import multiprocessing
@@ -6,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -36,7 +38,6 @@ from divrec.harness import (
     _blocks,
     _span,
     append_ledger,
-    load_allowlist,
     profile_sweep_failures,
     split_errata,
     validate_range,
@@ -290,7 +291,7 @@ def test_canonical_json_refuses_records():
             canonical_json({"records": [rec]})
 
 
-def _nine_records():
+def _eight_records():
     """One of each record type that ``import divrec`` defines."""
     return [
         Factorization(12, ((2, 2), (3, 1))),
@@ -301,13 +302,12 @@ def _nine_records():
         check_single(60),
         ErrataEntry(60, "Small", KIND_PREDICTION, "detail"),
         validate_range(2, 100)[0],
-        load_allowlist()[0],
     ]
 
 
 def test_records_are_frozen_picklable_and_replaceable():
-    records = _nine_records()
-    assert len({type(rec) for rec in records}) == 9
+    records = _eight_records()
+    assert len({type(rec) for rec in records}) == 8
     for rec in records:
         first = rec._fields[0]
         with pytest.raises(AttributeError):
@@ -371,34 +371,23 @@ def test_append_ledger_dedupes(tmp_path):
 
 
 def test_allowlist_default_covers_the_known_family():
-    allowlist = load_allowlist()
     _, errata = validate_range(2, 1000)
-    documented, violations = split_errata(errata, allowlist)
+    documented, violations = split_errata(errata)
     assert violations == []
     assert len(documented) == 4
 
 
 def test_allowlist_never_waives_soundness_failures():
-    allowlist = load_allowlist()
-    fake = ErrataEntry(100, "Large", KIND_CLASSIFIER_ONLY, "synthetic")
-    fake2 = ErrataEntry(100, "Large", KIND_PREDICTION, "synthetic")
-    documented, violations = split_errata([fake, fake2], allowlist)
-    assert documented == [] and violations == [fake, fake2]
-
-
-def test_allowlist_rejects_unknown_pattern(tmp_path):
-    path = tmp_path / "allow.json"
-    path.write_text('[{"theorem": "Large", "pattern": "nope", "justification": "x"}]')
-    with pytest.raises(ContractViolation):
-        load_allowlist(path)
-
-
-def test_allowlist_rejects_malformed_file(tmp_path):
-    path = tmp_path / "allow.json"
-    for text in ("[{", '[{"theorem": "Large"}]', "[1]", "7"):
-        path.write_text(text)
-        with pytest.raises(ContractViolation):
-            load_allowlist(path)
+    fakes = [
+        ErrataEntry(100, "Large", KIND_CLASSIFIER_ONLY, "synthetic"),
+        ErrataEntry(100, "Large", KIND_PREDICTION, "synthetic"),
+        # the family is a Large one: the same n on the small side is not in it
+        ErrataEntry(100, "Small", KIND_ORACLE_ONLY, "synthetic"),
+        # 225 = 3^2 * 5^2 has q < p^2
+        ErrataEntry(225, "Large", KIND_ORACLE_ONLY, "synthetic"),
+    ]
+    documented, violations = split_errata(fakes)
+    assert documented == [] and violations == fakes
 
 
 def test_profile_sweep():
@@ -492,6 +481,25 @@ def test_pool_is_capped_at_jobs_tasks_and_cpus(pool_sizes, jobs, tasks, cpus, si
     sizes = pool_sizes(cpus)
     assert list(runner._parallel_map(abs, list(range(-tasks, 0)), jobs)) == list(range(tasks, 0, -1))
     assert sizes == [size]
+
+
+def test_pool_over_more_tasks_than_sys_maxsize_starts(monkeypatch):
+    # len() of this range raises OverflowError; the map must take none
+    tasks = range(0, 2**80, 65536)
+    sizes = []
+
+    class Context:
+        @staticmethod
+        def Pool(processes):  # runs the tasks here: no process starts
+            sizes.append(processes)
+            return contextlib.nullcontext(types.SimpleNamespace(imap=map))
+
+    monkeypatch.setattr(runner, "get_context", lambda method: Context)
+    monkeypatch.setattr(runner, "_available_cpus", lambda: 2)
+    results = runner._parallel_map(abs, tasks, 2)
+    assert list(itertools.islice(results, 3)) == [0, 65536, 131072]
+    results.close()
+    assert sizes == [2]
 
 
 def test_validate_with_huge_jobs_asks_one_worker_per_cpu(pool_sizes, tmp_path):
@@ -618,9 +626,9 @@ def test_star_import_binds_every_public_name():
 # Per start-up call, the modules it must not load: only a pool needs
 # multiprocessing, only a search needs divrec.search, only a range scan
 # needs divrec.harness, only a search needs dataclasses (for its hit
-# records), only reports, ledgers, allowlists and JSON output need json,
-# and the CLI needs csv only for --format csv.  A search's --out file is
-# ``<out>``, in a temp directory.
+# records), only reports, ledgers and JSON output need json, and the CLI
+# needs csv only for --format csv.  A search's --out file is ``<out>``, in
+# a temp directory.
 _START_UP_UNUSED = {
     "import divrec; divrec.check_single(60)":
         ("csv", "dataclasses", "divrec.harness", "divrec.search", "json", "multiprocessing"),
@@ -632,6 +640,9 @@ _START_UP_UNUSED = {
     + "; ".join(f"main([{cmd!r}, '60', '--format', {fmt!r}])"
                 for cmd in ("classify", "oracle") for fmt in ("json", "csv")):
         ("dataclasses", "divrec.harness", "divrec.search", "multiprocessing"),
+    "from divrec.cli import main; "
+    "main(['validate', '--from', '2', '--to', '50', '--jobs', '1'])":
+        ("csv", "dataclasses", "divrec.search", "json", "multiprocessing"),
     "import divrec; divrec.search_large5(50)":
         ("csv", "divrec.harness", "json", "multiprocessing"),
     "from divrec.cli import main; "

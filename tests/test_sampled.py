@@ -109,8 +109,8 @@ def test_sampler_covers_every_signature_near_breakpoints(samples):
 
 
 def _documented(sig, e):
-    """The allowlisted large-side family p^2*q^2 with q > p^2, decided from
-    the signature: ``harness._family_p2q2_large`` would factorize n."""
+    """The documented large-side family p^2*q^2 with q > p^2, decided from
+    the signature: ``harness._documented`` would factorize n."""
     return (e.kind == KIND_ORACLE_ONLY and e.theorem == LARGE and len(sig) == 2
             and sig[0][1] == sig[1][1] == 2 and sig[1][0] > sig[0][0] ** 2)
 
