@@ -262,14 +262,17 @@ def _cmd_oracle(args):
 def _check_out_dir(*paths):
     # fail before any work, not when the finished run opens the file
     for path in map(Path, paths):
-        if not path.parent.is_dir():
-            raise ContractViolation(f"--out directory {path.parent} does not exist")
-        if path.is_dir():
-            raise ContractViolation(f"output path {path} is a directory")
-        # the finished run renames its file over the path: never over a
-        # FIFO, a socket or a device node
-        if path.exists() and not path.is_file():
-            raise ContractViolation(f"output path {path} is not a regular file")
+        try:
+            if not path.parent.is_dir():
+                raise ContractViolation(f"--out directory {path.parent} does not exist")
+            if path.is_dir():
+                raise ContractViolation(f"output path {path} is a directory")
+            # the finished run renames its file over the path: never over a
+            # FIFO, a socket or a device node
+            if path.exists() and not path.is_file():
+                raise ContractViolation(f"output path {path} is not a regular file")
+        except OSError as exc:  # a name too long, say: refused by the filesystem
+            raise ContractViolation(f"output path {path}: {exc.strerror}") from None
 
 
 def _cmd_validate(args):

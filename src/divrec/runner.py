@@ -1,19 +1,23 @@
 """What the range scans, the searches and the CLI share: the worker count,
-the fork pool that maps a worker over tasks (``multiprocessing`` loads when
-the first pool starts), and output files that appear only once complete.
+``map_spans``, which maps a worker over the spans of a range, on a fork
+pool when one pays, and output files that appear only once complete.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager, suppress
+from functools import partial
+from itertools import chain, count
 from pathlib import Path
 
 from .arith import ContractViolation
 
-__all__ = ["JOBS_ENV", "default_jobs"]
+__all__ = ["JOBS_ENV", "default_jobs", "map_spans"]
 
 JOBS_ENV = "DIVREC_JOBS"
+_SPAN_MAX = 65536  # items in a span: one task of a pool, one block of a scan
+_temp_ids = count()  # numbers the temp files of this process
 
 
 def default_jobs() -> int:
@@ -34,46 +38,44 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def get_context(method: str):
-    """``multiprocessing.get_context(method)``.  Only a pool needs
-    ``multiprocessing``, so it is imported on the first call: a process that
-    never starts one does not pay for loading it."""
-    import multiprocessing
+def map_spans(worker, lo, stop, jobs, pool_min):
+    """``worker(a, b)`` for each span [a, b) of [lo, stop), lo < stop, in order.
 
-    return multiprocessing.get_context(method)
-
-
-def _parallel_map(worker, tasks, jobs):
-    """``map(worker, tasks)``, on up to ``jobs`` forked workers, one task at a
-    time each: an iterator of the results in task order.
-
-    The pool never has more workers than tasks or than CPUs this process
-    may use; ``jobs`` and the task list alone decide whether there is one.
-    Without one, this is ``map`` itself: no generator frame on the serial path.
-    Only slices of ``tasks`` are measured: a ``range`` past sys.maxsize has no len.
-    """
-    if jobs <= 1 or len(tasks[:2]) <= 1:
-        return map(worker, tasks)
-    return _pool_imap(worker, tasks, len(tasks[:_cpu_jobs(jobs)]))
+    A span per job, at most ``_SPAN_MAX`` items, with ``jobs`` capped at the
+    CPUs.  The spans are a ``range`` of their starts: O(1) memory, and no
+    len(), which fails past sys.maxsize.  With ``jobs`` 1, one span or fewer
+    than ``pool_min`` items this is ``map`` itself; else a fork pool of at
+    most that many workers runs them, one span at a time each."""
+    if jobs < 1:
+        raise ContractViolation("jobs must be >= 1")
+    cpus = min(jobs, _available_cpus()) if jobs > 1 else 1  # jobs=1: no system call
+    starts = range(lo, stop, min(_SPAN_MAX, -(-(stop - lo) // cpus)))
+    if jobs <= 1 or len(starts[:2]) <= 1 or stop - lo < pool_min:
+        return map(worker, starts, chain(starts[1:], (stop,)))
+    return _pool_imap(partial(_run_span, worker, starts), starts, len(starts[:cpus]))
 
 
-def _cpu_jobs(jobs: int) -> int:
-    """``jobs``, capped at the CPUs this process may use."""
-    return min(jobs, _available_cpus())
+def _run_span(worker, starts: range, a: int):
+    """``worker`` on the span of ``starts`` that begins at ``a``."""
+    return worker(a, min(a + starts.step, starts.stop))
 
 
 def _pool_imap(worker, tasks, processes):
-    """Pool results in task order, as they come; closing this ends the pool."""
-    with get_context("fork").Pool(processes) as pool:
+    """Pool results in task order, as they come; closing this ends the pool.
+    Only a pool needs ``multiprocessing``, so it loads here, not at import."""
+    import multiprocessing
+
+    with multiprocessing.get_context("fork").Pool(processes) as pool:
         yield from pool.imap(worker, tasks)
 
 
 @contextmanager
 def _replace_when_done(path, mode="w", **kwargs):
     """Open a temp file beside ``path``; move it onto ``path`` only once the
-    block completes, so an interrupted write leaves no partial file."""
+    block completes, so an interrupted write leaves no partial file.  The
+    temp name does not grow with the final one: any name the filesystem takes works."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".divrec-{os.getpid()}-{next(_temp_ids)}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh

@@ -10,14 +10,14 @@ the survivors get a primality test.  The primes p are sieved one
 span of p at a time, so memory stays O(sqrt(p_max)) plus one span; the
 proofs are in the docstrings of ``_s7_candidates`` and ``_l5_candidates``.
 Every hit is confirmed by the brute-force oracle from its known
-factorization, and results are deterministic regardless of how the work
-is split across the processes of ``runner._parallel_map``.
+factorization, and results are deterministic regardless of how
+``runner.map_spans`` splits the work across processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress
 from math import isqrt
 
@@ -25,7 +25,7 @@ from .arith import ContractViolation, Factorization, _guard, is_prime, primes_up
 from .classify import _divides, _l5_condition, _s7_solution
 from .oracle import _verdict
 from .profiles import profile
-from .runner import _parallel_map
+from .runner import map_spans
 
 __all__ = ["L5Pair", "S7Triple", "search_large5", "search_s7"]
 
@@ -198,21 +198,15 @@ _S7_POOL_MIN_PMAX = 104_729  # the 10 000th prime
 _L5_POOL_MIN_PMAX = 479_909  # the 40 000th prime
 
 
-# The width of one span of p: one segment of the sieve and one pool task.
-# It is below both pool thresholds, so a pooled search has two tasks or more.
-_SPAN = 1 << 16
-
-
 @lru_cache(maxsize=1)  # a span task carries only the limit of its base primes
 def _base_primes(limit: int) -> list[int]:
     return primes_upto(limit)
 
 
-def _scan_span(task) -> list:
-    """Every hit of ``scan_p`` over the primes p with lo <= p < hi, for the
-    task (scan_p, limit, lo, hi) with 2 <= lo < hi and isqrt(hi - 1) <= limit:
-    Eratosthenes over [lo, hi) with the primes up to ``limit``."""
-    scan_p, limit, lo, hi = task
+def _scan_span(scan_p, limit: int, lo: int, hi: int) -> list:
+    """Every hit of ``scan_p`` over the primes p with lo <= p < hi, for
+    2 <= lo < hi and isqrt(hi - 1) <= limit: Eratosthenes over [lo, hi) with
+    the primes up to ``limit``."""
     sieve = bytearray([1]) * (hi - lo)
     for p in _base_primes(limit):
         if p * p >= hi:
@@ -228,16 +222,12 @@ def _scan_primes(scan_p, p_max: int, jobs: int, pool_min_pmax: int) -> list:
     # candidates exceed the input bound before sieving anything.
     if p_max < 2:
         raise ContractViolation("p_max must be >= 2")
-    if jobs < 1:
-        raise ContractViolation("jobs must be >= 1")
     _guard(isqrt(p_max**5) + 1)
-    if p_max < pool_min_pmax:
-        jobs = 1
     limit = isqrt(p_max) + 1
     _base_primes(limit)  # here, so that forked workers inherit the table
-    tasks = [(scan_p, limit, lo, min(lo + _SPAN, p_max + 1))
-             for lo in range(2, p_max + 1, _SPAN)]
-    return [hit for batch in _parallel_map(_scan_span, tasks, jobs) for hit in batch]
+    # [2, p_max] holds p_max - 1 candidates for p: a pool from pool_min_pmax on
+    spans = map_spans(partial(_scan_span, scan_p, limit), 2, p_max + 1, jobs, pool_min_pmax - 1)
+    return [hit for batch in spans for hit in batch]
 
 
 def search_s7(p_max: int, *, jobs: int = 1) -> list[S7Triple]:

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from divrec import runner
@@ -5,11 +7,12 @@ from divrec import runner
 
 class _PoolLog(list):
     """The pool sizes requested, in order; ``tasks`` holds the number of
-    tasks each pool was given."""
+    tasks each pool was given, and ``maps`` its (worker, tasks) pair."""
 
     def __init__(self):
         super().__init__()
         self.tasks = []
+        self.maps = []
 
 
 class _SerialPool:
@@ -26,13 +29,14 @@ class _SerialPool:
 
     def imap(self, worker, tasks):
         self.log.tasks.append(len(tasks))
+        self.log.maps.append((worker, tasks))
         return map(worker, tasks)
 
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Call with a CPU count; returns the ``_PoolLog`` of the pools that
-    ``runner._parallel_map`` then requests.  No process is started."""
+    ``runner.map_spans`` then requests.  No process is started."""
 
     def install(cpus):
         sizes = _PoolLog()
@@ -43,7 +47,7 @@ def pool_sizes(monkeypatch):
                 sizes.append(processes)
                 return _SerialPool(sizes)
 
-        monkeypatch.setattr(runner, "get_context", lambda method: Context)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
         monkeypatch.setattr(runner, "_available_cpus", lambda: cpus)
         return sizes
 

@@ -10,6 +10,7 @@ import json
 import random
 import time
 from contextlib import contextmanager
+from functools import partial
 
 import pytest
 
@@ -19,7 +20,7 @@ from divrec.classify import classify_large, classify_small
 from divrec.fit import FitKind, brute_force_fit, solve_fit, solutions_in_box, verify_params
 from divrec.harness import profile_sweep_failures, split_errata, validate_range
 from divrec.profiles import profile
-from divrec.runner import _parallel_map, default_jobs
+from divrec.runner import default_jobs, map_spans
 from divrec.search import search_large5, search_s7
 from references import large_verdict, profiles_in_range, small_verdict
 
@@ -95,18 +96,23 @@ _ENTRY_MAX = 40
 _GRID_BOUND = 50
 
 
-def _c4_worker(task):
-    length, stride, offset = task
+def _c4_worker(stride, lo, hi):
+    """The mismatches among the sequences of lengths 3 to 6 whose index in
+    their length's combinations is lo to hi - 1 modulo ``stride``: the
+    offsets [lo, hi) of ``stride`` share each length evenly."""
     mismatches = []
-    combos = itertools.combinations(range(1, _ENTRY_MAX + 1), length)
-    for idx, seq in enumerate(combos):
-        if idx % stride != offset:
-            continue
-        s = list(seq)
-        if solutions_in_box(solve_fit(s), _GRID_BOUND) != brute_force_fit(s, _GRID_BOUND):
-            mismatches.append(s)
-            if len(mismatches) >= 5:
-                break
+    for length in (3, 4, 5, 6):
+        combos = itertools.combinations(range(1, _ENTRY_MAX + 1), length)
+        found = 0
+        for idx, seq in enumerate(combos):
+            if not lo <= idx % stride < hi:
+                continue
+            s = list(seq)
+            if solutions_in_box(solve_fit(s), _GRID_BOUND) != brute_force_fit(s, _GRID_BOUND):
+                mismatches.append(s)
+                found += 1
+                if found >= 5:
+                    break
     return mismatches
 
 
@@ -128,12 +134,7 @@ def test_criterion_4_fit_solver_oracle_equivalence(jobs):
             assert brute_force_fit(list(seq), _GRID_BOUND) == full_grid
 
         t0 = time.time()
-        tasks = [
-            (length, jobs, offset)
-            for length in (3, 4, 5, 6)
-            for offset in range(jobs)
-        ]
-        batches = _parallel_map(_c4_worker, tasks, jobs)
+        batches = map_spans(partial(_c4_worker, jobs), 0, jobs, jobs, 0)
         mismatches = [m for batch in batches for m in batch]
         assert mismatches == []
 

@@ -130,9 +130,9 @@ def test_tau_check_cli(capsys):
 
 def test_tau_check_out_of_bound_exits_one_before_work(capsys, monkeypatch):
     def no_blocks(*args):
-        raise AssertionError("_blocks called before the input bound was checked")
+        raise AssertionError("map_spans called before the input bound was checked")
 
-    monkeypatch.setattr(harness, "_blocks", no_blocks)
+    monkeypatch.setattr(harness, "map_spans", no_blocks)
     code, out, err = run(capsys, "tau-check", "--from", "2", "--to", str(2**63))
     assert code == 1 and out == ""
     assert "exceeds the input bound" in err
@@ -229,16 +229,25 @@ def test_validate_deeply_nested_json_exits_one(capsys, tmp_path, name, what):
 
 def test_validate_malformed_ledger_exits_one_before_output(capsys, tmp_path):
     ledger = tmp_path / "report.errata.jsonl"
-    ledger.write_text('{"n": 100, "theorem": "Large"}\n{not json\n')
-    before = ledger.read_bytes()
-    code, out, err = run(
-        capsys, "validate", "--from", "2", "--to", "300",
-        "--jobs", "1", "--out", str(tmp_path / "report.jsonl"),
-    )
-    assert code == 1 and out == ""
-    assert "malformed ledger" in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.errata.jsonl"]
-    assert ledger.read_bytes() == before
+    for text in (
+        '{"n": 100, "theorem": "Large"}\n{not json\n',
+        # entries of the wrong type: n a float, a bool or a non-decimal string,
+        # or a theorem other than Small or Large
+        '{"n": 1.5, "theorem": "Large", "kind": "x", "detail": "y"}\n',
+        '{"n": true, "theorem": "Small"}\n',
+        '{"n": "0x64", "theorem": "Small"}\n',
+        '{"n": "1e2", "theorem": "Small"}\n',
+        '{"n": 100, "theorem": "Medium"}\n',
+    ):
+        ledger.write_text(text)
+        code, out, err = run(
+            capsys, "validate", "--from", "2", "--to", "300",
+            "--jobs", "1", "--out", str(tmp_path / "report.jsonl"),
+        )
+        assert code == 1 and out == "", text
+        assert err.startswith(f"divrec: error: malformed ledger {ledger}: "), text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.errata.jsonl"]
+        assert ledger.read_text() == text
 
 
 @pytest.mark.parametrize("n", ["1e400", "-1e400", "NaN", "Infinity"])
@@ -313,6 +322,37 @@ def test_search_out_path_that_is_a_directory_exits_one_before_work(
     assert list((tmp_path / "hits").iterdir()) == []
 
 
+def test_validate_out_name_the_filesystem_refuses_exits_one_before_work(
+    capsys, tmp_path, monkeypatch
+):
+    # the report's name has 250 bytes; its summary's, with 256, is too long
+    monkeypatch.setattr(harness, "validate_range", _no_work)
+    report = tmp_path / ("a" * 244 + ".jsonl")
+    code, out, err = run(capsys, "validate", "--from", "2", "--to", "10", "--jobs", "1",
+                         "--out", str(report))
+    assert code == 1 and out == ""
+    assert err.startswith(f"divrec: error: output path {tmp_path / ('a' * 244)}.summary.csv: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_search_writes_any_out_name_the_filesystem_accepts(capsys, tmp_path):
+    # a temp name that grew with the final one would be too long here
+    out = tmp_path / ("a" * 244 + ".jsonl")
+    code, _, err = run(capsys, "search-s7", "--pmax", "10", "--jobs", "1", "--out", str(out))
+    assert (code, err) == (0, "")
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text() == '{"a":2,"b":-1,"n":60,"oracle_confirmed":true,"p":2,"q":3,"r":5}\n'
+
+
+def test_temp_names_are_unique_per_file(tmp_path):
+    with runner._replace_when_done(tmp_path / "a") as a, \
+            runner._replace_when_done(tmp_path / "b") as b:
+        assert a.name != b.name
+        a.write("a")
+        b.write("b")
+    assert sorted(p.read_text() for p in tmp_path.iterdir()) == ["a", "b"]
+
+
 @pytest.mark.parametrize("taken", ["r.jsonl", "r.errata.jsonl", "r.summary.csv"])
 def test_validate_out_path_that_is_a_fifo_exits_one_before_work(
     capsys, tmp_path, monkeypatch, taken
@@ -382,7 +422,8 @@ def _interrupt_validate(tmp_path, monkeypatch, jobs):
             finally:
                 held.append(fh.tell())
 
-    monkeypatch.setattr(harness, "_BLOCK", 100)
+    monkeypatch.setattr(runner, "_SPAN_MAX", 100)
+    monkeypatch.setattr(harness, "_POOL_MIN", 0)  # a pool at jobs > 1
     monkeypatch.setattr(harness, "_evaluate", evaluate)
     monkeypatch.setattr(harness, "_replace_when_done", replace_when_done)
     with pytest.raises(RuntimeError, match="injected"):
@@ -421,6 +462,7 @@ def test_validate_interrupted_pool_leaves_no_file_and_no_worker(
 
 def test_validate_writes_nothing_outside_the_report_directory(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    monkeypatch.setattr(harness, "_POOL_MIN", 0)  # a pool on this small range
     argv = ["validate", "--from", "2", "--to", "3000", "--jobs", "2",
             "--out", str(tmp_path / "r.jsonl")]
     assert main(argv) == 0

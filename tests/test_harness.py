@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -34,16 +35,13 @@ from divrec.check import (
 from divrec.cli import main
 from divrec.fit import FitKind, verify_params
 from divrec.harness import (
-    _BLOCK,
-    _blocks,
-    _span,
     append_ledger,
     profile_sweep_failures,
     split_errata,
     validate_range,
 )
 from divrec.profiles import check_tau_identity, profile
-from divrec.runner import default_jobs
+from divrec.runner import _SPAN_MAX, default_jobs, map_spans
 from references import evaluate_by_objects, large_verdict, record_line, validation_record_dict
 
 
@@ -151,7 +149,8 @@ def test_half_range_merge_equals_whole():
         assert getattr(s_lo, field) + getattr(s_hi, field) == getattr(s_all, field)
 
 
-def test_report_bytes_identical_across_jobs(tmp_path):
+def test_report_bytes_identical_across_jobs(monkeypatch, tmp_path):
+    monkeypatch.setattr(harness, "_POOL_MIN", 0)  # a pool on this small range
     paths = []
     for jobs in (1, 2, 3):
         path = tmp_path / f"report-{jobs}.jsonl"
@@ -162,7 +161,8 @@ def test_report_bytes_identical_across_jobs(tmp_path):
     assert first["n"] == 2
 
 
-def test_report_near_1e12_identical_across_jobs_and_to_single_n(tmp_path):
+def test_report_near_1e12_identical_across_jobs_and_to_single_n(monkeypatch, tmp_path):
+    monkeypatch.setattr(harness, "_POOL_MIN", 0)  # a pool on this small range
     lo, hi = 10**12 + 4_000, 10**12 + 6_999
     paths = []
     for jobs in (1, 2):
@@ -176,51 +176,65 @@ def test_report_near_1e12_identical_across_jobs_and_to_single_n(tmp_path):
     assert _scan(lo, hi, tmp_path) == _reference_scan(lo, hi)
 
 
-def _spans(starts):
-    return [_span(starts, start) for start in starts]
+def _span_of(a, b):
+    return a, b
+
+
+def _spans(lo, stop, jobs):
+    """The spans that ``map_spans`` cuts [lo, stop) into, run in this process."""
+    return list(map_spans(_span_of, lo, stop, jobs, math.inf))
 
 
 def _span_list(lo, hi, jobs):
-    """The list of spans that ``_blocks`` built before its spans were lazy."""
-    size = min(_BLOCK, -(-(hi - lo + 1) // jobs))
+    """The list of spans that range scans built before their spans were lazy."""
+    size = min(_SPAN_MAX, -(-(hi - lo + 1) // jobs))
     return [(start, min(start + size, hi + 1)) for start in range(lo, hi + 1, size)]
 
 
-def test_blocks_give_every_worker_a_share():
-    assert _spans(_blocks(2, 3001, 1)) == [(2, 3002)]
-    assert _spans(_blocks(2, 3001, 2)) == [(2, 1502), (1502, 3002)]
-    assert _spans(_blocks(10, 12, 5)) == [(10, 11), (11, 12), (12, 13)]
-    spans = _spans(_blocks(1, 3 * _BLOCK, 2))
-    assert [b - a for a, b in spans] == [_BLOCK] * 3
-    assert spans[0][0] == 1 and spans[-1][1] == 3 * _BLOCK + 1
+def test_blocks_give_every_worker_a_share(monkeypatch):
+    monkeypatch.setattr(runner, "_available_cpus", lambda: 64)
+    assert _spans(2, 3002, 1) == [(2, 3002)]
+    assert _spans(2, 3002, 2) == [(2, 1502), (1502, 3002)]
+    assert _spans(10, 13, 5) == [(10, 11), (11, 12), (12, 13)]
+    spans = _spans(1, 3 * _SPAN_MAX + 1, 2)
+    assert [b - a for a, b in spans] == [_SPAN_MAX] * 3
+    assert spans[0][0] == 1 and spans[-1][1] == 3 * _SPAN_MAX + 1
+    # a span per job that cannot run at once only adds a block set-up
+    monkeypatch.setattr(runner, "_available_cpus", lambda: 2)
+    assert _spans(2, 3002, 5) == [(2, 1502), (1502, 3002)]
 
 
-def test_blocks_match_the_span_list_in_constant_memory():
+def test_blocks_match_the_span_list_in_constant_memory(monkeypatch, pool_sizes):
+    monkeypatch.setattr(runner, "_available_cpus", lambda: 64)
     for lo, hi, jobs in itertools.product(
-        (2, 3, 1000), (2, 3, 17, 1000, _BLOCK, 3 * _BLOCK + 5), (1, 2, 3, 7, 64)
+        (2, 3, 1000), (2, 3, 17, 1000, _SPAN_MAX, 3 * _SPAN_MAX + 5), (1, 2, 3, 7, 64)
     ):
         if lo <= hi:
-            assert _spans(_blocks(lo, hi, jobs)) == _span_list(lo, hi, jobs), (lo, hi, jobs)
-    # [2, 2**62], the default input bound, has 2**46 spans of _BLOCK n
+            assert _spans(lo, hi + 1, jobs) == _span_list(lo, hi, jobs), (lo, hi, jobs)
+    # [2, 2**62], the default input bound, has 2**46 spans of _SPAN_MAX n
+    sizes = pool_sizes(2)
     tracemalloc.start()
     try:
-        starts = harness._range_spans(2, 2**62, 2)
-        count, first, last = len(starts), _span(starts, starts[0]), _span(starts, starts[-1])
+        spans = map_spans(_span_of, 2, 2**62 + 1, 2, 0)
+        first = next(spans)
+        (worker, starts), = sizes.maps
+        count, last = len(starts), worker(starts[-1])
+        spans.close()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
     assert count == 2**46
-    assert first == (2, 2 + _BLOCK)
-    assert last == (2**62 + 1 - (2**62 - 1) % _BLOCK, 2**62 + 1)
+    assert first == (2, 2 + _SPAN_MAX)
+    assert last == (2**62 + 1 - (2**62 - 1) % _SPAN_MAX, 2**62 + 1)
 
 
 class _FirstBlock(Exception):
     pass
 
 
-def _stop_at_first_block(starts, lo):
-    raise _FirstBlock(len(starts), lo)
+def _stop_at_first_block(lo, hi_excl):
+    raise _FirstBlock(lo, hi_excl)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -243,7 +257,7 @@ def test_range_scan_to_the_input_bound_starts_in_constant_memory(
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert stopped.value.args == (2**46, 2)
+    assert stopped.value.args == (2, 2 + _SPAN_MAX)
     assert (sizes, sizes.tasks) == (([2], [2**46]) if jobs > 1 else ([], []))
 
 
@@ -259,7 +273,7 @@ def test_line_parts_split_canonical_json():
     # each outcome is rendered once with n = 0 and cut around that 0; every
     # n, also around the 2**53 cut where integers turn into strings, must get
     # its record's canonical JSON
-    outcomes = set(harness._scan_validation_block(_blocks(2, 20_000, 1), 2)[0])
+    outcomes = set(harness._scan_validation_block(2, 20_001)[0])
     assert len(outcomes) >= 8
     forms = [(), (1,), (2, 7, 9)]
     for small_forms, large_forms in itertools.product(forms, forms):
@@ -419,7 +433,7 @@ def test_profile_sweep_kernel_matches_per_n_paths(lo, hi_excl):
     reflect_bad = [
         p.n for p in profs if tuple(p.n // d for d in reversed(p.large_strict)) != p.small_strict
     ]
-    block = harness._scan_profile_block(_blocks(lo, hi_excl - 1, 1), lo)
+    block = harness._scan_profile_block(lo, hi_excl)
     assert block == (tau_bad, reflect_bad) == ([], [])
 
 
@@ -440,12 +454,12 @@ def test_profile_sweep_reports_a_set_that_lost_one_divisor(monkeypatch, side):
 
 
 def test_profile_sweep_guards_before_cutting_blocks(monkeypatch):
-    # an out-of-bound range must fail before the block list is built: at
-    # hi = 2**63 that list alone would hold about 1.4e14 spans
+    # an out-of-bound range must fail before it is cut into spans: at
+    # hi = 2**63 a list of them alone would hold about 1.4e14 spans
     def no_blocks(*args):
-        raise AssertionError("_blocks called before the input bound was checked")
+        raise AssertionError("map_spans called before the input bound was checked")
 
-    monkeypatch.setattr(harness, "_blocks", no_blocks)
+    monkeypatch.setattr(harness, "map_spans", no_blocks)
     with pytest.raises(CapacityError):
         profile_sweep_failures(2, 2**63)
     with pytest.raises(CapacityError):
@@ -477,15 +491,16 @@ def test_default_jobs_counts_the_affinity_mask(monkeypatch):
     (50, 4, 8, 4),
     (2, 10, 1, 1),  # jobs > 1 still means a pool, even on one CPU
 ])
-def test_pool_is_capped_at_jobs_tasks_and_cpus(pool_sizes, jobs, tasks, cpus, size):
+def test_pool_is_capped_at_jobs_tasks_and_cpus(monkeypatch, pool_sizes, jobs, tasks, cpus, size):
     sizes = pool_sizes(cpus)
-    assert list(runner._parallel_map(abs, list(range(-tasks, 0)), jobs)) == list(range(tasks, 0, -1))
+    monkeypatch.setattr(runner, "_SPAN_MAX", 1)  # a task per item
+    assert list(map_spans(_span_of, 0, tasks, jobs, 0)) == [(a, a + 1) for a in range(tasks)]
     assert sizes == [size]
 
 
 def test_pool_over_more_tasks_than_sys_maxsize_starts(monkeypatch):
-    # len() of this range raises OverflowError; the map must take none
-    tasks = range(0, 2**80, 65536)
+    # 2**64 spans: len() of their range raises OverflowError; the map must
+    # take none
     sizes = []
 
     class Context:
@@ -494,18 +509,28 @@ def test_pool_over_more_tasks_than_sys_maxsize_starts(monkeypatch):
             sizes.append(processes)
             return contextlib.nullcontext(types.SimpleNamespace(imap=map))
 
-    monkeypatch.setattr(runner, "get_context", lambda method: Context)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
     monkeypatch.setattr(runner, "_available_cpus", lambda: 2)
-    results = runner._parallel_map(abs, tasks, 2)
-    assert list(itertools.islice(results, 3)) == [0, 65536, 131072]
+    results = map_spans(_span_of, 0, 2**80, 2, 0)
+    assert list(itertools.islice(results, 3)) == [(0, 65536), (65536, 131072), (131072, 196608)]
     results.close()
     assert sizes == [2]
 
 
-def test_validate_with_huge_jobs_asks_one_worker_per_cpu(pool_sizes, tmp_path):
+@pytest.mark.parametrize("scan", [validate_range, profile_sweep_failures])
+def test_range_scan_pool_starts_at_the_floor(pool_sizes, scan):
+    sizes = pool_sizes(2)
+    scan(2, harness._POOL_MIN, jobs=2)  # _POOL_MIN - 1 n
+    assert sizes == []
+    scan(2, harness._POOL_MIN + 1, jobs=2)
+    assert sizes == [2] and sizes.tasks == [2]
+
+
+def test_validate_with_huge_jobs_asks_one_worker_per_cpu(monkeypatch, pool_sizes, tmp_path):
     expected = tmp_path / "jobs-1.jsonl"
     validate_range(2, 3_000, report_path=expected)
     sizes = pool_sizes(2)
+    monkeypatch.setattr(harness, "_POOL_MIN", 0)
     path = tmp_path / "jobs-5000.jsonl"
     validate_range(2, 3_000, jobs=5_000, report_path=path)  # one block per CPU
     assert sizes == [2] and sizes.tasks == [2]
@@ -524,7 +549,8 @@ def test_validate_failing_in_the_parent_ends_its_pool(monkeypatch, tmp_path):
             raise OSError("disk full")
         return real(v)
 
-    monkeypatch.setattr(harness, "_BLOCK", 100)
+    monkeypatch.setattr(runner, "_SPAN_MAX", 100)
+    monkeypatch.setattr(harness, "_POOL_MIN", 0)
     monkeypatch.setattr(harness, "_json_int", json_int)
     with pytest.raises(OSError, match="disk full") as info:
         validate_range(2, 300, jobs=2, report_path=tmp_path / "r.jsonl")
@@ -536,6 +562,7 @@ def test_validate_straddling_the_sieve_crossover_matches_per_n(monkeypatch, tmp_
     # at jobs=1 the block's first segment is sieved (isqrt 19 748 <= 5 * 4 096)
     # and its 3 905-n tail goes per n (19 748 > 5 * 3 905); at jobs=2 on two
     # CPUs or more both blocks of at most 4 001 n are sieved
+    monkeypatch.setattr(harness, "_POOL_MIN", 0)  # a pool on this small range
     lo, hi = 39 * 10**7 - 2_000, 39 * 10**7 + 6_000
     expected_lines = "".join(record_line(check_single(n)) for n in range(lo, hi + 1))
     expected_errata = [e for n in range(lo, hi + 1) for e in errata_of(n)]
@@ -553,9 +580,10 @@ def test_validate_straddling_the_sieve_crossover_matches_per_n(monkeypatch, tmp_
     assert len(per_n) == 3_905  # counted in this process only, so at jobs=1
 
 
-def test_validate_across_the_2_53_cut_matches_per_n(tmp_path):
+def test_validate_across_the_2_53_cut_matches_per_n(monkeypatch, tmp_path):
     # JSON integers above 2**53 are strings, so one outcome's line template
     # carries n as a number below the cut and as a string above it
+    monkeypatch.setattr(harness, "_POOL_MIN", 0)  # a pool on this small range
     lo, hi = 2**53 - 400, 2**53 + 400
     expected_lines = "".join(record_line(check_single(n)) for n in range(lo, hi + 1))
     expected_errata = [e for n in range(lo, hi + 1) for e in errata_of(n)]
@@ -643,6 +671,13 @@ _START_UP_UNUSED = {
     "from divrec.cli import main; "
     "main(['validate', '--from', '2', '--to', '50', '--jobs', '1'])":
         ("csv", "dataclasses", "divrec.search", "json", "multiprocessing"),
+    # a range below the pool floor runs here whatever --jobs says
+    "from divrec.cli import main; "
+    "main(['validate', '--from', '2', '--to', '50', '--jobs', '2'])":
+        ("multiprocessing",),
+    "from divrec.cli import main; "
+    "main(['tau-check', '--from', '2', '--to', '50', '--jobs', '2'])":
+        ("multiprocessing",),
     "import divrec; divrec.search_large5(50)":
         ("csv", "divrec.harness", "json", "multiprocessing"),
     "from divrec.cli import main; "

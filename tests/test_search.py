@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import random
 import pickle
 from bisect import bisect_left, bisect_right
@@ -8,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from divrec import runner
 from divrec.arith import (
     CapacityError,
     ContractViolation,
@@ -114,6 +114,18 @@ def test_s7_parallel_determinism():
     assert search_s7(60, jobs=1) == search_s7(60, jobs=2) == search_s7(60, jobs=5)
 
 
+@pytest.mark.parametrize("search, pool_min_pmax", [
+    (search_s7, 104_729), (search_large5, 479_909),
+])
+def test_search_pool_starts_at_its_threshold(pool_sizes, search, pool_min_pmax):
+    # the 10 000th and the 40 000th prime
+    sizes = pool_sizes(2)
+    search(pool_min_pmax - 1, jobs=2)
+    assert sizes == []
+    search(pool_min_pmax, jobs=2)
+    assert sizes == [2]
+
+
 def test_small_searches_start_no_pool(monkeypatch):
     # below a search's pool threshold a pool costs more than the scan;
     # large5's threshold is the higher one: 11 301 primes up to 120 000
@@ -122,21 +134,26 @@ def test_small_searches_start_no_pool(monkeypatch):
     def no_pool(*args):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(runner, "get_context", no_pool)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     assert search_s7(100, jobs=2) == expected[0]
     assert search_large5(100, jobs=2) == expected[1]
     assert search_large5(120_000, jobs=2) == expected[2]
 
 
 def test_large_searches_run_on_a_pool(monkeypatch):
-    # 11 301 primes up to 120 000, above _S7_POOL_MIN_PRIMES, and 41 538 up
-    # to 500 000, above _L5_POOL_MIN_PRIMES
+    # 11 301 primes up to 120 000, above _S7_POOL_MIN_PMAX, and 41 538 up
+    # to 500 000, above _L5_POOL_MIN_PMAX
     started = []
-    fork = runner.get_context
-    monkeypatch.setattr(runner, "get_context", lambda m: started.append(m) or fork(m))
+    fork = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda m: started.append(m) or fork(m))
     assert search_s7(120_000, jobs=2) == search_s7(120_000, jobs=1)
     assert search_large5(500_000, jobs=2) == search_large5(500_000, jobs=1) == []
     assert started == ["fork", "fork"]
+
+
+def _task_bytes(worker, starts):
+    """The pickled size of each pool task: its worker and its start."""
+    return [len(pickle.dumps((worker, start))) for start in starts]
 
 
 def test_pooled_span_tasks_carry_the_limit_not_the_primes(monkeypatch, pool_sizes):
@@ -146,21 +163,25 @@ def test_pooled_span_tasks_carry_the_limit_not_the_primes(monkeypatch, pool_size
 
     search._base_primes.cache_clear()
     expected = search_s7(120_000)
-    pooled = []
-    run = search._parallel_map
+    run = search.map_spans
 
-    def spy(worker, tasks, jobs):
+    def spy(*args):
         assert search._base_primes.cache_info().currsize == 1
-        pooled.extend(tasks)
-        return run(worker, tasks, jobs)
+        return run(*args)
 
-    monkeypatch.setattr(search, "_parallel_map", spy)
+    monkeypatch.setattr(search, "map_spans", spy)
     sizes = pool_sizes(2)
     assert search_s7(120_000, jobs=2) == expected
-    assert sizes == [2] and sizes.tasks == [2] == [len(pooled)]
-    assert [task[1:] for task in pooled] == [(347, 2, 65_538), (347, 65_538, 120_001)]
-    assert all(len(pickle.dumps(task)) < 100 for task in pooled)
     assert search._base_primes.cache_info().misses == 1
+    (worker, starts), = sizes.maps
+    assert sizes == [2] and starts == range(2, 120_001, 60_000)
+    assert worker.args[0].args == (search._s7_scan_p, 347)
+    # so a task's size does not grow with p_max: the same at 5*10^5 as at
+    # 2*10^6, where the base primes are 126 and 223
+    for p_max in (500_000, 2_000_000):
+        assert search_large5(p_max, jobs=2) == []
+    low, high = (_task_bytes(*pair) for pair in sizes.maps[1:])
+    assert max(low) == max(high) < 200
 
 
 def test_search_pool_is_capped_at_cpus(pool_sizes):
@@ -257,7 +278,8 @@ def test_hostile_pmax_raises_before_any_table(monkeypatch):
 
     built, spans = [], []
     monkeypatch.setattr(search, "primes_upto", lambda limit: built.append(limit) or [])
-    monkeypatch.setattr(search, "_scan_span", lambda task: spans.append(task[2:]) or [])
+    monkeypatch.setattr(search, "_scan_span",
+                        lambda scan_p, limit, lo, hi: spans.append((lo, hi)) or [])
     # a fresh table cache: an earlier search must not hide the build, and the
     # stub's empty table must not outlive this test
     monkeypatch.setattr(search, "_base_primes",
@@ -286,12 +308,12 @@ def _itself(p):
     (65_538, 131_074), (2, 300_000),
 ])
 def test_span_sieve_matches_primes_upto(lo, hi):
-    assert _scan_span((_itself, isqrt(hi - 1) + 1, lo, hi)) == _window(primes_upto(hi), lo - 1, hi)
+    assert _scan_span(_itself, isqrt(hi - 1) + 1, lo, hi) == _window(primes_upto(hi), lo - 1, hi)
 
 
 def test_span_sieve_near_1e12_matches_is_prime():
     lo, hi = 10**12 - 1_000, 10**12 + 2_000
-    assert _scan_span((_itself, isqrt(hi - 1) + 1, lo, hi)) == [n for n in range(lo, hi) if is_prime(n)]
+    assert _scan_span(_itself, isqrt(hi - 1) + 1, lo, hi) == [n for n in range(lo, hi) if is_prime(n)]
 
 
 def test_s7_fixture_pmax1000000():
