@@ -4,15 +4,15 @@ Everything here is exact; no floating point is used anywhere, so results
 are reliable all the way up to the configured input bound (2**62 by
 default, configurable).  Primality is deterministic: a fixed Miller-Rabin
 witness set with a proven range, never a probabilistic verdict.  The
-segmented factor sieve of range scans, ``harness._factor_range``, builds
-on ``_odd_primes`` and ``_factor_into`` here.
+searches sieve with ``_primes``, the one prime sieve here; the range
+scans' ``harness._factor_range`` builds on it and ``_factor_into``.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
@@ -125,30 +125,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _odd_primes(limit: int) -> Iterator[int]:
-    """The odd primes below ``limit`` >= 2, ascending, from an odd-only sieve.
+def _primes(lo: int, hi: int) -> Iterator[int]:
+    """The primes p with lo <= p < hi, ascending, for hi >= 1.
 
-    Index i of the sieve stands for 2*i + 1; each odd prime p up to
-    isqrt(limit - 1) clears its odd multiples from p*p on, every p-th index.
-    The iterator reads the primes out without building them one by one in
-    Python.
+    2 where it is in range, then an odd-only sieve over odds: each odd prime
+    p <= isqrt(hi - 1) clears its odd multiples from max(p*p, odds[0]) on,
+    every p-th index.  A sieve from 3 reads those primes off itself; any
+    other sieves them first, one level down.  ``compress`` reads the primes
+    out without building them one by one in Python.
     """
-    half = limit // 2  # the odd numbers below limit
-    odd = bytearray([1]) * half
-    odd[0] = 0
-    for i in range(1, (isqrt(limit - 1) + 1) // 2):
-        if odd[i]:
-            p = 2 * i + 1
-            start = p * p // 2
-            odd[start::p] = bytes(len(range(start, half, p)))
-    return compress(range(1, limit, 2), odd)
+    odds = range(max(lo, 3) | 1, hi, 2)
+    odd = bytearray([1]) * len(odds)
+    if odds.start > 3:
+        sieving = _primes(3, isqrt(hi - 1) + 1)
+    else:  # odd[i] is final once the primes below 2*i + 3 have struck
+        sieving = (2 * i + 3 for i in range((isqrt(hi - 1) - 1) // 2) if odd[i])
+    for p in sieving:
+        start = (max(p * p, (-(-odds.start // p) | 1) * p) - odds.start) // 2
+        odd[start::p] = bytes(len(range(start, len(odds), p)))
+    primes = compress(odds, odd)
+    return chain((2,), primes) if lo <= 2 < hi else primes
 
 
 def primes_upto(limit: int) -> list[int]:
     """All primes strictly below ``limit`` (Eratosthenes)."""
     if limit <= 2:
         return []
-    return [2, *_odd_primes(limit)]
+    return list(_primes(2, limit))
 
 
 @lru_cache(maxsize=1)

@@ -282,7 +282,7 @@ def _cmd_validate(args):
 
     _check_range(args)
     jobs = _jobs(args)
-    if args.out:
+    if args.out is not None:
         base = args.out[:-6] if args.out.endswith(".jsonl") else args.out
         summary_path, ledger_path = f"{base}.summary.csv", f"{base}.errata.jsonl"
         _check_out_dir(args.out, summary_path, ledger_path)
@@ -306,7 +306,7 @@ def _cmd_validate(args):
         *(f"  VIOLATION n={e.n} {e.theorem} {e.kind}: {e.detail}" for e in violations),
     ]
     rows = _table(report["summary"])
-    if args.out:  # the report is written; then the summary, then the ledger
+    if args.out is not None:  # the report is written; then the summary, then the ledger
         import csv
         with _replace_when_done(summary_path, newline="") as fh:
             writer = csv.writer(fh)
@@ -328,10 +328,10 @@ def _cmd_search(args):
                            "search-large5": (search_large5, L5Pair)}[args.command]
     order = [f.name for f in fields(hit_type)]
     jobs = _jobs(args)
-    if args.out:
+    if args.out is not None:
         _check_out_dir(args.out)
     records = [asdict(h) for h in search_fn(args.pmax, jobs=jobs)]
-    if args.out:
+    if args.out is not None:
         with _replace_when_done(args.out) as fh:
             fh.writelines(canonical_json(rec) + "\n" for rec in records)
     lines = [" ".join(f"{c}={v}" for c, v in rec.items()) for rec in records]

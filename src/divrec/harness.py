@@ -32,7 +32,7 @@ from math import isqrt
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .arith import ContractViolation, _factor_into, _guard, _odd_primes, _tau, factorize
+from .arith import ContractViolation, _factor_into, _guard, _primes, _tau, factorize
 from .check import (KIND_ORACLE_ONLY, _BIG, ErrataEntry, ValidationRecord, _evaluate,
                     canonical_json)
 from .classify import LARGE, SMALL
@@ -123,11 +123,9 @@ _MIN_SEGMENT = 512
 
 @lru_cache(maxsize=1)
 def _segment_prime_table() -> array:
-    """Every prime <= 2**20 (82 025 of them), as C ints: the sieve's primes
-    go straight into the array, with no list of ints in between."""
-    table = array("i", [2])
-    table.extend(_odd_primes(_SEGMENT_PRIME_LIMIT))
-    return table
+    """Every prime <= 2**20 (82 025 of them), as C ints: ``arith._primes``
+    fills the array from its iterator, with no list of ints in between."""
+    return array("i", _primes(2, _SEGMENT_PRIME_LIMIT))
 
 
 def _segment_primes(t: int) -> array:

@@ -43,14 +43,14 @@ def map_spans(worker, lo, stop, jobs, pool_min):
 
     A span per job, at most ``_SPAN_MAX`` items, with ``jobs`` capped at the
     CPUs.  The spans are a ``range`` of their starts: O(1) memory, and no
-    len(), which fails past sys.maxsize.  With ``jobs`` 1, one span or fewer
-    than ``pool_min`` items this is ``map`` itself; else a fork pool of at
-    most that many workers runs them, one span at a time each."""
+    len(), which fails past sys.maxsize.  With one job after that cap, one
+    span or fewer than ``pool_min`` items this is ``map`` itself; else a fork
+    pool of at most that many workers runs them, one span at a time each."""
     if jobs < 1:
         raise ContractViolation("jobs must be >= 1")
     cpus = min(jobs, _available_cpus()) if jobs > 1 else 1  # jobs=1: no system call
     starts = range(lo, stop, min(_SPAN_MAX, -(-(stop - lo) // cpus)))
-    if jobs <= 1 or len(starts[:2]) <= 1 or stop - lo < pool_min:
+    if cpus <= 1 or len(starts[:2]) <= 1 or stop - lo < pool_min:
         return map(worker, starts, chain(starts[1:], (stop,)))
     return _pool_imap(partial(_run_span, worker, starts), starts, len(starts[:cpus]))
 

@@ -6,22 +6,21 @@ open.  Those conditions pin q near p^{3/2} (s7) or p^{5/2} (large5): s7
 solves one quadratic per integer j up to about p^{1/4}/sqrt(2) whose
 discriminant passes a square test by residues, large5 keeps q in
 {isqrt(p^5), isqrt(p^5) + 1} only if p^5 - q^2 divides p - 1, and only
-the survivors get a primality test.  The primes p are sieved one
-span of p at a time, so memory stays O(sqrt(p_max)) plus one span; the
-proofs are in the docstrings of ``_s7_candidates`` and ``_l5_candidates``.
-Every hit is confirmed by the brute-force oracle from its known
-factorization, and results are deterministic regardless of how
-``runner.map_spans`` splits the work across processes.
+the survivors get a primality test.  ``arith._primes`` sieves the primes
+p a span at a time, base primes included, so memory stays O(sqrt(p_max))
+plus one span; the proofs are in the docstrings of ``_s7_candidates``
+and ``_l5_candidates``.  Every hit is confirmed by the brute-force oracle
+from its known factorization, and results are deterministic regardless
+of how ``runner.map_spans`` splits the work across processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import compress
 from math import isqrt
 
-from .arith import ContractViolation, Factorization, _guard, is_prime, primes_upto
+from .arith import ContractViolation, Factorization, _guard, _primes, is_prime
 from .classify import _divides, _l5_condition, _s7_solution
 from .oracle import _verdict
 from .profiles import profile
@@ -198,22 +197,9 @@ _S7_POOL_MIN_PMAX = 104_729  # the 10 000th prime
 _L5_POOL_MIN_PMAX = 479_909  # the 40 000th prime
 
 
-@lru_cache(maxsize=1)  # a span task carries only the limit of its base primes
-def _base_primes(limit: int) -> list[int]:
-    return primes_upto(limit)
-
-
-def _scan_span(scan_p, limit: int, lo: int, hi: int) -> list:
-    """Every hit of ``scan_p`` over the primes p with lo <= p < hi, for
-    2 <= lo < hi and isqrt(hi - 1) <= limit: Eratosthenes over [lo, hi) with
-    the primes up to ``limit``."""
-    sieve = bytearray([1]) * (hi - lo)
-    for p in _base_primes(limit):
-        if p * p >= hi:
-            break
-        first = max(p * p, -(-lo // p) * p) - lo
-        sieve[first::p] = bytes(len(range(first, hi - lo, p)))
-    return [hit for p in compress(range(lo, hi), sieve) for hit in scan_p(p)]
+def _scan_span(scan_p, lo: int, hi: int) -> list:
+    """Every hit of ``scan_p`` over the primes p with lo <= p < hi."""
+    return [hit for p in _primes(lo, hi) for hit in scan_p(p)]
 
 
 def _scan_primes(scan_p, p_max: int, jobs: int, pool_min_pmax: int) -> list:
@@ -223,10 +209,8 @@ def _scan_primes(scan_p, p_max: int, jobs: int, pool_min_pmax: int) -> list:
     if p_max < 2:
         raise ContractViolation("p_max must be >= 2")
     _guard(isqrt(p_max**5) + 1)
-    limit = isqrt(p_max) + 1
-    _base_primes(limit)  # here, so that forked workers inherit the table
     # [2, p_max] holds p_max - 1 candidates for p: a pool from pool_min_pmax on
-    spans = map_spans(partial(_scan_span, scan_p, limit), 2, p_max + 1, jobs, pool_min_pmax - 1)
+    spans = map_spans(partial(_scan_span, scan_p), 2, p_max + 1, jobs, pool_min_pmax - 1)
     return [hit for batch in spans for hit in batch]
 
 

@@ -4,12 +4,15 @@ from bisect import bisect_left
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divrec.arith import (
     CapacityError,
     ContractViolation,
     Factorization,
     FactorSieve,
+    _primes,
     divisors_sorted,
     factorize,
     input_bound,
@@ -180,6 +183,34 @@ def test_primes_upto_matches_trial_division():
     reference = _trial_division_primes(2**20 + 1)
     for limit in (*range(5001), 2**16, 2**16 + 1, 2**20 + 1):
         assert primes_upto(limit) == reference[: bisect_left(reference, limit)], limit
+
+
+def _prime_window(lo, hi):
+    return [n for n in range(lo, hi) if is_prime(n)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 3000), st.integers(1, 3000))
+def test_primes_small_windows_match_is_prime(lo, width):
+    assert list(_primes(lo, lo + width)) == _prime_window(lo, lo + width)
+
+
+_P = 999_983  # the largest prime below 10^6: p^2 is near 10^12
+
+
+@pytest.mark.parametrize("lo, hi", [
+    # lo from 0 to 5, about the 2 and the start of the self-sieving odds
+    *((lo, hi) for lo in range(6) for hi in (1, 2, 3, 4, 5, 6, 7, 10, 50, 1_000)),
+    # lo below, at and above isqrt(hi - 1)
+    (30, 1_000), (31, 1_000), (32, 1_000), (10, 10**5), (317, 10**5), (400, 10**5),
+    # a prime square at either edge
+    (121, 169), (122, 170), (120, 168), (994_009, 996_004), (992_009, 994_009),
+    (992_009, 994_010), (_P * _P, _P * _P + 1_000), (_P * _P - 1_000, _P * _P + 1),
+    # near 10^12 and 2^40
+    (10**12 - 2_000, 10**12 + 2_000), (2**40 - 2_000, 2**40 + 2_000),
+])
+def test_primes_windows_match_is_prime(lo, hi):
+    assert list(_primes(lo, hi)) == _prime_window(lo, hi)
 
 
 def test_factor_sieve_agrees_with_factorize():

@@ -322,6 +322,29 @@ def test_search_out_path_that_is_a_directory_exits_one_before_work(
     assert list((tmp_path / "hits").iterdir()) == []
 
 
+def test_validate_empty_out_exits_one_before_work(capsys, tmp_path, monkeypatch):
+    # "" is the current directory, not a file: refused, not taken for no --out
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "validate_range", _no_work)
+    code, out, err = run(capsys, "validate", "--from", "2", "--to", "10", "--jobs", "1",
+                         "--out", "")
+    assert (code, out, err) == (1, "", "divrec: error: output path . is a directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,search_fn", [
+    ("search-s7", "search_s7"), ("search-large5", "search_large5"),
+])
+def test_search_empty_out_exits_one_before_work(
+    capsys, tmp_path, monkeypatch, command, search_fn
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(search, search_fn, _no_work)
+    code, out, err = run(capsys, command, "--pmax", "10", "--jobs", "1", "--out", "")
+    assert (code, out, err) == (1, "", "divrec: error: output path . is a directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_out_name_the_filesystem_refuses_exits_one_before_work(
     capsys, tmp_path, monkeypatch
 ):

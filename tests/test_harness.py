@@ -151,6 +151,7 @@ def test_half_range_merge_equals_whole():
 
 def test_report_bytes_identical_across_jobs(monkeypatch, tmp_path):
     monkeypatch.setattr(harness, "_POOL_MIN", 0)  # a pool on this small range
+    monkeypatch.setattr(runner, "_available_cpus", lambda: 2)  # and on one CPU
     paths = []
     for jobs in (1, 2, 3):
         path = tmp_path / f"report-{jobs}.jsonl"
@@ -163,6 +164,7 @@ def test_report_bytes_identical_across_jobs(monkeypatch, tmp_path):
 
 def test_report_near_1e12_identical_across_jobs_and_to_single_n(monkeypatch, tmp_path):
     monkeypatch.setattr(harness, "_POOL_MIN", 0)  # a pool on this small range
+    monkeypatch.setattr(runner, "_available_cpus", lambda: 2)  # and on one CPU
     lo, hi = 10**12 + 4_000, 10**12 + 6_999
     paths = []
     for jobs in (1, 2):
@@ -489,13 +491,13 @@ def test_default_jobs_counts_the_affinity_mask(monkeypatch):
     (100_000, 10, 2, 2),
     (2, 10, 8, 2),
     (50, 4, 8, 4),
-    (2, 10, 1, 1),  # jobs > 1 still means a pool, even on one CPU
+    (2, 10, 1, 1),  # one CPU: the spans run in this process
 ])
 def test_pool_is_capped_at_jobs_tasks_and_cpus(monkeypatch, pool_sizes, jobs, tasks, cpus, size):
     sizes = pool_sizes(cpus)
     monkeypatch.setattr(runner, "_SPAN_MAX", 1)  # a task per item
     assert list(map_spans(_span_of, 0, tasks, jobs, 0)) == [(a, a + 1) for a in range(tasks)]
-    assert sizes == [size]
+    assert sizes == ([size] if size > 1 else [])  # one worker is no pool
 
 
 def test_pool_over_more_tasks_than_sys_maxsize_starts(monkeypatch):
@@ -551,6 +553,7 @@ def test_validate_failing_in_the_parent_ends_its_pool(monkeypatch, tmp_path):
 
     monkeypatch.setattr(runner, "_SPAN_MAX", 100)
     monkeypatch.setattr(harness, "_POOL_MIN", 0)
+    monkeypatch.setattr(runner, "_available_cpus", lambda: 2)  # a pool on one CPU too
     monkeypatch.setattr(harness, "_json_int", json_int)
     with pytest.raises(OSError, match="disk full") as info:
         validate_range(2, 300, jobs=2, report_path=tmp_path / "r.jsonl")

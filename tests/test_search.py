@@ -3,12 +3,12 @@ import multiprocessing
 import random
 import pickle
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
 from math import isqrt
 from pathlib import Path
 
 import pytest
 
+from divrec import runner
 from divrec.arith import (
     CapacityError,
     ContractViolation,
@@ -146,6 +146,7 @@ def test_large_searches_run_on_a_pool(monkeypatch):
     started = []
     fork = multiprocessing.get_context
     monkeypatch.setattr(multiprocessing, "get_context", lambda m: started.append(m) or fork(m))
+    monkeypatch.setattr(runner, "_available_cpus", lambda: 2)  # a pool on one CPU too
     assert search_s7(120_000, jobs=2) == search_s7(120_000, jobs=1)
     assert search_large5(500_000, jobs=2) == search_large5(500_000, jobs=1) == []
     assert started == ["fork", "fork"]
@@ -156,28 +157,19 @@ def _task_bytes(worker, starts):
     return [len(pickle.dumps((worker, start))) for start in starts]
 
 
-def test_pooled_span_tasks_carry_the_limit_not_the_primes(monkeypatch, pool_sizes):
-    # each task names its sieve limit; the base primes are built once, before
-    # the pool forks, and the workers read them from the inherited cache
+def test_pooled_span_tasks_carry_only_the_scan_and_start(pool_sizes):
+    # each span sieves its own base primes, so a task names only its
+    # per-p scan and its start: no table, no limit and no inherited cache
     import divrec.search as search
 
-    search._base_primes.cache_clear()
     expected = search_s7(120_000)
-    run = search.map_spans
-
-    def spy(*args):
-        assert search._base_primes.cache_info().currsize == 1
-        return run(*args)
-
-    monkeypatch.setattr(search, "map_spans", spy)
     sizes = pool_sizes(2)
     assert search_s7(120_000, jobs=2) == expected
-    assert search._base_primes.cache_info().misses == 1
     (worker, starts), = sizes.maps
     assert sizes == [2] and starts == range(2, 120_001, 60_000)
-    assert worker.args[0].args == (search._s7_scan_p, 347)
+    assert worker.args[0].args == (search._s7_scan_p,)
     # so a task's size does not grow with p_max: the same at 5*10^5 as at
-    # 2*10^6, where the base primes are 126 and 223
+    # 2*10^6, where each span sieves with 126 and 223 base primes
     for p_max in (500_000, 2_000_000):
         assert search_large5(p_max, jobs=2) == []
     low, high = (_task_bytes(*pair) for pair in sizes.maps[1:])
@@ -276,27 +268,18 @@ def test_hostile_pmax_raises_before_any_table(monkeypatch):
     # (2^62 by default) before any prime is sieved
     import divrec.search as search
 
-    built, spans = [], []
-    monkeypatch.setattr(search, "primes_upto", lambda limit: built.append(limit) or [])
-    monkeypatch.setattr(search, "_scan_span",
-                        lambda scan_p, limit, lo, hi: spans.append((lo, hi)) or [])
-    # a fresh table cache: an earlier search must not hide the build, and the
-    # stub's empty table must not outlive this test
-    monkeypatch.setattr(search, "_base_primes",
-                        lru_cache(maxsize=1)(search._base_primes.__wrapped__))
-    for runner in (search_s7, search_large5):
+    spans = []
+    monkeypatch.setattr(search, "_primes", lambda lo, hi: spans.append((lo, hi)) or [])
+    for search_fn in (search_s7, search_large5):
         for p_max in (10**12, 29_210_830):  # the smallest p_max over 2^62
             with pytest.raises(CapacityError):
-                runner(p_max)
-        assert built == [] and spans == []
-        assert runner(29_210_829) == []
-        assert built == [isqrt(29_210_829) + 1]
-        # spans of at most 2^16 p that tile [2, p_max] in order
+                search_fn(p_max)
+        assert spans == []
+        assert search_fn(29_210_829) == []
+        # one sieve per span of at most 2^16 p; the spans tile [2, p_max] in order
         assert spans[0][0] == 2 and spans[-1][1] == 29_210_830
         assert all(a[1] == b[0] and b[1] - b[0] <= 2**16 for a, b in zip(spans, spans[1:]))
-        built.clear()
         spans.clear()
-        search._base_primes.cache_clear()
 
 
 def _itself(p):
@@ -308,12 +291,12 @@ def _itself(p):
     (65_538, 131_074), (2, 300_000),
 ])
 def test_span_sieve_matches_primes_upto(lo, hi):
-    assert _scan_span(_itself, isqrt(hi - 1) + 1, lo, hi) == _window(primes_upto(hi), lo - 1, hi)
+    assert _scan_span(_itself, lo, hi) == _window(primes_upto(hi), lo - 1, hi)
 
 
 def test_span_sieve_near_1e12_matches_is_prime():
     lo, hi = 10**12 - 1_000, 10**12 + 2_000
-    assert _scan_span(_itself, isqrt(hi - 1) + 1, lo, hi) == [n for n in range(lo, hi) if is_prime(n)]
+    assert _scan_span(_itself, lo, hi) == [n for n in range(lo, hi) if is_prime(n)]
 
 
 def test_s7_fixture_pmax1000000():
