@@ -13,7 +13,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import chain, compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterator, NamedTuple
 
 __all__ = [
@@ -220,15 +220,18 @@ def factorize(n: int) -> Factorization:
                 e += 1
                 m //= p
             pairs.append((p, e))
-    if m > 1:
-        if is_prime(m):
-            pairs.append((m, 1))
-        else:
-            acc: dict[int, int] = {}
-            _factor_into(m, acc)
-            pairs.extend(sorted(acc.items()))
-            pairs.sort()
+    if m > 1:  # every prime of m exceeds the trial primes divided out
+        acc: dict[int, int] = {}
+        _factor_into(m, acc)
+        pairs.extend(sorted(acc.items()))
     return Factorization(n, tuple(pairs))
+
+
+def _factored(n: int, fac: Factorization | None) -> Factorization:
+    """``factorize(n)``, or ``fac`` once its prime powers multiply to n."""
+    if fac is not None and (fac.n != n or prod(p**e for p, e in fac.factors) != n):
+        raise ContractViolation(f"fac is not a factorization of {n}")
+    return factorize(n) if fac is None else fac
 
 
 def isqrt_exact(n: int) -> tuple[int, bool]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from .arith import ContractViolation, Factorization, factorize
+from .arith import ContractViolation, Factorization, _factored
 from .fit import _holds, verify_params
 from .profiles import DivisorProfile
 
@@ -105,9 +105,8 @@ def classify_small(
     """All small-side forms that n satisfies, sorted by form id."""
     if n < 2:
         raise ContractViolation("classify_small requires n >= 2")
-    f = fac if fac is not None else factorize(n)
     return [FormMatch(SMALL, i, n, params, pset, u)
-            for i, params, pset, u in _small_forms(f.factors)]
+            for i, params, pset, u in _small_forms(_factored(n, fac).factors)]
 
 
 def _small_forms(sig) -> list[Form]:
@@ -201,9 +200,8 @@ def classify_large(
     """All large-side forms that n satisfies, sorted by form id."""
     if n < 2:
         raise ContractViolation("classify_large requires n >= 2")
-    f = fac if fac is not None else factorize(n)
     return [FormMatch(LARGE, i, n, params, pset, u)
-            for i, params, pset, u in _large_forms(f.factors)]
+            for i, params, pset, u in _large_forms(_factored(n, fac).factors)]
 
 
 def _large_forms(sig) -> list[Form]:

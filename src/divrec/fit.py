@@ -13,11 +13,11 @@ that linear system:
   sequence with integer ratio.
 
 All arithmetic is exact; no bound on the magnitude of (a, b) is assumed.
-The plain-value core ``_solve`` tests its first row's gcd, applies
-Cramer's rule to the first row not parallel to it, and returns a tuple;
-validate reads only the kind from ``_solution(seq)``, and ``_fit`` wraps
-the tuple in a ``FitVerdict``, a ``NamedTuple`` that costs less to build
-than the solve it describes.  ``_holds`` states e3 = a*e2 + b*e1 once, for
+The plain-value core ``_solution(seq)`` tests the gcd of the first row
+(e2, e1, e3), applies Cramer's rule to the first row not parallel to it,
+and returns a tuple; validate reads only its kind, and ``_fit`` wraps the
+tuple in a ``FitVerdict``, a ``NamedTuple`` that costs less to build than
+the solve it describes.  ``_holds`` states e3 = a*e2 + b*e1 once, for
 ``verify_params`` and the classifiers' prediction checks.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import ContractViolation, _guard
 
@@ -59,7 +59,7 @@ class FitVerdict(NamedTuple):
 # frozen: every empty result shares one, and every vacuous result the other
 _EMPTY_FIT = FitVerdict(FitKind.EMPTY)
 _VACUOUS_FIT = FitVerdict(FitKind.VACUOUS)
-# the tags of ``_solve``'s tuples (each FitKind.X lookup costs ~0.17 us)
+# the tags of ``_solution``'s tuples (each FitKind.X lookup costs ~0.17 us)
 _VACUOUS, _EMPTY, _POINT, _LINE = FitKind.VACUOUS, FitKind.EMPTY, FitKind.POINT, FitKind.LINE
 _EMPTY_SOL, _VACUOUS_SOL = (_EMPTY,), (_VACUOUS,)
 
@@ -79,26 +79,23 @@ def constraints_of(seq: Sequence[int]) -> list[tuple[int, int, int]]:
     return [(seq[i + 1], seq[i], seq[i + 2]) for i in range(len(seq) - 2)]
 
 
-def _solve(rows: Iterable[tuple[int, int, int]]) -> tuple:
-    """Solve {ca*a + cb*b = rhs} exactly over the integers, as plain values:
-    ``(EMPTY,)``, ``(VACUOUS,)``, ``(POINT, a, b)`` or ``(LINE, ca, cb, rhs)``
-    (the first nonzero row over gcd(ca, cb)).
+def _solution(seq: Sequence[int]) -> tuple:
+    """Solve ca*a + cb*b = rhs over the rows (e2, e1, e3) of a sequence known
+    to pass its checks, exactly over the integers, as plain values:
+    ``(VACUOUS,)`` exactly when it has at most two terms, else ``(EMPTY,)``,
+    ``(POINT, a, b)`` or ``(LINE, ca, cb, rhs)`` (the first row over g).
 
-    Rows 0 = rhs hold iff rhs == 0.  The first other row is solvable iff
-    gcd(ca, cb) divides rhs, tested before the next row is read.  The first
-    later row with det = ca*c2b - cb*c2a != 0 pins (a, b) by Cramer's rule,
-    two exact divisions by det, and the rest are checked at that point.  A
-    row with det == 0 must be proportional to the first, rhs included.
-    Rows are read once, in order, and no further than a contradiction.
+    The first row is solvable iff g = gcd(ca, cb) divides rhs, tested
+    before the next row is read.  The first later row with det =
+    ca*c2b - cb*c2a != 0 pins (a, b) by Cramer's rule, two exact divisions
+    by det, and the rest are checked at that point.  A row with det == 0
+    must be proportional to the first, rhs included.  Rows are read once,
+    in order, and no further than a contradiction.
     """
-    rows = iter(rows)
-    for ca, cb, rhs in rows:
-        if ca or cb:
-            break
-        if rhs:
-            return _EMPTY_SOL
-    else:
+    if len(seq) <= 2:
         return _VACUOUS_SOL
+    rows = zip(seq[1:], seq, seq[2:])
+    ca, cb, rhs = next(rows)
     g = gcd(ca, cb)
     if rhs % g:
         return _EMPTY_SOL
@@ -118,19 +115,11 @@ def _solve(rows: Iterable[tuple[int, int, int]]) -> tuple:
     return (_LINE, ca // g, cb // g, rhs // g)
 
 
-def _solution(seq: Sequence[int]) -> tuple:
-    """``_solve`` of the rows (e2, e1, e3) of a sequence known to pass its
-    checks; vacuous exactly when it has at most two terms."""
-    if len(seq) <= 2:
-        return _VACUOUS_SOL
-    return _solve(zip(seq[1:], seq, seq[2:]))
-
-
 def _as_verdict(sol: tuple) -> FitVerdict:
-    """The ``FitVerdict`` of a ``_solve`` result.  A line ca*a + cb*b = rhs,
-    gcd(ca, cb) = 1, runs along +-(cb, -ca), first nonzero entry positive;
-    its base has b = rhs / cb mod |ca| (a unique member, so verdicts compare
-    by equality), or a = 0 when the line is vertical (ca == 0)."""
+    """The ``FitVerdict`` of a ``_solution`` result.  A line ca*a + cb*b = rhs
+    has gcd(ca, cb) = 1 and, as e1 < e2 gives g < e2, ca >= 2 and cb >= 1;
+    it runs along (cb, -ca), and its base has b = rhs / cb mod ca (a unique
+    member, so verdicts compare by equality)."""
     kind = sol[0]
     if kind is _EMPTY:
         return _EMPTY_FIT
@@ -139,11 +128,8 @@ def _as_verdict(sol: tuple) -> FitVerdict:
     if kind is _VACUOUS:
         return _VACUOUS_FIT
     _, ca, cb, rhs = sol
-    if ca == 0:  # cb is 1 or -1
-        return FitVerdict(kind, None, (0, rhs * cb), (1, 0))
-    b = rhs * pow(cb, -1, abs(ca)) % abs(ca)
-    du, dv = (cb, -ca) if cb > 0 or (cb == 0 and ca < 0) else (-cb, ca)
-    return FitVerdict(kind, None, ((rhs - cb * b) // ca, b), (du, dv))
+    b = rhs * pow(cb, -1, ca) % ca
+    return FitVerdict(kind, None, ((rhs - cb * b) // ca, b), (cb, -ca))
 
 
 def solve_fit(seq: Sequence[int]) -> FitVerdict:

@@ -24,7 +24,7 @@ from .arith import (
     ContractViolation,
     Factorization,
     _divisors,
-    factorize,
+    _factored,
     isqrt_exact,
     tau,
 )
@@ -48,7 +48,7 @@ def profile(n: int, *, fac: Factorization | None = None) -> DivisorProfile:
     """Full divisor profile of n >= 2 (pass ``fac`` to skip refactoring)."""
     if n < 2:
         raise ContractViolation("profile requires n >= 2")
-    f = fac if fac is not None else factorize(n)
+    f = _factored(n, fac)
     small, large = _strict_sets(n, f.factors)
     return DivisorProfile(n, small, large, tau(f), isqrt_exact(n)[1])
 

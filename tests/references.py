@@ -16,6 +16,7 @@ from divrec.check import (
     canonical_json,
 )
 from divrec.classify import LARGE, SMALL, classify_large, classify_small, verify_prediction
+from divrec.fit import FitKind, FitVerdict
 from divrec.harness import _factor_range
 from divrec.oracle import verdict_for_sequence
 from divrec.profiles import profile
@@ -121,3 +122,67 @@ def s7_candidates(p):
         if q > s + 1 and j2 * (q * q - p3) == p2 - q:
             qs.append(q)
     return qs
+
+
+def _ext_gcd(a, b):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _canonical_base(a0, b0, du, dv):
+    # Slide along the direction until the coordinate with nonzero step is
+    # reduced into [0, step).
+    if dv != 0:
+        step = abs(dv)
+        t = ((b0 % step) - b0) // dv
+    else:
+        step = abs(du)
+        t = ((a0 % step) - a0) // du
+    return a0 + t * du, b0 + t * dv
+
+
+def solve_constraints_eager(constraints):
+    """The integer solution set of the rows {ca*a + cb*b = rhs}, each with a
+    nonzero coefficient: the first row's line from the extended gcd, its
+    parameter pinned by the next row not parallel to it.  It copies every
+    row first, and shares no code with the package's Cramer's-rule solver."""
+    live = list(constraints)
+    if not live:
+        return FitVerdict(FitKind.VACUOUS)
+    ca, cb, rhs = live[0]
+    g, x, y = _ext_gcd(ca, cb)
+    if rhs % g:
+        return FitVerdict(FitKind.EMPTY)
+    a0, b0 = x * (rhs // g), y * (rhs // g)
+    du, dv = cb // g, -(ca // g)
+    if du < 0 or (du == 0 and dv < 0):
+        du, dv = -du, -dv
+    t_pin = None
+    for ca, cb, rhs in live[1:]:
+        if t_pin is None:
+            coeff = ca * du + cb * dv
+            rem = rhs - (ca * a0 + cb * b0)
+            if coeff == 0:
+                if rem != 0:
+                    return FitVerdict(FitKind.EMPTY)
+            elif rem % coeff:
+                return FitVerdict(FitKind.EMPTY)
+            else:
+                t_pin = rem // coeff
+        elif ca * (a0 + t_pin * du) + cb * (b0 + t_pin * dv) != rhs:
+            return FitVerdict(FitKind.EMPTY)
+    if t_pin is not None:
+        return FitVerdict(FitKind.POINT, point=(a0 + t_pin * du, b0 + t_pin * dv))
+    return FitVerdict(
+        FitKind.LINE, line_base=_canonical_base(a0, b0, du, dv), line_dir=(du, dv)
+    )

@@ -1,6 +1,6 @@
 import pytest
 
-from divrec.arith import ContractViolation, FactorSieve
+from divrec.arith import ContractViolation, Factorization, FactorSieve, factorize
 from divrec.classify import (
     LARGE,
     SMALL,
@@ -165,6 +165,19 @@ def test_rejects_unit():
         classify_small(1)
     with pytest.raises(ContractViolation):
         classify_large(1)
+
+
+def test_a_factorization_of_another_n_is_refused():
+    # trusted, a fac of 18 would give profile(12) L' = (6, 9) and
+    # classify_small(12) form 2; a fac must name n and its prime powers
+    # must multiply to n (the primes themselves are trusted)
+    for fac in (factorize(18), Factorization(12, ((2, 1), (3, 2)))):
+        for call in (profile, classify_small, classify_large):
+            with pytest.raises(ContractViolation):
+                call(12, fac=fac)
+    fac = factorize(12)
+    assert profile(12, fac=fac) == profile(12)
+    assert classify_small(12, fac=fac) == classify_small(12)
 
 
 def test_cores_list_form_ids_in_increasing_order():

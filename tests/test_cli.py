@@ -427,10 +427,12 @@ def test_jobs_below_one_names_the_flag(capsys, command, jobs):
 
 def _interrupt_validate(tmp_path, monkeypatch, jobs):
     """Run ``validate --out`` over [2, 300] in blocks of 100 n, failing in
-    ``_evaluate`` at n = 250, in the last block; return the bytes the report
-    held when the failure reached the parent."""
+    ``_evaluate`` at n = 250, in the last block, on a fork pool at jobs > 1
+    whatever the CPU count; return the bytes the report held when the
+    failure reached the parent."""
     real_evaluate, real_replace = harness._evaluate, runner._replace_when_done
-    held = []
+    held, started = [], []
+    fork = multiprocessing.get_context
 
     def evaluate(n, *args):
         if n == 250:
@@ -447,6 +449,8 @@ def _interrupt_validate(tmp_path, monkeypatch, jobs):
 
     monkeypatch.setattr(runner, "_SPAN_MAX", 100)
     monkeypatch.setattr(harness, "_POOL_MIN", 0)  # a pool at jobs > 1
+    monkeypatch.setattr(runner, "_available_cpus", lambda: 2)  # and on one CPU
+    monkeypatch.setattr(multiprocessing, "get_context", lambda m: started.append(m) or fork(m))
     monkeypatch.setattr(harness, "_evaluate", evaluate)
     monkeypatch.setattr(harness, "_replace_when_done", replace_when_done)
     with pytest.raises(RuntimeError, match="injected"):
@@ -454,6 +458,7 @@ def _interrupt_validate(tmp_path, monkeypatch, jobs):
               "--out", str(tmp_path / "report.jsonl")])
     monkeypatch.undo()
     assert multiprocessing.active_children() == []
+    assert started == (["fork"] if jobs > 1 else [])
     return held
 
 
@@ -486,9 +491,14 @@ def test_validate_interrupted_pool_leaves_no_file_and_no_worker(
 def test_validate_writes_nothing_outside_the_report_directory(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
     monkeypatch.setattr(harness, "_POOL_MIN", 0)  # a pool on this small range
+    monkeypatch.setattr(runner, "_available_cpus", lambda: 2)  # and on one CPU
+    started = []
+    fork = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda m: started.append(m) or fork(m))
     argv = ["validate", "--from", "2", "--to", "3000", "--jobs", "2",
             "--out", str(tmp_path / "r.jsonl")]
     assert main(argv) == 0
+    assert started == ["fork"]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "r.errata.jsonl", "r.jsonl", "r.summary.csv",
     ]

@@ -7,18 +7,15 @@ from hypothesis import strategies as st
 from divrec.arith import ContractViolation
 from divrec.fit import (
     FitKind,
-    FitVerdict,
-    _as_verdict,
     _fit,
     _solution,
-    _solve,
     brute_force_fit,
     constraints_of,
     solve_fit,
     solutions_in_box,
     verify_params,
 )
-from references import profiles_in_range
+from references import profiles_in_range, solve_constraints_eager
 
 
 def test_point_example():
@@ -232,8 +229,7 @@ def test_membership_soundness(vals):
 @given(st.lists(st.integers(1, 5000), min_size=3, max_size=7, unique=True))
 def test_constraint_order_insensitivity(vals):
     seq = sorted(vals)
-    cons = constraints_of(seq)
-    assert _as_verdict(_solve(cons)) == _as_verdict(_solve(list(reversed(cons))))
+    assert solve_constraints_eager(constraints_of(seq)[::-1]) == solve_fit(seq)
 
 
 def test_line_direction_is_primitive_and_normalized():
@@ -253,117 +249,82 @@ def test_solutions_in_box_of_point_outside_box():
     assert solutions_in_box(v, 5) == []
 
 
-def _ext_gcd(a, b):
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+@st.composite
+def recurrence_sequences(draw):
+    """A strictly increasing positive sequence from two seeds and a small
+    (a, b), cut where it stops increasing, with at most one term moved
+    within the gap its neighbours leave."""
+    e1 = draw(st.integers(1, 40))
+    seq = [e1, draw(st.integers(e1 + 1, 80))]
+    a, b = draw(st.integers(-3, 6)), draw(st.integers(-6, 6))
+    for _ in range(draw(st.integers(0, 5))):
+        nxt = a * seq[-1] + b * seq[-2]
+        if nxt <= seq[-1]:
+            break
+        seq.append(nxt)
+    i = draw(st.integers(0, len(seq)))  # i == len(seq): no term moves
+    if i < len(seq):
+        lo = seq[i - 1] + 1 if i else 1
+        hi = seq[i + 1] - 1 if i + 1 < len(seq) else seq[i] + 9
+        seq[i] = draw(st.integers(lo, hi))
+    return seq
 
 
-def _canonical_base(a0, b0, du, dv):
-    # Slide along the direction until the coordinate with nonzero step is
-    # reduced into [0, step).
-    if dv != 0:
-        step = abs(dv)
-        t = ((b0 % step) - b0) // dv
-    else:
-        step = abs(du)
-        t = ((a0 % step) - a0) // du
-    return a0 + t * du, b0 + t * dv
+def test_lazy_solver_matches_eager_reference():
+    kinds = set()
+
+    @settings(max_examples=500, deadline=None)
+    @given(recurrence_sequences())
+    def check(seq):
+        v = _fit(seq)
+        assert v == solve_constraints_eager(constraints_of(seq))
+        assert _solution(seq)[0] is v.kind
+        kinds.add(v.kind)
+
+    check()
+    assert kinds == set(FitKind)
 
 
-def solve_constraints_eager(constraints):
-    """Reference: the solver that first copies every row with a nonzero
-    coefficient into a list, failing on any 0 = rhs != 0 row, then takes
-    the first row's line from the extended gcd and pins its parameter with
-    the next row that is not parallel to it.  It shares no code with the
-    package's Cramer's-rule solver."""
-    live = []
-    for ca, cb, rhs in constraints:
-        if ca == 0 and cb == 0:
-            if rhs != 0:
-                return FitVerdict(FitKind.EMPTY)
-            continue
-        live.append((ca, cb, rhs))
-    if not live:
-        return FitVerdict(FitKind.VACUOUS)
-    ca, cb, rhs = live[0]
-    g, x, y = _ext_gcd(ca, cb)
-    if rhs % g:
-        return FitVerdict(FitKind.EMPTY)
-    a0, b0 = x * (rhs // g), y * (rhs // g)
-    du, dv = cb // g, -(ca // g)
-    if du < 0 or (du == 0 and dv < 0):
-        du, dv = -du, -dv
-    t_pin = None
-    for ca, cb, rhs in live[1:]:
-        if t_pin is None:
-            coeff = ca * du + cb * dv
-            rem = rhs - (ca * a0 + cb * b0)
-            if coeff == 0:
-                if rem != 0:
-                    return FitVerdict(FitKind.EMPTY)
-            elif rem % coeff:
-                return FitVerdict(FitKind.EMPTY)
-            else:
-                t_pin = rem // coeff
-        elif ca * (a0 + t_pin * du) + cb * (b0 + t_pin * dv) != rhs:
-            return FitVerdict(FitKind.EMPTY)
-    if t_pin is not None:
-        return FitVerdict(FitKind.POINT, point=(a0 + t_pin * du, b0 + t_pin * dv))
-    return FitVerdict(
-        FitKind.LINE, line_base=_canonical_base(a0, b0, du, dv), line_dir=(du, dv)
-    )
+class _ReadOnlyHead:
+    """A sequence whose terms past ``head`` raise when read.  Its slices
+    and its iterator are lazy maps, so a zip of them reads a term only
+    when the row that holds it is read."""
 
+    def __init__(self, head, more):
+        self.head, self.len = head, len(head) + more
 
-@settings(max_examples=500, deadline=None)
-@given(
-    st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
-    st.lists(
-        st.tuples(st.integers(-30, 30), st.integers(-30, 30), st.sampled_from([0, 0, 0, 1, -2])),
-        max_size=6,
-    ),
-    st.lists(st.sampled_from([0, 0, 1]), max_size=3),
-    st.lists(st.sampled_from([0, 0, -1]), max_size=3),
-)
-def test_lazy_solver_matches_eager_reference(ab, rows, zeros_before, zeros_after):
-    # rows mostly consistent with (a, b), so points and lines occur too;
-    # rows 0*a + 0*b = r go before and after the first row
-    a, b = ab
-    cons = [(ca, cb, ca * a + cb * b + err) for ca, cb, err in rows]
-    cons = (
-        [(0, 0, r) for r in zeros_before]
-        + cons[:1]
-        + [(0, 0, r) for r in zeros_after]
-        + cons[1:]
-    )
-    expected = solve_constraints_eager(cons)
-    assert _as_verdict(_solve(iter(cons))) == _as_verdict(_solve(cons)) == expected
+    def __len__(self):
+        return self.len
+
+    def __getitem__(self, cut):
+        return map(self._term, range(self.len)[cut])
+
+    def __iter__(self):
+        return self[:]
+
+    def _term(self, i):
+        if i >= len(self.head):
+            raise AssertionError("read past the first contradiction")
+        return self.head[i]
 
 
 @pytest.mark.parametrize("rows", [
-    [(0, 0, 0), (0, 0, 1)],  # 0 = 1 before any line
-    [(4, 2, 7)],  # parity: 4a + 2b is even
-    [(3, 2, 5), (0, 0, 0), (0, 0, 2)],  # 0 = 2 on the line
-    constraints_of([2, 3, 5, 6, 7, 10, 11, 14, 15])[:3],  # a line, a point, then a miss
-    [(1, 0, 0), (1, 2, 1)],  # Cramer's rule gives b = 1/2
-    [(1, 0, 1), (0, 1, 2), (1, 1, 4)],  # the point (1, 2) misses row three
-    [(2, 4, 6), (1, 2, 4)],  # proportional coefficients, but 4 != 6 / 2
+    constraints_of([2, 4, 7]),  # parity: 4a + 2b is even
+    constraints_of([3, 6, 10]),  # 6a + 3b is a multiple of 3
+    constraints_of([2, 4, 8, 15]),  # proportional coefficients, but 4*15 != 8*8
+    constraints_of([2, 3, 5, 6, 7]),  # a line, a point, then a miss
+    constraints_of([2, 4, 6, 7]),  # Cramer's rule gives a = 10/4
+    constraints_of([1, 2, 3, 5, 9]),  # the point (1, 1) misses row three
+    constraints_of([1, 2, 4, 8, 17]),  # two proportional rows, then 17 != 2 * 8
 ])
 def test_solver_stops_at_first_contradiction(rows):
-    def feed():
-        yield from rows
-        raise AssertionError("read past the first contradiction")
-
-    assert _as_verdict(_solve(feed())).kind is FitKind.EMPTY
+    # the rows read up to the contradiction; the sequence goes on past them
+    head = [rows[0][1], *(ca for ca, _, _ in rows), rows[-1][2]]
+    assert solve_fit(head).kind is FitKind.EMPTY
+    for more in (1, 3):
+        seq = _ReadOnlyHead(head, more)
+        assert _solution(seq) == (FitKind.EMPTY,)
+        assert _fit(seq).kind is FitKind.EMPTY
 
 
 def _divisor_sets():

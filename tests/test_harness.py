@@ -564,8 +564,12 @@ def test_validate_failing_in_the_parent_ends_its_pool(monkeypatch, tmp_path):
 def test_validate_straddling_the_sieve_crossover_matches_per_n(monkeypatch, tmp_path):
     # at jobs=1 the block's first segment is sieved (isqrt 19 748 <= 5 * 4 096)
     # and its 3 905-n tail goes per n (19 748 > 5 * 3 905); at jobs=2 on two
-    # CPUs or more both blocks of at most 4 001 n are sieved
+    # CPUs both blocks of at most 4 001 n are sieved
     monkeypatch.setattr(harness, "_POOL_MIN", 0)  # a pool on this small range
+    monkeypatch.setattr(runner, "_available_cpus", lambda: 2)  # and on one CPU
+    started = []
+    fork = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda m: started.append(m) or fork(m))
     lo, hi = 39 * 10**7 - 2_000, 39 * 10**7 + 6_000
     expected_lines = "".join(record_line(check_single(n)) for n in range(lo, hi + 1))
     expected_errata = [e for n in range(lo, hi + 1) for e in errata_of(n)]
@@ -581,6 +585,7 @@ def test_validate_straddling_the_sieve_crossover_matches_per_n(monkeypatch, tmp_
         assert errata == expected_errata
         assert (expected_lines, errata, _counts(summary)) == reference
     assert len(per_n) == 3_905  # counted in this process only, so at jobs=1
+    assert started == ["fork"]  # at jobs=2
 
 
 def test_validate_across_the_2_53_cut_matches_per_n(monkeypatch, tmp_path):

@@ -1,10 +1,10 @@
 import pytest
 
 from divrec.arith import CapacityError, ContractViolation, primes_upto, set_input_bound
-from divrec.fit import FitKind, FitVerdict, _as_verdict, _solve, constraints_of, verify_params
+from divrec.fit import FitKind, FitVerdict, constraints_of, verify_params
 from divrec.oracle import RecurrenceVerdict, _verdict, canonical_witness, verdict_for_sequence
 from divrec.profiles import profile
-from references import large_verdict, profiles_in_range, small_verdict
+from references import large_verdict, profiles_in_range, small_verdict, solve_constraints_eager
 
 
 def test_small_60():
@@ -95,10 +95,11 @@ def test_canonical_witness_prefers_small_a_then_b():
 
 
 def verdict_by_constraints(seq):
-    """Reference: the verdict as built from the constraint list on every call,
-    not from the fit core that ``solve_fit`` and ``_verdict`` share; a list
-    with no constraints, that of at most two terms, solves as vacuous."""
-    fit = _as_verdict(_solve(constraints_of(list(seq))))
+    """Reference: the verdict as built from the constraint list by the
+    extended-gcd solver, not from the fit core that ``solve_fit`` and
+    ``_verdict`` share; a list with no constraints, that of at most two
+    terms, solves as vacuous."""
+    fit = solve_constraints_eager(constraints_of(list(seq)))
     vacuous = fit.kind is FitKind.VACUOUS
     recurrent = fit.kind is not FitKind.EMPTY
     witness = canonical_witness(fit) if recurrent and not vacuous else None
