@@ -10,7 +10,8 @@ that linear system:
 * point    - exactly one pair;
 * line     - a one-parameter family base + t*dir, t in Z, which happens
   exactly for a single binding constraint (three terms) or a geometric
-  sequence with integer ratio.
+  sequence with integer ratio; dir = (du, dv) has du > 0 > dv, the only
+  direction ``solutions_in_box`` takes.
 
 All arithmetic is exact; no bound on the magnitude of (a, b) is assumed.
 The plain-value core ``_solution(seq)`` tests the gcd of the first row
@@ -209,20 +210,11 @@ def brute_force_fit(seq: Sequence[int], bound: int) -> list[tuple[int, int]]:
     return hits
 
 
-def _t_range(base: int, step: int, bound: int) -> tuple[int, int] | None:
-    """Integer t with |base + t*step| <= bound; None means unbounded."""
-    if step == 0:
-        return None if abs(base) <= bound else (1, 0)
-    lo_num, hi_num = -bound - base, bound - base
-    if step < 0:
-        lo_num, hi_num, step = -hi_num, -lo_num, -step
-    lo = -((-lo_num) // step)
-    hi = hi_num // step
-    return lo, hi
-
-
 def solutions_in_box(verdict: FitVerdict, bound: int) -> list[tuple[int, int]]:
-    """The verdict's solution set intersected with |a|, |b| <= bound."""
+    """The verdict's solution set intersected with |a|, |b| <= bound, in
+    a-major order.  A line must run as ``solve_fit`` makes it, along (du, dv)
+    with du > 0 > dv: then a and b each bound t to one window of floor
+    divisions, and a grows with t.  Any other direction is refused."""
     if bound < 1:
         raise ContractViolation("bound must be >= 1")
     if verdict.kind is FitKind.EMPTY:
@@ -234,14 +226,8 @@ def solutions_in_box(verdict: FitVerdict, bound: int) -> list[tuple[int, int]]:
         return _box(bound)
     a0, b0 = verdict.line_base
     du, dv = verdict.line_dir
-    r1 = _t_range(a0, du, bound)
-    r2 = _t_range(b0, dv, bound)
-    if r1 is None and r2 is None:  # cannot happen for a primitive direction
-        raise ContractViolation("degenerate line direction")
-    if r1 is None:
-        lo, hi = r2
-    elif r2 is None:
-        lo, hi = r1
-    else:
-        lo, hi = max(r1[0], r2[0]), min(r1[1], r2[1])
-    return sorted((a0 + t * du, b0 + t * dv) for t in range(lo, hi + 1))
+    if not du > 0 > dv:
+        raise ContractViolation("a line must run along (du, dv) with du > 0 > dv")
+    lo = max(-((bound + a0) // du), -((bound - b0) // -dv))
+    hi = min((bound - a0) // du, (bound + b0) // -dv)
+    return [(a0 + t * du, b0 + t * dv) for t in range(lo, hi + 1)]

@@ -138,11 +138,12 @@ def _factor_range(lo: int, hi_excl: int) -> Iterator[tuple[int, tuple[tuple[int,
     """``(n, factorize(n).factors)`` for lo <= n < hi_excl, in order.
 
     Every prime p <= top = min(isqrt(hi_excl - 1), 2**20) divides itself
-    out of its multiples in the current segment, in two passes.  A prime
-    up to the segment length walks its multiples from the first one.  A
-    larger prime has at most one multiple, at index size - 1 - last % p
-    when last % p < size (last = the segment's largest n, so the dividend
-    is positive; CPython takes a slower path for a negative one).  A
+    out of its multiples in the current segment, in one loop from the
+    index of its first multiple.  For a prime up to the segment length
+    that is -start % p.  A larger prime has at most one multiple, at index
+    size - 1 - last % p when last % p < size (last = the segment's largest
+    n, so the dividend is positive; CPython takes a slower path for a
+    negative one), and is left out otherwise.  A
     cofactor m > 1 then has no prime factor <= top, so it is prime when
     m < (top + 1)**2, which always holds below 2**40; a larger one goes to
     the Miller-Rabin and Brent-rho tail of ``factorize``.
@@ -171,10 +172,11 @@ def _factor_range(lo: int, hi_excl: int) -> Iterator[tuple[int, tuple[tuple[int,
         rem = list(range(start, start + size))
         pairs: list[list[tuple[int, int]]] = [[] for _ in range(size)]
         k = bisect_right(primes, size)
-        neg = -start  # one negation per segment, not one per prime
-        for p in primes[:k]:
-            i = neg % p
-            while i < size:
+        neg, last = -start, start + size - 1  # one negation per segment, not one per prime
+        firsts = [(p, neg % p) for p in primes[:k]]
+        firsts += [(p, size - 1 - r) for p in primes[k:] if (r := last % p) < size]
+        for p, first in firsts:
+            for i in range(first, size, p):
                 m = rem[i] // p
                 e = 1
                 while not m % p:
@@ -182,17 +184,6 @@ def _factor_range(lo: int, hi_excl: int) -> Iterator[tuple[int, tuple[tuple[int,
                     e += 1
                 rem[i] = m
                 pairs[i].append((p, e))
-                i += p
-        last = start + size - 1
-        for p in [p for p in primes[k:] if last % p < size]:
-            i = size - 1 - last % p
-            m = rem[i] // p
-            e = 1
-            while not m % p:
-                m //= p
-                e += 1
-            rem[i] = m
-            pairs[i].append((p, e))
         for n, m, f in zip(range(start, start + size), rem, pairs):
             if m >= proven:
                 acc: dict[int, int] = {}

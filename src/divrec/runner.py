@@ -8,7 +8,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager, suppress
 from functools import partial
-from itertools import chain, count
+from itertools import count
 from pathlib import Path
 
 from .arith import ContractViolation
@@ -50,9 +50,10 @@ def map_spans(worker, lo, stop, jobs, pool_min):
         raise ContractViolation("jobs must be >= 1")
     cpus = min(jobs, _available_cpus()) if jobs > 1 else 1  # jobs=1: no system call
     starts = range(lo, stop, min(_SPAN_MAX, -(-(stop - lo) // cpus)))
+    span = partial(_run_span, worker, starts)
     if cpus <= 1 or len(starts[:2]) <= 1 or stop - lo < pool_min:
-        return map(worker, starts, chain(starts[1:], (stop,)))
-    return _pool_imap(partial(_run_span, worker, starts), starts, len(starts[:cpus]))
+        return map(span, starts)
+    return _pool_imap(span, starts, len(starts[:cpus]))
 
 
 def _run_span(worker, starts: range, a: int):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from divrec.arith import ContractViolation
 from divrec.fit import (
     FitKind,
+    FitVerdict,
     _fit,
     _solution,
     brute_force_fit,
@@ -189,12 +190,13 @@ def test_grid_scan_matches_column_scan(case):
 
 
 def test_exhaustive_agreement_small_family():
-    bound = 8
-    for m in (3, 4, 5):
-        for seq in itertools.combinations(range(1, 13), m):
-            expected = brute_force_fit(list(seq), bound)
-            got = solutions_in_box(solve_fit(list(seq)), bound)
-            assert got == expected, seq
+    # at bounds 1 and 40 the ends of a line's t window land on the box edges
+    for bound in (1, 8, 40):
+        for m in (3, 4, 5):
+            for seq in itertools.combinations(range(1, 13), m):
+                expected = brute_force_fit(list(seq), bound)
+                got = solutions_in_box(solve_fit(list(seq)), bound)
+                assert got == expected, (seq, bound)
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,8 +241,15 @@ def test_line_direction_is_primitive_and_normalized():
         v = solve_fit(seq)
         assert v.kind is FitKind.LINE
         du, dv = v.line_dir
-        assert gcd(abs(du), abs(dv)) == 1
-        assert du > 0 or (du == 0 and dv > 0)
+        assert gcd(du, dv) == 1
+        assert du > 0 > dv  # the only direction solutions_in_box takes
+
+
+@pytest.mark.parametrize("direction", [(0, 1), (0, -1), (1, 0), (-2, 3), (2, 1)])
+def test_solutions_in_box_refuses_a_line_solve_fit_cannot_make(direction):
+    v = FitVerdict(FitKind.LINE, line_base=(0, 0), line_dir=direction)
+    with pytest.raises(ContractViolation):
+        solutions_in_box(v, 5)
 
 
 def test_solutions_in_box_of_point_outside_box():

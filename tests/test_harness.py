@@ -439,6 +439,42 @@ def test_profile_sweep_kernel_matches_per_n_paths(lo, hi_excl):
     assert block == (tau_bad, reflect_bad) == ([], [])
 
 
+def test_outcomes_depend_only_on_the_order_type():
+    """Group n in [2, 10^5] by order type: the exponents of n's primes in
+    increasing order, and the exponent vector of each element of S' in
+    order (L' = n / S' reversed, so its vectors follow).  Each vector is
+    built with its divisor from the factor sieve's primes, so a prime power
+    the sieve misses shows as a missing divisor.  Exactly one type has two
+    outcomes: the s7 cell of p^2*q*r with S' = (p, q, p^2, r, p*q), where
+    only n = 60 is recurrent (small form 10).  The large5 cell, p^4*q with
+    p^2 < q < p^3, does not split."""
+    types: dict = {}  # type -> {outcome: [n, ...]}
+    for n, factors, small, large in harness._profile_range(2, 10**5 + 1):
+        vec = {1: ()}  # divisor below the root of n -> its exponent vector
+        for p, e in factors:
+            below = {}
+            for d, v in vec.items():
+                for k in range(e + 1):
+                    if d * d >= n:
+                        break
+                    below[d] = v + (k,)
+                    d *= p
+            vec = below
+        key = (tuple([e for _, e in factors]), tuple([vec[d] for d in small]))
+        outcome, _ = check._evaluate(n, factors, small, large)
+        types.setdefault(key, {}).setdefault(outcome, []).append(n)
+    split = {key: outs for key, outs in types.items() if len(outs) > 1}
+    s7 = ((2, 1, 1), ((1, 0, 0), (0, 1, 0), (2, 0, 0), (0, 0, 1), (1, 1, 0)))
+    assert list(split) == [s7]
+    by_small = {o[0]: (o, ns) for o, ns in split[s7].items()}  # S' recurrent -> outcome, n
+    assert len(by_small) == len(split[s7]) == 2
+    assert by_small[True] == ((True, False, (10,), False, False, (), True), [60])
+    no_form, ns = by_small[False]
+    assert no_form == (False, False, (), False, False, (), True) and ns[:4] == [495, 585, 693, 819]
+    large5 = ((4, 1), ((1, 0), (2, 0), (0, 1), (3, 0)))
+    assert len(types[large5]) == 1 and next(iter(types[large5].values()))[:2] == [80, 112]
+
+
 @pytest.mark.parametrize("side", [0, 1])  # S', L'
 def test_profile_sweep_reports_a_set_that_lost_one_divisor(monkeypatch, side):
     # each set is checked against tau and against the other set on its own,
