@@ -3,11 +3,12 @@
 ``_evaluate`` is the one core of every comparison: fit kinds from
 ``fit._solution``, form matches from the classifier cores, stated
 recurrences by ``fit._holds``.  It returns n's outcome as a plain tuple;
-errata, verdict objects and witnesses are built only when an outcome files
-one.  ``check_single`` runs it on one ``profile``, and the block scans of
-``divrec.harness`` run it on every n of a range.  This module is all that
-``import divrec`` and the one-n commands load of the cross-validation;
-``harness`` (range scans, both sieves, reports) loads on first use.
+errata, fit verdicts and witnesses are built only when an outcome files
+one.  ``check_single`` runs it on the sets ``profiles._strict_sets`` cuts
+from n's factorization, and the block scans of ``divrec.harness`` run it
+on every n of a range.  This module is all that ``import divrec`` and the
+one-n commands load of the cross-validation; ``harness`` (range scans,
+both sieves, reports) loads on first use.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import NamedTuple
 
 from .arith import ContractViolation, factorize
 from .classify import LARGE, SMALL, _large_forms, _prediction_holds, _small_forms
-from .fit import _EMPTY, _VACUOUS, _solution
-from .oracle import _verdict
-from .profiles import profile
+from .fit import _EMPTY, _VACUOUS, _fit, _solution
+from .oracle import canonical_witness
+from .profiles import _strict_sets
 
 __all__ = [
     "ErrataEntry",
@@ -103,7 +104,7 @@ def _disagreement(n, theorem, recurrent, form_ids, divs) -> ErrataEntry:
     """The erratum for an oracle verdict that its form matches contradict."""
     name = "S'" if theorem == SMALL else "L'"
     if recurrent:
-        witness = _verdict(divs).witness
+        witness = canonical_witness(_fit(divs))
         text = "vacuously recurrent" if witness is None else f"witness (a, b) = {witness}"
         return ErrataEntry(
             n, theorem, KIND_ORACLE_ONLY,
@@ -117,14 +118,11 @@ def _disagreement(n, theorem, recurrent, form_ids, divs) -> ErrataEntry:
 
 
 def check_single(n: int) -> ValidationRecord:
-    """The validation record of one n, from one ``profile``."""
+    """The validation record of one n, from its factorization."""
     if n < 2:
         raise ContractViolation("check_single requires n >= 2")
-    f = factorize(n)
-    prof = profile(n, fac=f)
-    (s_rec, _, s_ids, l_rec, _, l_ids, ok), _ = _evaluate(
-        n, f.factors, prof.small_strict, prof.large_strict
-    )
+    sig = factorize(n).factors
+    (s_rec, _, s_ids, l_rec, _, l_ids, ok), _ = _evaluate(n, sig, *_strict_sets(n, sig))
     return ValidationRecord(n, s_rec, s_ids, l_rec, l_ids, ok)
 
 

@@ -23,7 +23,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .arith import ContractViolation, Factorization, _factored
-from .fit import _holds, verify_params
+from .fit import _check_sequence, _holds
 from .profiles import DivisorProfile
 
 __all__ = [
@@ -280,23 +280,21 @@ def verify_prediction(m: FormMatch, prof: DivisorProfile) -> bool:
             f"match is for n={m.n}, profile is for n={prof.n}"
         )
     computed = prof.small_strict if m.theorem == SMALL else prof.large_strict
-    return _prediction_holds(m.predicted_set, m.predicted_u, computed, verify_params)
+    _check_sequence(computed)
+    return _prediction_holds(m.predicted_set, m.predicted_u, computed)
 
 
-def _prediction_holds(pset, pu, computed: tuple[int, ...], holds=_holds) -> bool:
+def _prediction_holds(pset, pu, computed: tuple[int, ...]) -> bool:
     """Do a stated set ``pset`` and recurrence ``pu`` (either None) agree
-    with the computed divisor set?  ``holds`` tests the recurrence on the
-    set: the unchecked core by default, for sets the caller built from a
-    guarded n; ``verify_params`` to check the set first."""
+    with the computed divisor set, one known to pass its checks?"""
     if pset is not None and pset != computed:
         return False
     if pu is not None:
-        target = pset if pset is not None else computed
         u, v, a, b = pu
-        if len(target) >= 1 and target[0] != u:
+        if len(computed) >= 1 and computed[0] != u:
             return False
-        if len(target) >= 2 and target[1] != v:
+        if len(computed) >= 2 and computed[1] != v:
             return False
-        if not holds(target, a, b):
+        if not _holds(computed, a, b):
             return False
     return True

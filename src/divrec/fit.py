@@ -11,15 +11,15 @@ that linear system:
 * line     - a one-parameter family base + t*dir, t in Z, which happens
   exactly for a single binding constraint (three terms) or a geometric
   sequence with integer ratio; dir = (du, dv) has du > 0 > dv, the only
-  direction ``solutions_in_box`` takes.
+  direction ``_line`` takes.
 
 All arithmetic is exact; no bound on the magnitude of (a, b) is assumed.
 The plain-value core ``_solution(seq)`` tests the gcd of the first row
 (e2, e1, e3), applies Cramer's rule to the first row not parallel to it,
-and returns a tuple; validate reads only its kind, and ``_fit`` wraps the
-tuple in a ``FitVerdict``, a ``NamedTuple`` that costs less to build than
-the solve it describes.  ``_holds`` states e3 = a*e2 + b*e1 once, for
-``verify_params`` and the classifiers' prediction checks.
+and returns a tuple; validate and the searches read only its kind, and
+``_fit`` builds its ``FitVerdict``, a ``NamedTuple`` that costs less than
+the solve it describes.  ``_line`` states the line contract once, and
+``_holds`` e3 = a*e2 + b*e1, for ``verify_params`` and prediction checks.
 """
 
 from __future__ import annotations
@@ -116,11 +116,18 @@ def _solution(seq: Sequence[int]) -> tuple:
     return (_LINE, ca // g, cb // g, rhs // g)
 
 
-def _as_verdict(sol: tuple) -> FitVerdict:
-    """The ``FitVerdict`` of a ``_solution`` result.  A line ca*a + cb*b = rhs
-    has gcd(ca, cb) = 1 and, as e1 < e2 gives g < e2, ca >= 2 and cb >= 1;
-    it runs along (cb, -ca), and its base has b = rhs / cb mod ca (a unique
-    member, so verdicts compare by equality)."""
+def solve_fit(seq: Sequence[int]) -> FitVerdict:
+    """Complete (a, b) solution set for a strictly increasing sequence."""
+    _check_sequence(seq)
+    return _fit(seq)
+
+
+def _fit(seq: Sequence[int]) -> FitVerdict:
+    """``solve_fit`` for a sequence already known to pass its checks.  A line
+    ca*a + cb*b = rhs has gcd(ca, cb) = 1 and, as e1 < e2 gives g < e2,
+    ca >= 2 and cb >= 1; it runs along (cb, -ca), and its base has
+    b = rhs / cb mod ca (a unique member, so verdicts compare by equality)."""
+    sol = _solution(seq)
     kind = sol[0]
     if kind is _EMPTY:
         return _EMPTY_FIT
@@ -131,17 +138,6 @@ def _as_verdict(sol: tuple) -> FitVerdict:
     _, ca, cb, rhs = sol
     b = rhs * pow(cb, -1, ca) % ca
     return FitVerdict(kind, None, ((rhs - cb * b) // ca, b), (cb, -ca))
-
-
-def solve_fit(seq: Sequence[int]) -> FitVerdict:
-    """Complete (a, b) solution set for a strictly increasing sequence."""
-    _check_sequence(seq)
-    return _fit(seq)
-
-
-def _fit(seq: Sequence[int]) -> FitVerdict:
-    """``solve_fit`` for a sequence already known to pass its checks."""
-    return _as_verdict(_solution(seq))
 
 
 def verify_params(seq: Sequence[int], a: int, b: int) -> bool:
@@ -210,11 +206,19 @@ def brute_force_fit(seq: Sequence[int], bound: int) -> list[tuple[int, int]]:
     return hits
 
 
+def _line(verdict: FitVerdict) -> tuple[int, int, int, int]:
+    """(a0, b0, du, dv) of a line verdict that runs as ``solve_fit`` makes it,
+    along (du, dv) with du > 0 > dv.  Any other direction is refused."""
+    (a0, b0), (du, dv) = verdict.line_base, verdict.line_dir
+    if not du > 0 > dv:
+        raise ContractViolation("a line must run along (du, dv) with du > 0 > dv")
+    return a0, b0, du, dv
+
+
 def solutions_in_box(verdict: FitVerdict, bound: int) -> list[tuple[int, int]]:
     """The verdict's solution set intersected with |a|, |b| <= bound, in
-    a-major order.  A line must run as ``solve_fit`` makes it, along (du, dv)
-    with du > 0 > dv: then a and b each bound t to one window of floor
-    divisions, and a grows with t.  Any other direction is refused."""
+    a-major order.  Along a line (see ``_line``) a and b each bound t to one
+    window of floor divisions, and a grows with t."""
     if bound < 1:
         raise ContractViolation("bound must be >= 1")
     if verdict.kind is FitKind.EMPTY:
@@ -224,10 +228,7 @@ def solutions_in_box(verdict: FitVerdict, bound: int) -> list[tuple[int, int]]:
         return [(a, b)] if abs(a) <= bound and abs(b) <= bound else []
     if verdict.kind is FitKind.VACUOUS:
         return _box(bound)
-    a0, b0 = verdict.line_base
-    du, dv = verdict.line_dir
-    if not du > 0 > dv:
-        raise ContractViolation("a line must run along (du, dv) with du > 0 > dv")
+    a0, b0, du, dv = _line(verdict)
     lo = max(-((bound + a0) // du), -((bound - b0) // -dv))
     hi = min((bound - a0) // du, (bound + b0) // -dv)
     return [(a0 + t * du, b0 + t * dv) for t in range(lo, hi + 1)]

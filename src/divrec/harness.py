@@ -92,6 +92,8 @@ def ledger_keys(path) -> set[tuple[int, str]]:
                 raise ValueError("an entry needs an integer n and a theorem Small or Large")
             keys.add((n, theorem))
         return keys
+    except OSError as exc:
+        raise ContractViolation(f"cannot read ledger {path}: {exc.strerror}") from None
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ContractViolation(f"malformed ledger {path}: {exc}") from None
 

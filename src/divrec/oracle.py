@@ -3,14 +3,15 @@
 These are brute facts computed from the divisor sets themselves: build
 the set, solve the recurrence system exactly, report whether any (a, b)
 exists.  The theorem classifiers are checked *against* these verdicts,
-never the other way around.
+never the other way around.  Only ``verdict_for_sequence`` checks its
+input; internal callers read the cores of ``divrec.fit`` directly.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fit import _EMPTY, _VACUOUS, FitKind, FitVerdict, _check_sequence, _fit
+from .fit import _EMPTY, _VACUOUS, FitKind, FitVerdict, _check_sequence, _fit, _line
 
 __all__ = [
     "RecurrenceVerdict",
@@ -36,10 +37,8 @@ def canonical_witness(fit: FitVerdict) -> tuple[int, int] | None:
         return fit.point
     if fit.kind is not FitKind.LINE:
         return None
-    a0, b0 = fit.line_base
-    du, dv = fit.line_dir
-    # floor of the real minimizer of |a| (or |b| when the line is vertical)
-    t0 = (-a0) // du if du != 0 else (-b0) // dv
+    a0, b0, du, dv = _line(fit)
+    t0 = (-a0) // du  # floor of the real minimizer of |a|
     best = None
     for t in (t0, t0 + 1):
         a, b = a0 + t * du, b0 + t * dv
@@ -53,12 +52,6 @@ def verdict_for_sequence(seq) -> RecurrenceVerdict:
     """Verdict for a strictly increasing positive sequence within the input bound."""
     seq = list(seq)
     _check_sequence(seq)
-    return _verdict(seq)
-
-
-def _verdict(seq) -> RecurrenceVerdict:
-    """``verdict_for_sequence`` for a sequence already known to pass its checks,
-    such as a strict divisor set of a guarded n."""
     fit = _fit(seq)
     kind = fit.kind
     return RecurrenceVerdict(kind is not _EMPTY, kind is _VACUOUS, fit, canonical_witness(fit))

@@ -9,9 +9,9 @@ discriminant passes a square test by residues, large5 keeps q in
 the survivors get a primality test.  ``arith._primes`` sieves the primes
 p a span at a time, base primes included, so memory stays O(sqrt(p_max))
 plus one span; the proofs are in the docstrings of ``_s7_candidates``
-and ``_l5_candidates``.  Every hit is confirmed by the brute-force oracle
-from its known factorization, and results are deterministic regardless
-of how ``runner.map_spans`` splits the work across processes.
+and ``_l5_candidates``.  Every hit is confirmed by the oracle's fit core,
+``fit._solution``, on the set cut from its known factorization; results
+are deterministic however ``runner.map_spans`` splits the work.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import isqrt
 
-from .arith import ContractViolation, Factorization, _guard, _primes, is_prime
+from .arith import ContractViolation, _guard, _primes, is_prime
 from .classify import _divides, _l5_condition, _s7_solution
-from .oracle import _verdict
-from .profiles import profile
+from .fit import _EMPTY, _solution
+from .profiles import _strict_sets
 from .runner import map_spans
 
 __all__ = ["L5Pair", "S7Triple", "search_large5", "search_s7"]
@@ -137,8 +137,8 @@ def _s7_scan_p(p: int) -> list[S7Triple]:
 
     The checks are conjunctive, so they run cheapest first: the arithmetic
     of ``_s7_solution`` before any primality test.  Each hit is confirmed
-    by the oracle from its known factorization, so n is never factorized
-    or held to the input bound.
+    by ``_solution`` on S' cut from its known factorization, so n is never
+    factorized or held to the input bound.
     """
     p2 = p * p
     hits = []
@@ -148,8 +148,8 @@ def _s7_scan_p(p: int) -> list[S7Triple]:
             continue
         r, a, b = sol
         n = p2 * q * r
-        prof = profile(n, fac=Factorization(n, ((p, 2), (q, 1), (r, 1))))
-        hits.append(S7Triple(p, q, r, n, a, b, _verdict(prof.small_strict).recurrent))
+        small = _strict_sets(n, ((p, 2), (q, 1), (r, 1)))[0]
+        hits.append(S7Triple(p, q, r, n, a, b, _solution(small)[0] is not _EMPTY))
     return hits
 
 
@@ -180,8 +180,8 @@ def _l5_scan_p(p: int) -> list[L5Pair]:
     for q in _l5_candidates(p):
         if _l5_condition(p, q) and is_prime(q):
             n = p**4 * q
-            prof = profile(n, fac=Factorization(n, ((p, 4), (q, 1))))
-            hits.append(L5Pair(p, q, n, _verdict(prof.large_strict).recurrent))
+            large = _strict_sets(n, ((p, 4), (q, 1)))[1]
+            hits.append(L5Pair(p, q, n, _solution(large)[0] is not _EMPTY))
     return hits
 
 

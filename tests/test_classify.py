@@ -139,12 +139,20 @@ def test_verify_prediction_examples():
     assert not verify_prediction(corrupted, p60)
     with pytest.raises(ContractViolation):
         verify_prediction(m, profile(61))
-    # a set and seeds that agree reach the recurrence check, which checks a
-    # hand-built profile's set first
+    # a hand-built profile's set is checked before anything is compared
     repeated = (2, 3, 3)
     with pytest.raises(ContractViolation):
         verify_prediction(m._replace(predicted_set=repeated),
                           p60._replace(small_strict=repeated))
+
+
+def test_verify_prediction_checks_a_set_no_recurrence_is_stated_on():
+    # small form 2 of 12 states neither a set nor a recurrence, so nothing
+    # compared would touch the hand-built set
+    (m,) = classify_small(12)
+    assert m.form_id == 2 and m.predicted_set is None and m.predicted_u is None
+    with pytest.raises(ContractViolation):
+        verify_prediction(m, profile(12)._replace(small_strict=(3, 2)))
 
 
 def test_form_10_parameter_identities():

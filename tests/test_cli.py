@@ -250,6 +250,24 @@ def test_validate_malformed_ledger_exits_one_before_output(capsys, tmp_path):
         assert ledger.read_text() == text
 
 
+def test_validate_unreadable_ledger_exits_one_before_output(capsys, tmp_path, monkeypatch):
+    # root reads a file under chmod 000, so the refusal is patched in
+    ledger = tmp_path / "r.errata.jsonl"
+    ledger.write_text('{"n": 100, "theorem": "Large"}\n')
+
+    def refuse_ledger(path, *args, **kwargs):
+        if str(path).endswith(".errata.jsonl"):
+            raise PermissionError(13, "Permission denied", str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "open", refuse_ledger, raising=False)
+    code, out, err = run(capsys, "validate", "--from", "2", "--to", "300",
+                         "--out", str(tmp_path / "r.jsonl"))
+    assert code == 1 and out == ""
+    assert err == f"divrec: error: cannot read ledger {ledger}: Permission denied\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.errata.jsonl"]
+
+
 @pytest.mark.parametrize("n", ["1e400", "-1e400", "NaN", "Infinity"])
 def test_validate_non_finite_ledger_n_exits_one(capsys, tmp_path, n):
     # json reads 1e400 as inf, and int() refuses inf with an OverflowError

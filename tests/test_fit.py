@@ -16,6 +16,7 @@ from divrec.fit import (
     solutions_in_box,
     verify_params,
 )
+from divrec.oracle import canonical_witness
 from references import profiles_in_range, solve_constraints_eager
 
 
@@ -250,6 +251,8 @@ def test_solutions_in_box_refuses_a_line_solve_fit_cannot_make(direction):
     v = FitVerdict(FitKind.LINE, line_base=(0, 0), line_dir=direction)
     with pytest.raises(ContractViolation):
         solutions_in_box(v, 5)
+    with pytest.raises(ContractViolation):
+        canonical_witness(v)
 
 
 def test_solutions_in_box_of_point_outside_box():

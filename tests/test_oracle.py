@@ -2,7 +2,7 @@ import pytest
 
 from divrec.arith import CapacityError, ContractViolation, primes_upto, set_input_bound
 from divrec.fit import FitKind, FitVerdict, constraints_of, verify_params
-from divrec.oracle import RecurrenceVerdict, _verdict, canonical_witness, verdict_for_sequence
+from divrec.oracle import RecurrenceVerdict, canonical_witness, verdict_for_sequence
 from divrec.profiles import profile
 from references import large_verdict, profiles_in_range, small_verdict, solve_constraints_eager
 
@@ -97,8 +97,8 @@ def test_canonical_witness_prefers_small_a_then_b():
 def verdict_by_constraints(seq):
     """Reference: the verdict as built from the constraint list by the
     extended-gcd solver, not from the fit core that ``solve_fit`` and
-    ``_verdict`` share; a list with no constraints, that of at most two
-    terms, solves as vacuous."""
+    ``verdict_for_sequence`` share; a list with no constraints, that of at
+    most two terms, solves as vacuous."""
     fit = solve_constraints_eager(constraints_of(list(seq)))
     vacuous = fit.kind is FitKind.VACUOUS
     recurrent = fit.kind is not FitKind.EMPTY
@@ -110,13 +110,14 @@ def test_core_matches_public_verdict_over_range():
     # equality compares recurrent, vacuous, fit and witness
     for prof in profiles_in_range(2, 20_000):
         for seq in (prof.small_strict, prof.large_strict):
-            assert _verdict(seq) == verdict_for_sequence(seq) == verdict_by_constraints(seq), seq
+            assert verdict_for_sequence(seq) == verdict_by_constraints(seq), seq
 
 
 def test_short_sequences_share_one_frozen_vacuous_verdict():
-    v = _verdict(())
-    assert v == _verdict((2,)) == _verdict((2, 3)) == verdict_for_sequence([5, 7])
-    assert v.fit is _verdict((2,)).fit is verdict_for_sequence([5, 7]).fit
+    v = verdict_for_sequence(())
+    assert v == verdict_for_sequence((2,)) == verdict_for_sequence((2, 3))
+    assert v == verdict_for_sequence([5, 7])
+    assert v.fit is verdict_for_sequence((2,)).fit is verdict_for_sequence([5, 7]).fit
     assert v == verdict_by_constraints(())
     with pytest.raises(AttributeError):
         v.recurrent = False
@@ -143,10 +144,10 @@ def test_public_verdict_rejects_over_bound_sequences(seq):
 def test_empty_verdicts_share_one_frozen_verdict():
     # (2, 4, 7) fails at its only constraint, 100's S' = (2, 4, 5) too, and
     # the long sequence only at its third
-    v = _verdict((2, 4, 7))
-    assert v == _verdict(profile(100).small_strict)
+    v = verdict_for_sequence((2, 4, 7))
+    assert v == verdict_for_sequence(profile(100).small_strict)
     assert v == verdict_for_sequence([2, 3, 5, 6, 7, 10, 11, 14, 15])
-    assert v.fit is _verdict(profile(100).small_strict).fit
+    assert v.fit is verdict_for_sequence(profile(100).small_strict).fit
     assert v == verdict_by_constraints((2, 4, 7))
     assert v == RecurrenceVerdict(False, False, FitVerdict(FitKind.EMPTY), None)
     with pytest.raises(AttributeError):

@@ -19,11 +19,14 @@ from divrec.arith import (
     set_input_bound,
 )
 from divrec.classify import _divides, _s7_solution, classify_small
+from divrec.oracle import verdict_for_sequence
+from divrec.profiles import profile
 from divrec.search import (
     _S7_MODULI,
     L5Pair,
     S7Triple,
     _l5_candidates,
+    _l5_scan_p,
     _s7_candidates,
     _s7_square_test,
     _scan_span,
@@ -228,6 +231,21 @@ def test_large5_divisibility_logic():
     # 7 = |2^5 - 5^2| does not divide |2^2 - 5| = 1
     assert (2**5 - 5**2) == 7 and abs(2 * 2 - 5) == 1
     assert search_large5(2) == []
+
+
+@pytest.mark.parametrize("q, confirmed", [(11, True), (5, False)])
+def test_large5_hit_is_confirmed_on_its_large_set(monkeypatch, q, confirmed):
+    # no large5 hit exists below 10^6, so the filter is patched open: of
+    # 176 = 2^4*11, L' = (16, 22, 44, 88) is recurrent by large form 3 and
+    # S' = (2, 4, 8, 11) is not; of 80 = 2^4*5 neither set is
+    import divrec.search as search
+
+    monkeypatch.setattr(search, "_l5_candidates", lambda p: [q])
+    monkeypatch.setattr(search, "_l5_condition", lambda p, q: True)
+    n = 2**4 * q
+    assert _l5_scan_p(2) == [L5Pair(2, q, n, confirmed)]
+    assert verdict_for_sequence(profile(n).large_strict).recurrent is confirmed
+    assert not verdict_for_sequence(profile(n).small_strict).recurrent
 
 
 def test_rejects_tiny_pmax():
