@@ -2,26 +2,28 @@
 
 Neither form has a closed-form answer, so both searches try, for every
 prime p <= p_max, each q that the form's divisibility conditions leave
-open.  Those conditions pin q near p^{3/2} (s7) or p^{5/2} (large5): s7
+open.  Per search, one generator runs those conditions inline over any
+iterable of p, cheapest test first, and yields (p, q) once they pass: s7
 solves one quadratic per integer j up to about p^{1/4}/sqrt(2) whose
 discriminant passes a square test by residues, large5 keeps q in
-{isqrt(p^5), isqrt(p^5) + 1} only if p^5 - q^2 divides p - 1, and only
-the survivors get a primality test.  ``arith._primes`` sieves the primes
-p a span at a time, base primes included, so memory stays O(sqrt(p_max))
-plus one span; the proofs are in the docstrings of ``_s7_candidates``
-and ``_l5_candidates``.  Every hit is confirmed by the oracle's fit core,
-``fit._solution``, on the set cut from its known factorization; results
-are deterministic however ``runner.map_spans`` splits the work.
+{isqrt(p^5), isqrt(p^5) + 1} only if p^5 - q^2 divides p - 1; the proofs
+are in the docstrings of ``_s7_candidates`` and ``_l5_candidates``.  One
+loop per span feeds it the primes of ``arith._primes``, which sieves its
+own base primes, so memory stays O(sqrt(p_max)) plus one span; the loop
+runs the exact check, the primality tests and the oracle's fit core,
+``fit._solution``, on the set cut from each hit's known factorization.
+Results are deterministic however ``runner.map_spans`` splits the work.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import isqrt
 
 from .arith import ContractViolation, _guard, _primes, is_prime
-from .classify import _divides, _l5_condition, _s7_solution
+from .classify import _l5_condition, _s7_solution
 from .fit import _EMPTY, _solution
 from .profiles import _strict_sets
 from .runner import map_spans
@@ -85,17 +87,9 @@ def _s7_masks(width: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(tables)
 
 
-def _s7_square_test(p: int, top: int) -> int:
-    """An int with bit j set for each j in [1, top] whose D (see
-    ``_s7_candidates``) is a square mod every m of ``_S7_MODULI``."""
-    js = (1 << (top + 1)) - 2
-    for m, masks in _s7_masks(1 << top.bit_length()):
-        js &= masks[p % m]
-    return js
-
-
-def _s7_candidates(p: int) -> list[int]:
-    """Every q > 0 for which ``_s7_solution(p, q)`` can succeed, and a few more.
+def _s7_candidates(ps: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(p, q) for each p of ``ps`` and each q > 0 for which
+    ``_s7_solution(p, q)`` can succeed, and a few more.
 
     Let den = q^2 - p^3 and root = p*q - r.  ``_s7_solution`` requires
     den > 0, q < p^2, den | root and root^2 = den*(p^2 - q) > 0.  So
@@ -105,44 +99,52 @@ def _s7_candidates(p: int) -> list[int]:
     2*j^2 | t - 1, and then q = (t - 1) / (2*j^2).
 
     Let s = isqrt(p^3), so p^3 <= s^2 + 2s; den > 0 means q >= s + 1, and
-    q = s + 1 is a candidate on its own.  For q >= s + 2,
-    den >= (s + 2)^2 - s^2 - 2s = 2s + 4 and j^2*den = p^2 - q <= p^2 - s - 2,
-    so j^2 <= (p^2 - s - 2) // (2s + 4): about p^{1/4}/sqrt(2) values of j.
+    q = s + 1 is a candidate on its own, kept only if den | p^2 - q.  For
+    q >= s + 2, den >= (s + 2)^2 - s^2 - 2s = 2s + 4 and
+    j^2*den = p^2 - q <= p^2 - s - 2, so j^2 <= (p^2 - s - 2) // (2s + 4):
+    about p^{1/4}/sqrt(2) values of j.
 
     Only the j that pass a square test get an ``isqrt``: an accepted q
     makes D = (2*j^2*q + 1)^2, so D is a square mod every m, and D mod m
     depends only on p mod m and j mod m.  The allowed j mod m are one bit
     mask per (m, p mod m), repeated over the j range and ANDed over the
-    moduli of ``_S7_MODULI``; the exact test then runs on the survivors
-    alone.  The masks take 5 to 7 ms to build, once per process (2-CPU
-    VM, Python 3.11).  Nothing here assumes p prime.
+    moduli of ``_S7_MODULI`` until no j is left; the exact test then runs
+    on the survivors alone.  The masks take 5 to 7 ms to build, once per
+    process (2-CPU VM, Python 3.11).  Nothing here assumes p prime.
     """
-    p2 = p * p
-    p3 = p2 * p
-    s = isqrt(p3)
-    qs = [s + 1]
-    js = _s7_square_test(p, isqrt((p2 - s - 2) // (2 * s + 4)))
-    while js:
-        low = js & -js
-        js ^= low
-        j2 = (low.bit_length() - 1) ** 2
-        q = (isqrt(1 + 4 * j2 * (j2 * p3 + p2)) - 1) // (2 * j2)
-        if q > s + 1 and j2 * (q * q - p3) == p2 - q:
-            qs.append(q)
-    return qs
+    width = 0
+    for p in ps:
+        p2 = p * p
+        p3 = p2 * p
+        s = isqrt(p3)
+        if (p2 - s - 1) % ((s + 1) ** 2 - p3) == 0:
+            yield p, s + 1
+        top = isqrt((p2 - s - 2) // (2 * s + 4))
+        if top >= width:  # wider masks serve every smaller top
+            width = 1 << top.bit_length()
+            tables = _s7_masks(width)
+        js = (1 << (top + 1)) - 2
+        for m, masks in tables:
+            js &= masks[p % m]
+            if not js:
+                break
+        while js:
+            low = js & -js
+            js ^= low
+            j2 = (low.bit_length() - 1) ** 2
+            q = (isqrt(1 + 4 * j2 * (j2 * p3 + p2)) - 1) // (2 * j2)
+            if q > s + 1 and j2 * (q * q - p3) == p2 - q:
+                yield p, q
 
 
-def _s7_scan_p(p: int) -> list[S7Triple]:
-    """Every s7 triple (p, q, r) for this p, from ``_s7_candidates``.
-
-    The checks are conjunctive, so they run cheapest first: the arithmetic
-    of ``_s7_solution`` before any primality test.  Each hit is confirmed
-    by ``_solution`` on S' cut from its known factorization, so n is never
-    factorized or held to the input bound.
-    """
-    p2 = p * p
+def _s7_span(lo: int, hi: int) -> list[S7Triple]:
+    """Every s7 triple (p, q, r) with lo <= p < hi, cheapest check first:
+    ``_s7_solution`` before any primality test.  Each hit is confirmed by
+    ``_solution`` on S' cut from its known factorization, so n is never
+    factorized or held to the input bound."""
     hits = []
-    for q in _s7_candidates(p):
+    for p, q in _s7_candidates(_primes(lo, hi)):
+        p2 = p * p
         sol = _s7_solution(p, q)
         if sol is None or sol[0] <= p2 or not (is_prime(q) and is_prime(sol[0])):
             continue
@@ -153,8 +155,9 @@ def _s7_scan_p(p: int) -> list[S7Triple]:
     return hits
 
 
-def _l5_candidates(p: int) -> list[int]:
-    """The q in {isqrt(p^5), isqrt(p^5) + 1} with p^5 - q^2 | p - 1.
+def _l5_candidates(ps: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(p, q) for each p of ``ps`` and each q in {isqrt(p^5), isqrt(p^5) + 1}
+    with p^5 - q^2 | p - 1; as in ``classify._divides``, 0 divides only 0.
 
     Let d = p^5 - q^2; d != 0 unless p is a square.  The form requires
     d | p^2 - q and d | p^3 - q, so d | (p^3 - q) - (p^2 - q) = p^2*(p - 1).
@@ -169,15 +172,20 @@ def _l5_candidates(p: int) -> list[int]:
     For p >= 2 both lie in p^2 < q < p^3, since (p^2 + 1)^2 <= p^5 and
     p^{5/2} + 1 < p^3.
     """
-    p5 = p**5
-    s = isqrt(p5)
-    return [q for q in (s, s + 1) if _divides(p5 - q * q, p - 1)]
+    for p in ps:
+        p5 = p**5
+        s = isqrt(p5)
+        d = p5 - s * s  # 0 for a square p; 0 divides no p - 1 > 0
+        if d and (p - 1) % d == 0:
+            yield p, s
+        if (p - 1) % (d - 2 * s - 1) == 0:  # p^5 - (s + 1)^2 < 0
+            yield p, s + 1
 
 
-def _l5_scan_p(p: int) -> list[L5Pair]:
-    """Every large5 pair (p, q) for this p, checked as in ``_s7_scan_p``."""
+def _l5_span(lo: int, hi: int) -> list[L5Pair]:
+    """Every large5 pair (p, q) with lo <= p < hi, checked as in ``_s7_span``."""
     hits = []
-    for q in _l5_candidates(p):
+    for p, q in _l5_candidates(_primes(lo, hi)):
         if _l5_condition(p, q) and is_prime(q):
             n = p**4 * q
             large = _strict_sets(n, ((p, 4), (q, 1)))[1]
@@ -186,31 +194,24 @@ def _l5_scan_p(p: int) -> list[L5Pair]:
 
 
 # A search over fewer primes than its threshold runs in this process
-# whatever ``jobs`` says: below it, starting a fork pool costs more than it
-# saves.  Best of five on a 2-CPU VM, jobs=1 against jobs=2: search_s7 over
-# 7 837 primes (p_max = 8*10^4) took 49 vs 47 ms, over 9 592 (10^5) 73 vs
-# 76 ms, over 11 301 (1.2*10^5) 119 vs 97 ms.  search_large5 does about a
-# tenth of the work per prime, so the pool pays off far later: 25 997 primes
-# (3*10^5) took 76 vs 97 ms, 33 860 (4*10^5) 103 vs 104 ms, 41 538 (5*10^5)
-# 128 vs 121 ms and 148 933 (2*10^6) 479 vs 414 ms.
-_S7_POOL_MIN_PMAX = 104_729  # the 10 000th prime
+# whatever ``jobs`` says: below it, a fork pool costs more than it saves.
+# Best of five on a 2-CPU VM, jobs=1 vs jobs=2, three runs: search_s7 to
+# p_max = 3*10^5 (25 997 primes) took 26-32 vs 24-36 ms, to 3.5*10^5
+# (29 977) 31-35 vs 28-30 ms; search_large5 (2/3 of s7's cost per prime)
+# to 4*10^5 (33 860) 27-29 vs 29-37 ms, to 5*10^5 (41 538) 32-37 vs 28-34.
+_S7_POOL_MIN_PMAX = 350_377  # the 30 000th prime
 _L5_POOL_MIN_PMAX = 479_909  # the 40 000th prime
 
 
-def _scan_span(scan_p, lo: int, hi: int) -> list:
-    """Every hit of ``scan_p`` over the primes p with lo <= p < hi."""
-    return [hit for p in _primes(lo, hi) for hit in scan_p(p)]
-
-
-def _scan_primes(scan_p, p_max: int, jobs: int, pool_min_pmax: int) -> list:
-    """Every hit of ``scan_p`` over the primes p <= p_max, in order of p."""
+def _scan_primes(span, p_max: int, jobs: int, pool_min_pmax: int) -> list:
+    """Every hit of ``span(lo, hi)`` over the primes p <= p_max, in order of p."""
     # isqrt(p_max^5) + 1 is the largest large5 q; reject a p_max whose
     # candidates exceed the input bound before sieving anything.
     if p_max < 2:
         raise ContractViolation("p_max must be >= 2")
     _guard(isqrt(p_max**5) + 1)
     # [2, p_max] holds p_max - 1 candidates for p: a pool from pool_min_pmax on
-    spans = map_spans(partial(_scan_span, scan_p), 2, p_max + 1, jobs, pool_min_pmax - 1)
+    spans = map_spans(span, 2, p_max + 1, jobs, pool_min_pmax - 1)
     return [hit for batch in spans for hit in batch]
 
 
@@ -218,12 +219,11 @@ def search_s7(p_max: int, *, jobs: int = 1) -> list[S7Triple]:
     """Every qualifying triple with p <= p_max, sorted by (p, q, r).
 
     For each prime p the divisibility conditions leave q = isqrt(p^3) + 1
-    and at most one q per integer j <= about p^{1/4}/sqrt(2), each found
-    with one ``isqrt`` (see ``_s7_candidates``); the third prime r is forced
-    by the square-root equation, and only a q and r that pass every
-    arithmetic check get a primality test.
+    and at most one q per integer j <= about p^{1/4}/sqrt(2) (see
+    ``_s7_candidates``); the square-root equation forces the third prime r,
+    and only a q and r that pass every arithmetic check get a primality test.
     """
-    return sorted(_scan_primes(_s7_scan_p, p_max, jobs, _S7_POOL_MIN_PMAX))
+    return sorted(_scan_primes(_s7_span, p_max, jobs, _S7_POOL_MIN_PMAX))
 
 
 def search_large5(p_max: int, *, jobs: int = 1) -> list[L5Pair]:
@@ -232,4 +232,4 @@ def search_large5(p_max: int, *, jobs: int = 1) -> list[L5Pair]:
     Only q = isqrt(p^5) or isqrt(p^5) + 1 with p^5 - q^2 | p - 1 can qualify
     (see ``_l5_candidates``).
     """
-    return sorted(_scan_primes(_l5_scan_p, p_max, jobs, _L5_POOL_MIN_PMAX))
+    return sorted(_scan_primes(_l5_span, p_max, jobs, _L5_POOL_MIN_PMAX))

@@ -110,8 +110,9 @@ def _disagreement(n, theorem, verdict, matches, divs):
 
 
 def s7_candidates(p):
-    """The s7 candidates q of ``search._s7_candidates``, from every j up to
-    its bound and no square test: q = isqrt(p^3) + 1, then each j's root."""
+    """The s7 candidates q that ``search._s7_candidates`` yields for p, from
+    every j up to its bound and no square test: q = isqrt(p^3) + 1, which
+    the generator keeps only if q^2 - p^3 | p^2 - q, then each j's root."""
     p2 = p * p
     p3 = p2 * p
     s = isqrt(p3)

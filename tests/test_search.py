@@ -13,6 +13,7 @@ from divrec.arith import (
     CapacityError,
     ContractViolation,
     FactorSieve,
+    _primes,
     input_bound,
     is_prime,
     primes_upto,
@@ -26,10 +27,7 @@ from divrec.search import (
     L5Pair,
     S7Triple,
     _l5_candidates,
-    _l5_scan_p,
     _s7_candidates,
-    _s7_square_test,
-    _scan_span,
     search_large5,
     search_s7,
 )
@@ -118,10 +116,10 @@ def test_s7_parallel_determinism():
 
 
 @pytest.mark.parametrize("search, pool_min_pmax", [
-    (search_s7, 104_729), (search_large5, 479_909),
+    (search_s7, 350_377), (search_large5, 479_909),
 ])
 def test_search_pool_starts_at_its_threshold(pool_sizes, search, pool_min_pmax):
-    # the 10 000th and the 40 000th prime
+    # the 30 000th and the 40 000th prime
     sizes = pool_sizes(2)
     search(pool_min_pmax - 1, jobs=2)
     assert sizes == []
@@ -131,8 +129,8 @@ def test_search_pool_starts_at_its_threshold(pool_sizes, search, pool_min_pmax):
 
 def test_small_searches_start_no_pool(monkeypatch):
     # below a search's pool threshold a pool costs more than the scan;
-    # large5's threshold is the higher one: 11 301 primes up to 120 000
-    expected = (search_s7(100), search_large5(100), search_large5(120_000))
+    # large5's threshold is the higher one: 33 860 primes up to 400 000
+    expected = (search_s7(100), search_large5(100), search_large5(400_000))
 
     def no_pool(*args):
         raise AssertionError("a process pool was started")
@@ -140,17 +138,17 @@ def test_small_searches_start_no_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     assert search_s7(100, jobs=2) == expected[0]
     assert search_large5(100, jobs=2) == expected[1]
-    assert search_large5(120_000, jobs=2) == expected[2]
+    assert search_large5(400_000, jobs=2) == expected[2]
 
 
 def test_large_searches_run_on_a_pool(monkeypatch):
-    # 11 301 primes up to 120 000, above _S7_POOL_MIN_PMAX, and 41 538 up
+    # 33 860 primes up to 400 000, above _S7_POOL_MIN_PMAX, and 41 538 up
     # to 500 000, above _L5_POOL_MIN_PMAX
     started = []
     fork = multiprocessing.get_context
     monkeypatch.setattr(multiprocessing, "get_context", lambda m: started.append(m) or fork(m))
     monkeypatch.setattr(runner, "_available_cpus", lambda: 2)  # a pool on one CPU too
-    assert search_s7(120_000, jobs=2) == search_s7(120_000, jobs=1)
+    assert search_s7(400_000, jobs=2) == search_s7(400_000, jobs=1)
     assert search_large5(500_000, jobs=2) == search_large5(500_000, jobs=1) == []
     assert started == ["fork", "fork"]
 
@@ -162,15 +160,15 @@ def _task_bytes(worker, starts):
 
 def test_pooled_span_tasks_carry_only_the_scan_and_start(pool_sizes):
     # each span sieves its own base primes, so a task names only its
-    # per-p scan and its start: no table, no limit and no inherited cache
+    # span loop and its start: no table, no limit and no inherited cache
     import divrec.search as search
 
-    expected = search_s7(120_000)
+    expected = search_s7(400_000)
     sizes = pool_sizes(2)
-    assert search_s7(120_000, jobs=2) == expected
+    assert search_s7(400_000, jobs=2) == expected
     (worker, starts), = sizes.maps
-    assert sizes == [2] and starts == range(2, 120_001, 60_000)
-    assert worker.args[0].args == (search._s7_scan_p,)
+    assert sizes == [2] and starts == range(2, 400_001, 65_536)
+    assert worker.args[0] is search._s7_span
     # so a task's size does not grow with p_max: the same at 5*10^5 as at
     # 2*10^6, where each span sieves with 126 and 223 base primes
     for p_max in (500_000, 2_000_000):
@@ -180,9 +178,9 @@ def test_pooled_span_tasks_carry_only_the_scan_and_start(pool_sizes):
 
 
 def test_search_pool_is_capped_at_cpus(pool_sizes):
-    expected = search_s7(120_000)
+    expected = search_s7(400_000)
     sizes = pool_sizes(2)
-    assert search_s7(120_000, jobs=100_000) == expected
+    assert search_s7(400_000, jobs=100_000) == expected
     assert sizes == [2]
 
 
@@ -240,10 +238,10 @@ def test_large5_hit_is_confirmed_on_its_large_set(monkeypatch, q, confirmed):
     # S' = (2, 4, 8, 11) is not; of 80 = 2^4*5 neither set is
     import divrec.search as search
 
-    monkeypatch.setattr(search, "_l5_candidates", lambda p: [q])
+    monkeypatch.setattr(search, "_l5_candidates", lambda ps: ((p, q) for p in ps))
     monkeypatch.setattr(search, "_l5_condition", lambda p, q: True)
     n = 2**4 * q
-    assert _l5_scan_p(2) == [L5Pair(2, q, n, confirmed)]
+    assert search._l5_span(2, 3) == [L5Pair(2, q, n, confirmed)]
     assert verdict_for_sequence(profile(n).large_strict).recurrent is confirmed
     assert not verdict_for_sequence(profile(n).small_strict).recurrent
 
@@ -300,21 +298,17 @@ def test_hostile_pmax_raises_before_any_table(monkeypatch):
         spans.clear()
 
 
-def _itself(p):
-    return [p]
-
-
 @pytest.mark.parametrize("lo, hi", [
     (2, 3), (2, 4), (3, 10), (4, 5), (2, 1_000), (1_000, 70_000),
     (65_538, 131_074), (2, 300_000),
 ])
 def test_span_sieve_matches_primes_upto(lo, hi):
-    assert _scan_span(_itself, lo, hi) == _window(primes_upto(hi), lo - 1, hi)
+    assert list(_primes(lo, hi)) == _window(primes_upto(hi), lo - 1, hi)
 
 
 def test_span_sieve_near_1e12_matches_is_prime():
     lo, hi = 10**12 - 1_000, 10**12 + 2_000
-    assert _scan_span(_itself, lo, hi) == [n for n in range(lo, hi) if is_prime(n)]
+    assert list(_primes(lo, hi)) == [n for n in range(lo, hi) if is_prime(n)]
 
 
 def test_s7_fixture_pmax1000000():
@@ -337,15 +331,13 @@ def test_s7_candidates_cover_the_window():
     # every integer p, not only primes: the derivation never uses primality.
     # Below 3 000 only (2, 3) and (21, 98) pass _s7_solution; 98 comes from
     # j = 1, 3 from the separate q = isqrt(p^3) + 1.
+    got = list(_s7_candidates(range(2, 3000)))
+    assert len(got) == len(set(got)) and all(q > isqrt(p**3) for p, q in got)
     accepted = []
     for p in range(2, 3000):
-        s = isqrt(p**3)
-        window = range(s + 1, isqrt(p**3 + p * p) + 1)
-        ok = [q for q in window if _s7_solution(p, q) is not None]
-        cands = _s7_candidates(p)
-        assert set(ok) <= set(cands), p
-        assert len(cands) == len(set(cands)) and min(cands) > s, p
-        accepted += [(p, q) for q in ok]
+        window = range(isqrt(p**3) + 1, isqrt(p**3 + p * p) + 1)
+        accepted += [(p, q) for q in window if _s7_solution(p, q) is not None]
+    assert set(accepted) <= set(got)
     assert accepted == [(2, 3), (21, 98)]
 
 
@@ -360,23 +352,35 @@ def _s7_sample(stop, seed):
 
 def test_s7_candidates_match_the_unfiltered_loop():
     # composites included; the only accepted q below 10^5 is 98 for p = 21,
-    # so the square test is checked on its own below
+    # so the square test is checked on its own below.  The j loop yields the
+    # reference's q > s + 1; s + 1 itself is kept iff den | p^2 - q, which
+    # every accepted q meets, and is dropped only where _s7_solution fails
     for p in _s7_sample(100_000, 1507):
-        assert _s7_candidates(p) == s7_candidates(p), p
-
-
-def test_s7_square_test_passes_exactly_the_squares_mod_each_modulus():
-    # D from p itself, not from its residues, against each modulus's squares
-    squares = {m: {x * x % m for x in range(m)} for m in _S7_MODULI}
-    for p in _s7_sample(20_000, 1508):
         s = isqrt(p**3)
-        top = isqrt((p * p - s - 2) // (2 * s + 4))
-        expected = sum(
-            1 << j for j in range(1, top + 1)
-            if all((1 + 4 * j * j * (j * j * p**3 + p * p)) % m in squares[m]
-                   for m in _S7_MODULI)
-        )
-        assert _s7_square_test(p, top) == expected, p
+        qs = [q for _, q in _s7_candidates([p])]
+        keep = (p * p - s - 1) % ((s + 1) ** 2 - p**3) == 0
+        assert qs[:keep] == [s + 1] * keep and qs[keep:] == s7_candidates(p)[1:], p
+        assert keep or _s7_solution(p, s + 1) is None, p
+
+
+def test_s7_square_test_passes_exactly_the_squares_mod_each_modulus(monkeypatch):
+    # D from p itself, not from its residues, against each modulus's squares:
+    # after isqrt(p^3) and the j bound, the generator takes the isqrt of the
+    # D of exactly the j in [1, top] that pass every modulus, in order
+    import divrec.search as search
+
+    squares = {m: {x * x % m for x in range(m)} for m in _S7_MODULI}
+    roots = []
+    monkeypatch.setattr(search, "isqrt", lambda x: roots.append(x) or isqrt(x))
+    for p in _s7_sample(20_000, 1508):
+        p3 = p**3
+        s = isqrt(p3)
+        bound = (p * p - s - 2) // (2 * s + 4)
+        ds = (1 + 4 * j * j * (j * j * p3 + p * p) for j in range(1, isqrt(bound) + 1))
+        roots.clear()
+        list(_s7_candidates([p]))
+        assert roots == [p3, bound, *(
+            d for d in ds if all(d % m in squares[m] for m in _S7_MODULI))], p
 
 
 def test_search_names_load_with_the_search_module():
@@ -394,15 +398,20 @@ def test_search_names_load_with_the_search_module():
 
 
 def test_large5_filter_keeps_every_passing_q():
-    # every integer p, not only primes; no q passes both checks below 3 000,
-    # so this guards the filter against dropping one, not the hits
+    # every integer p, squares included, where p^5 - isqrt(p^5)^2 = 0 divides
+    # only 0; no q passes both checks below 3 000, so this guards the filter
+    # against dropping one, and pins it to p^5 - q^2 | p - 1
+    kept = []
     for p in range(2, 3000):
         s = isqrt(p**5)
         passing = [
             q for q in (s, s + 1)
             if _divides(p**5 - q * q, p * p - q) and _divides(p**5 - q * q, p**3 - q)
         ]
-        assert set(passing) <= set(_l5_candidates(p)) <= {s, s + 1}, p
+        divides = [q for q in (s, s + 1) if _divides(p**5 - q * q, p - 1)]
+        assert set(passing) <= set(divides), p
+        kept += [(p, q) for q in divides]
+    assert list(_l5_candidates(range(2, 3000))) == kept == [(8, 181)]
 
 
 @pytest.fixture
