@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fit import _EMPTY, _VACUOUS, FitKind, FitVerdict, _check_sequence, _fit, _line
+from .fit import _EMPTY, _LINE, _POINT, _VACUOUS, FitVerdict, _check_sequence, _fit, _line
 
 __all__ = [
     "RecurrenceVerdict",
@@ -33,9 +33,9 @@ def canonical_witness(fit: FitVerdict) -> tuple[int, int] | None:
     Point verdicts return the point; lines return the member minimizing
     |a|, then |b|, with ties broken toward nonnegative a.
     """
-    if fit.kind is FitKind.POINT:
+    if fit.kind is _POINT:
         return fit.point
-    if fit.kind is not FitKind.LINE:
+    if fit.kind is not _LINE:
         return None
     a0, b0, du, dv = _line(fit)
     t0 = (-a0) // du  # floor of the real minimizer of |a|

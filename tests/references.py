@@ -16,7 +16,7 @@ from divrec.check import (
     canonical_json,
 )
 from divrec.classify import LARGE, SMALL, classify_large, classify_small, verify_prediction
-from divrec.fit import FitKind, FitVerdict
+from divrec.fit import FitKind, FitVerdict, _line, constraints_of
 from divrec.harness import _factor_range
 from divrec.oracle import verdict_for_sequence
 from divrec.profiles import profile
@@ -187,3 +187,53 @@ def solve_constraints_eager(constraints):
     return FitVerdict(
         FitKind.LINE, line_base=_canonical_base(a0, b0, du, dv), line_dir=(du, dv)
     )
+
+
+# ``solutions_in_box`` and ``brute_force_fit`` with one new tuple per point,
+# as the package builds them only above ``fit._GRID_MAX``; below it they
+# hand out the tuples of one cached grid.
+
+
+def box_points(bound):
+    """Every (a, b) with |a|, |b| <= bound, in a-major order."""
+    vals = range(-bound, bound + 1)
+    return [(a, b) for a in vals for b in vals]
+
+
+def solutions_in_box_points(verdict, bound):
+    """``solutions_in_box``: a line's points from its window of t."""
+    if verdict.kind is FitKind.EMPTY:
+        return []
+    if verdict.kind is FitKind.POINT:
+        a, b = verdict.point
+        return [(a, b)] if abs(a) <= bound and abs(b) <= bound else []
+    if verdict.kind is FitKind.VACUOUS:
+        return box_points(bound)
+    a0, b0, du, dv = _line(verdict)
+    lo = max(-((bound + a0) // du), -((bound - b0) // -dv))
+    hi = min((bound - a0) // du, (bound + b0) // -dv)
+    return [(a0 + t * du, b0 + t * dv) for t in range(lo, hi + 1)]
+
+
+def brute_force_fit_points(seq, bound):
+    """``brute_force_fit``: the window and residue-class column scan, one
+    new tuple per hit."""
+    cons = constraints_of(seq)
+    if not cons:
+        return box_points(bound)
+    (ca, cb, rhs), rest = cons[0], cons[1:]
+    lo = max(-bound, -((cb * bound - rhs) // ca))
+    hi = min(bound, (rhs + cb * bound) // ca)
+    hits = []
+    for first in range(lo, min(lo + cb, hi + 1)):
+        if (rhs - ca * first) % cb:
+            continue
+        for a in range(first, hi + 1, cb):
+            b = (rhs - ca * a) // cb
+            for x, y, z in rest:
+                if x * a + y * b != z:
+                    break
+            else:
+                hits.append((a, b))
+    hits.sort()
+    return hits

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from divrec.arith import ContractViolation
 from divrec.fit import (
+    _GRID_MAX,
     FitKind,
     FitVerdict,
     _fit,
+    _grid,
     _solution,
     brute_force_fit,
     constraints_of,
@@ -17,7 +19,13 @@ from divrec.fit import (
     verify_params,
 )
 from divrec.oracle import canonical_witness
-from references import profiles_in_range, solve_constraints_eager
+from references import (
+    box_points,
+    brute_force_fit_points,
+    profiles_in_range,
+    solutions_in_box_points,
+    solve_constraints_eager,
+)
 
 
 def test_point_example():
@@ -259,6 +267,88 @@ def test_solutions_in_box_of_point_outside_box():
     v = solve_fit([1, 100, 10000, 1000000])  # point (100, 0)
     assert v.kind is FitKind.LINE or v.kind is FitKind.POINT
     assert solutions_in_box(v, 5) == []
+
+
+# bounds on both sides of _GRID_MAX, where the answers stop being grid slices
+_DIFF_BOUNDS = (1, 2, 7, 40, 50, _GRID_MAX, _GRID_MAX + 1)
+
+
+def _assert_matches_per_point_references(seqs, bound):
+    for seq, v in seqs:
+        got = brute_force_fit(seq, bound)
+        assert got == brute_force_fit_points(seq, bound), (seq, bound)
+        assert solutions_in_box(v, bound) == got == solutions_in_box_points(v, bound), (
+            seq, bound)
+
+
+def test_grid_answers_match_per_point_references():
+    # bounds in the outer loop: _grid caches one bound at a time
+    seqs = [(list(s), solve_fit(list(s)))
+            for m in range(7) for s in itertools.combinations(range(1, 16), m)]
+    vacuous = [(s, v) for s, v in seqs if len(s) <= 2]
+    for bound in _DIFF_BOUNDS:
+        box = brute_force_fit([], bound)
+        assert box == box_points(bound)
+        for s, v in vacuous:  # == box compares the grid's own tuples by identity
+            assert brute_force_fit(s, bound) == box == solutions_in_box(v, bound), (s, bound)
+        _assert_matches_per_point_references(seqs[len(vacuous):], bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_cases(), st.sampled_from(_DIFF_BOUNDS))
+def test_grid_answers_match_per_point_references_on_random_sequences(case, bound):
+    _assert_matches_per_point_references([(case[0], solve_fit(case[0]))], bound)
+
+
+def test_line_above_the_grid_limit_builds_no_grid():
+    before = _grid.cache_info()
+    for seq in ([1, 2, 3], [1, 2, 4], [3, 5, 12]):
+        v = solve_fit(seq)
+        assert v.kind is FitKind.LINE
+        got = solutions_in_box(v, 10**5)
+        assert len(got) > 1000 and got == solutions_in_box_points(v, 10**5)
+    assert _grid.cache_info() == before
+
+
+@pytest.mark.parametrize("bound", [1, 50, _GRID_MAX])
+def test_both_answers_hand_out_the_grids_own_tuples(bound):
+    w = 2 * bound + 1
+    seqs = [[1, 2, 3], [1, 2, 4], [2, 4, 8, 16], [2, 3, 4, 5, 6], [5], [3, 4, 5], [2, 4, 6]]
+    seqs += [list(s) for s in itertools.combinations(range(1, 13), 3)]
+    for seq in seqs:
+        box = solutions_in_box(solve_fit(seq), bound)
+        hits = brute_force_fit(seq, bound)
+        grid = _grid(bound)  # after both calls, so a call that built its own grid fails
+        assert len(box) == len(hits)
+        for p, q in zip(box, hits):
+            assert p is q is grid[(p[0] + bound) * w + p[1] + bound], (seq, bound)
+
+
+@pytest.mark.parametrize("seq", [[7], [1, 2, 3], [2, 4, 8]])
+@pytest.mark.parametrize("bound", [3, 50, _GRID_MAX + 1])
+def test_changing_an_answer_leaves_later_answers_alone(seq, bound):
+    # a vacuous box, a line slice, and the column slices of a three-term line
+    expected = brute_force_fit_points(seq, bound)
+    answers = (lambda: brute_force_fit(seq, bound),
+               lambda: solutions_in_box(solve_fit(seq), bound))
+    for answer in answers:
+        for change in (lambda got: got.append((0, 0)),
+                       lambda got: got.__setitem__(0, (bound + 1, 0)),
+                       lambda got: got.sort(reverse=True)):
+            got = answer()
+            assert len(got) > 1
+            change(got)
+            assert [later() for later in answers] == [expected, expected]
+
+
+@pytest.mark.parametrize("bound", [2.5, 2.0, "3", None, True, 0, -1])
+@pytest.mark.parametrize("seq", [[1, 2, 3], [1, 2, 4], [2, 3, 4, 5, 6], [2, 4, 7], [5]])
+def test_bound_must_be_a_positive_int(seq, bound):
+    # a line, a geometric line, a point, an empty set and a vacuous box
+    with pytest.raises(ContractViolation):
+        brute_force_fit(seq, bound)
+    with pytest.raises(ContractViolation):
+        solutions_in_box(solve_fit(seq), bound)
 
 
 @st.composite
