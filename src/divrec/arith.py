@@ -154,9 +154,9 @@ def primes_upto(limit: int) -> list[int]:
     return list(_primes(2, limit))
 
 
-@lru_cache(maxsize=1)
-def _trial_primes() -> tuple[int, ...]:
-    return tuple(primes_upto(_TRIAL_LIMIT))
+@lru_cache(maxsize=None)  # one table per power of two up to _TRIAL_LIMIT
+def _trial_primes(limit: int) -> tuple[int, ...]:
+    return tuple(primes_upto(limit))
 
 
 def _pollard_brent(n: int) -> int:
@@ -204,13 +204,18 @@ def _factor_into(m: int, acc: dict[int, int]) -> None:
 
 
 def factorize(n: int) -> Factorization:
-    """Full prime factorization; trial division plus a rho fallback."""
+    """Full prime factorization; trial division plus a rho fallback.
+
+    The trial primes are those below the next power of two above isqrt(n),
+    capped at ``_TRIAL_LIMIT``, so a small n builds a small table: all of
+    them below 2**16 take about 1 ms to sieve.
+    """
     if n < 1:
         raise ContractViolation("factorize requires n >= 1")
     _guard(n)
     pairs: list[tuple[int, int]] = []
     m = n
-    for p in _trial_primes():
+    for p in _trial_primes(min(1 << isqrt(n).bit_length(), _TRIAL_LIMIT)):
         if p * p > m:
             break
         if m % p == 0:

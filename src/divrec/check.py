@@ -68,13 +68,14 @@ def _evaluate(n: int, sig, small: tuple[int, ...], large: tuple[int, ...]):
     l_kind = _solution(large)[0]
     sm = _small_forms(sig)
     lm = _large_forms(sig)
-    ok = True
-    for _, _, pset, pu in sm:
-        if not _prediction_holds(pset, pu, small):
-            ok = False
-    for _, _, pset, pu in lm:
-        if not _prediction_holds(pset, pu, large):
-            ok = False
+    failed = ()  # (theorem, computed set, form) of each prediction that fails
+    for form in sm:
+        if not _prediction_holds(form[2], form[3], small):
+            failed += ((SMALL, small, form),)
+    for form in lm:
+        if not _prediction_holds(form[2], form[3], large):
+            failed += ((LARGE, large, form),)
+    ok = not failed
     s_rec = s_kind is not _EMPTY
     l_rec = l_kind is not _EMPTY
     # most sides match no form
@@ -89,9 +90,7 @@ def _evaluate(n: int, sig, small: tuple[int, ...], large: tuple[int, ...]):
             f"form {form_id} predicted {list(pset or ())} "
             f"u={pu}, computed {list(computed)}",
         )
-        for theorem, forms, computed in ((SMALL, sm, small), (LARGE, lm, large))
-        for form_id, _, pset, pu in forms
-        if not _prediction_holds(pset, pu, computed)
+        for theorem, computed, (form_id, _, pset, pu) in failed
     ]
     if s_rec != bool(s_ids):
         errata.append(_disagreement(n, SMALL, s_rec, s_ids, small))

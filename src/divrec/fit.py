@@ -207,40 +207,62 @@ def brute_force_fit(seq: Sequence[int], bound: int) -> list[tuple[int, int]]:
       columns of the window are tested, and from each that passes the
       scan steps through the window by e1.
 
-    Each column holds at most one hit, so sorting the hits gives a-major
-    order.  Up to ``_GRID_MAX`` a hit is the ``_grid`` tuple at index
-    (a + bound)*w + b + bound, w = 2*bound + 1.  A three-term sequence has
-    no rows left to check, so each passing residue class is one slice of
-    the grid: a step (e1, -e2) moves the index by e1*w - e2, which is >= 1
-    whenever the class has two points in the box, as then e2 <= 2*bound.
+    The cost is paid per scanned column.  The first row (e2, e1, e3) is
+    read straight from the sequence; the later rows, the width
+    w = 2*bound + 1 and the grid are read only at the first column that
+    passes, so a sequence with none reads none of them.  Along a class
+    b steps by -e2 as a steps by e1, and each point meets the second row
+    before the rest.  Each column holds at most one hit and a class's hits
+    come in a-major order, so the hits are sorted only when a second class
+    passes and the classes interleave.
+
+    Up to ``_GRID_MAX`` a hit is the ``_grid`` tuple at index
+    (a + bound)*w + b + bound.  A three-term sequence has no rows left to
+    check, so each passing residue class is one slice of the grid: a step
+    (e1, -e2) moves the index by e1*w - e2, which is >= 1 whenever the
+    class has two points in the box, as then e2 <= 2*bound.  Above the
+    limit such a class is the pairs of two ranges, a up by e1, b down by e2.
     """
     _check_sequence(seq)
     if type(bound) is not int or bound < 1:
         raise ContractViolation("bound must be an int >= 1")
     if len(seq) <= 2:
         return _box(bound)
-    (ca, cb, rhs), *rest = zip(seq[1:], seq, seq[2:])
+    cb, ca, rhs = seq[0], seq[1], seq[2]
     lo = max(-bound, -((cb * bound - rhs) // ca))
     hi = min(bound, (rhs + cb * bound) // ca)
-    w = 2 * bound + 1
-    grid = _grid(bound) if bound <= _GRID_MAX else None
     hits = []
+    classes = 0
     for first in range(lo, min(lo + cb, hi + 1)):
         if (rhs - ca * first) % cb:
             continue
-        if grid and not rest:
-            step = max(cb * w - ca, 1)  # a class with one point takes any step
-            i = (first + bound) * w + (rhs - ca * first) // cb + bound
-            hits += grid[i : i + (hi - first) // cb * step + 1 : step]
+        if not classes:  # the first passing column
+            w = 2 * bound + 1
+            grid = _grid(bound) if bound <= _GRID_MAX else None
+            later = len(seq) > 3
+            if later:
+                y1, x1, z1 = seq[1], seq[2], seq[3]
+                rest = list(zip(seq[3:], seq[2:], seq[4:]))
+        classes += 1
+        b = (rhs - ca * first) // cb
+        if not later:  # every point of a three-term class is a hit
+            if grid:
+                step = max(cb * w - ca, 1)  # a class with one point takes any step
+                i = (first + bound) * w + b + bound
+                hits += grid[i : i + (hi - first) // cb * step + 1 : step]
+            else:
+                hits += zip(range(first, hi + 1, cb), range(b, -bound - 1, -ca))
             continue
         for a in range(first, hi + 1, cb):
-            b = (rhs - ca * a) // cb
-            for x, y, z in rest:
-                if x * a + y * b != z:
-                    break
-            else:
-                hits.append(grid[(a + bound) * w + b + bound] if grid else (a, b))
-    hits.sort()
+            if x1 * a + y1 * b == z1:
+                for x, y, z in rest:
+                    if x * a + y * b != z:
+                        break
+                else:
+                    hits.append(grid[(a + bound) * w + b + bound] if grid else (a, b))
+            b -= ca
+    if classes > 1:
+        hits.sort()
     return hits
 
 

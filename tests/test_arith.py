@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divrec import arith
 from divrec.arith import (
     CapacityError,
     ContractViolation,
@@ -93,6 +94,47 @@ def test_factorize_large_semiprime_uses_rho():
 def test_factorize_repeated_large_prime():
     p = 1_000_003
     assert factorize(p * p).factors == ((p, 2),)
+
+
+def _windows_where_isqrt_crosses_a_power_of_two():
+    """Windows of n around 4**k, where isqrt(n) reaches 2**k and the trial
+    table doubles, and around p*p, p*q and q*q for the primes p < 2**k < q
+    nearest it, for k = 2 to 18: 4**17 = 2**34 is above 2**32 and the table's
+    cap, 2**16."""
+    for k in range(2, 19):
+        p = next(m for m in range(2**k - 1, 1, -1) if is_prime(m))
+        q = next(m for m in itertools.count(2**k + 1) if is_prime(m))
+        for n in (4**k, p * p, p * q, q * q):
+            yield max(1, n - 40), n + 40
+
+
+def test_factorize_matches_factor_range_where_the_trial_table_doubles():
+    # factorize sieves its trial primes only up to the next power of two
+    # above isqrt(n); the segmented sieve factorizes with its own primes
+    for lo, hi_excl in itertools.chain(_windows_where_isqrt_crosses_a_power_of_two(),
+                                       [(2**32 - 300, 2**32 + 300), (2**40 - 50, 2**40 + 50)]):
+        assert [(n, factorize(n).factors) for n in range(lo, hi_excl)] == list(
+            _factor_range(lo, hi_excl)), (lo, hi_excl)
+
+
+@pytest.mark.parametrize("n, limit", [
+    (1, 2), (3, 2), (60, 8), (63, 8), (64, 16), (2**32 - 1, 2**16), (2**32, 2**16),
+    (2**40 + 1, 2**16),
+])
+def test_factorize_sieves_up_to_the_next_power_of_two_above_the_root(monkeypatch, n, limit):
+    built = []
+
+    def recorded(top):
+        built.append(top)
+        return primes_upto(top)
+
+    monkeypatch.setattr(arith, "primes_upto", recorded)
+    arith._trial_primes.cache_clear()
+    try:
+        assert factorize(n).n == n
+    finally:
+        arith._trial_primes.cache_clear()  # drop the table built while recording
+    assert built == [limit]
 
 
 def test_isqrt_exact_examples():

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divrec import fit
 from divrec.arith import ContractViolation
 from divrec.fit import (
     _GRID_MAX,
@@ -281,11 +283,26 @@ def _assert_matches_per_point_references(seqs, bound):
             seq, bound)
 
 
+def _seeded_slice(count=2_000):
+    """Sequences shaped like the benchmark's random ones: lengths 3 to 9,
+    distinct entries up to 10^5."""
+    rng = random.Random(30)
+    return [sorted(rng.sample(range(1, 100_001), rng.randint(3, 9))) for _ in range(count)]
+
+
+# several passing residue classes, whose hits interleave
+_MANY_CLASSES = {(2, 4, 6): 2, (6, 12, 18): 6, (4, 6, 10, 16): 2, (3, 6, 9, 12, 15): 3}
+# points that pass the first two rows and fail a later one
+_LATE_MISSES = ([3, 6, 9, 12, 16], [1, 2, 4, 8, 17], [1, 2, 3, 5, 8, 14])
+
+
 def test_grid_answers_match_per_point_references():
     # bounds in the outer loop: _grid caches one bound at a time
     seqs = [(list(s), solve_fit(list(s)))
             for m in range(7) for s in itertools.combinations(range(1, 16), m)]
     vacuous = [(s, v) for s, v in seqs if len(s) <= 2]
+    seqs += [(list(s), solve_fit(list(s)))
+             for s in [*_seeded_slice(), *_MANY_CLASSES, *_LATE_MISSES]]
     for bound in _DIFF_BOUNDS:
         box = brute_force_fit([], bound)
         assert box == box_points(bound)
@@ -298,6 +315,39 @@ def test_grid_answers_match_per_point_references():
 @given(_grid_cases(), st.sampled_from(_DIFF_BOUNDS))
 def test_grid_answers_match_per_point_references_on_random_sequences(case, bound):
     _assert_matches_per_point_references([(case[0], solve_fit(case[0]))], bound)
+
+
+def test_grid_oracle_cases_and_three_term_lines_above_the_grid_limit():
+    for seq, classes in _MANY_CLASSES.items():
+        e1, e2, e3 = seq[:3]
+        assert sum((e3 - e2 * a) % e1 == 0 for a in range(e1)) == classes
+    # six classes interleave into one column per a
+    assert [a for a, _ in brute_force_fit([6, 12, 18], 50)] == list(range(-23, 27))
+    for seq in _LATE_MISSES:
+        assert any(verify_params(seq[:4], a, b) for a, b in box_points(5))
+        assert brute_force_fit(seq, 5) == []
+    # three-term lines, one class or several, as per-point answers
+    for seq in itertools.combinations(range(1, 16), 3):
+        assert brute_force_fit(list(seq), 300) == brute_force_fit_points(seq, 300), seq
+
+
+def test_grid_oracle_reads_no_solver(monkeypatch):
+    # the oracle decides each point from the raw rows: with the gcd and both
+    # solver cores gone it still gives the per-point answers
+    seeded = _seeded_slice()
+    three_terms = [list(s) for s in itertools.combinations(range(1, 16), 3)]
+
+    def refused(*args):
+        raise AssertionError("the grid oracle called the solver")
+
+    for name in ("gcd", "_solution", "_fit"):
+        monkeypatch.setattr(fit, name, refused)
+    for bound in _DIFF_BOUNDS:
+        for seq in three_terms + seeded:
+            assert brute_force_fit(seq, bound) == brute_force_fit_points(seq, bound), (
+                seq, bound)
+    with pytest.raises(AssertionError):
+        solve_fit([1, 2, 3])
 
 
 def test_line_above_the_grid_limit_builds_no_grid():

@@ -827,3 +827,27 @@ def test_forced_disagreements_match_object_reference(monkeypatch, tmp_path, patc
             for d in details:
                 predicted, computed = d.split(" predicted ")[1].split(", computed ")
                 assert predicted.split(" u=")[0] == computed
+
+
+def test_each_prediction_is_checked_once(monkeypatch):
+    # an outcome that files prediction errata keeps the failing forms of its
+    # first pass; the errata stay those of the object reference
+    calls = []
+
+    def counted(pset, pu, computed):
+        calls.append(pset)
+        return classify._prediction_holds(pset, pu, computed)
+
+    for name, fake in (("_small_forms", _shifted_small_forms), ("_prediction_holds", counted)):
+        monkeypatch.setattr(check, name, fake)
+    monkeypatch.setattr(classify, "_small_forms", _shifted_small_forms)
+    filed = 0
+    for n in range(2, 3_000):
+        f = factorize(n)
+        prof = profile(n, fac=f)
+        calls.clear()
+        _, errata = check._evaluate(n, f.factors, prof.small_strict, prof.large_strict)
+        assert len(calls) == len(_shifted_small_forms(f.factors)) + len(_large_forms(f.factors))
+        assert list(errata) == evaluate_by_objects(f, prof)[1], n
+        filed += sum(e.kind == KIND_PREDICTION for e in errata)
+    assert filed > 100
