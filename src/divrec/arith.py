@@ -3,18 +3,19 @@
 Everything here is exact; no floating point is used anywhere, so results
 are reliable all the way up to the configured input bound (2**62 by
 default, configurable).  Primality is deterministic: a fixed Miller-Rabin
-witness set with a proven range, never a probabilistic verdict.  The
-searches sieve with ``_primes``, the one prime sieve here; the range
-scans' ``harness._factor_range`` builds on it and ``_factor_into``.
+witness set with a proven range, never a probabilistic verdict.  Primes
+come from ``_sieve``, the one prime sieve here; below 2**20, ``factorize``,
+the searches and ``harness._factor_range`` read one cached table of it.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain, compress
 from math import gcd, isqrt, prod
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "CapacityError",
@@ -43,7 +44,7 @@ _FULL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _FULL_WITNESS_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _TRIAL_LIMIT = 1 << 16
-
+_TABLE_LIMIT = 1 << 20  # ``_primes`` reads every window below it off a table
 
 
 class CapacityError(Exception):
@@ -125,38 +126,50 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _primes(lo: int, hi: int) -> Iterator[int]:
-    """The primes p with lo <= p < hi, ascending, for hi >= 1.
+def _sieve(lo: int, hi: int) -> Iterator[int]:
+    """The primes p with lo <= p < hi, ascending, sieved afresh.
 
     2 where it is in range, then an odd-only sieve over odds: each odd prime
-    p <= isqrt(hi - 1) clears its odd multiples from max(p*p, odds[0]) on,
-    every p-th index.  A sieve from 3 reads those primes off itself; any
-    other sieves them first, one level down.  ``compress`` reads the primes
-    out without building them one by one in Python.
+    p <= isqrt(hi - 1), from ``_primes``, clears its odd multiples from
+    max(p*p, odds[0]) on, every p-th index; below 9 there is none to strike.
+    ``compress`` reads the primes out without building them one by one.
     """
     odds = range(max(lo, 3) | 1, hi, 2)
     odd = bytearray([1]) * len(odds)
-    if odds.start > 3:
-        sieving = _primes(3, isqrt(hi - 1) + 1)
-    else:  # odd[i] is final once the primes below 2*i + 3 have struck
-        sieving = (2 * i + 3 for i in range((isqrt(hi - 1) - 1) // 2) if odd[i])
-    for p in sieving:
+    for p in _primes(3, isqrt(hi - 1) + 1) if hi > 9 else ():
         start = (max(p * p, (-(-odds.start // p) | 1) * p) - odds.start) // 2
         odd[start::p] = bytes(len(range(start, len(odds), p)))
     primes = compress(odds, odd)
     return chain((2,), primes) if lo <= 2 < hi else primes
 
 
+@lru_cache(maxsize=None)  # one table per power of two up to _TABLE_LIMIT
+def _prime_table(limit: int) -> array:
+    """The primes below ``limit``, a power of two, as C ints: the table of
+    limit / 2 and the sieve of the half above it, so all the tables up to
+    a limit cost one sieve of [2, limit)."""
+    if limit == 1:
+        return array("i")
+    return _prime_table(limit // 2) + array("i", _sieve(limit // 2, limit))
+
+
+def _primes(lo: int, hi: int) -> Iterable[int]:
+    """The primes p with lo <= p < hi, ascending.
+
+    While hi - 1 <= ``_TABLE_LIMIT`` (itself no prime) and lo <= hi / 2, an
+    ``array`` slice of the table of the next power of two, cut by two
+    bisects; else ``_sieve``: a window in the top half of [0, hi) spans
+    fewer numbers than the table, which spans up to 2*hi of them.
+    """
+    if hi - 1 > _TABLE_LIMIT or 2 * lo > hi:
+        return _sieve(lo, hi)
+    table = _prime_table(min(1 << (hi - 1).bit_length(), _TABLE_LIMIT))
+    return table[bisect_left(table, lo) : bisect_left(table, hi)]
+
+
 def primes_upto(limit: int) -> list[int]:
     """All primes strictly below ``limit`` (Eratosthenes)."""
-    if limit <= 2:
-        return []
     return list(_primes(2, limit))
-
-
-@lru_cache(maxsize=None)  # one table per power of two up to _TRIAL_LIMIT
-def _trial_primes(limit: int) -> tuple[int, ...]:
-    return tuple(primes_upto(limit))
 
 
 def _pollard_brent(n: int) -> int:
@@ -206,16 +219,16 @@ def _factor_into(m: int, acc: dict[int, int]) -> None:
 def factorize(n: int) -> Factorization:
     """Full prime factorization; trial division plus a rho fallback.
 
-    The trial primes are those below the next power of two above isqrt(n),
-    capped at ``_TRIAL_LIMIT``, so a small n builds a small table: all of
-    them below 2**16 take about 1 ms to sieve.
+    The trial primes are the table of the next power of two above isqrt(n),
+    capped at ``_TRIAL_LIMIT``, so a small n builds a small table: all the
+    primes below 2**16 take about 1 ms to sieve.
     """
     if n < 1:
         raise ContractViolation("factorize requires n >= 1")
     _guard(n)
     pairs: list[tuple[int, int]] = []
     m = n
-    for p in _trial_primes(min(1 << isqrt(n).bit_length(), _TRIAL_LIMIT)):
+    for p in _prime_table(min(1 << isqrt(n).bit_length(), _TRIAL_LIMIT)):
         if p * p > m:
             break
         if m % p == 0:

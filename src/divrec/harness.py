@@ -26,13 +26,13 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from contextlib import nullcontext
-from functools import lru_cache
 from itertools import islice
 from math import isqrt
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .arith import ContractViolation, _factor_into, _guard, _primes, _tau, factorize
+from .arith import (_TABLE_LIMIT, ContractViolation, _factor_into, _guard, _prime_table, _tau,
+                    factorize)
 from .check import (KIND_ORACLE_ONLY, _BIG, ErrataEntry, ValidationRecord, _evaluate,
                     canonical_json)
 from .classify import LARGE, SMALL
@@ -118,37 +118,22 @@ def append_ledger(path, errata) -> int:
 # ----------------------------------------------------------------------
 # range sieves
 
-# _factor_range sieves with the primes up to min(isqrt(hi), 2**20)
-_SEGMENT_PRIME_LIMIT = 1 << 20
 _MIN_SEGMENT = 512
-
-
-@lru_cache(maxsize=1)
-def _segment_prime_table() -> array:
-    """Every prime <= 2**20 (82 025 of them), as C ints: ``arith._primes``
-    fills the array from its iterator, with no list of ints in between."""
-    return array("i", _primes(2, _SEGMENT_PRIME_LIMIT))
-
-
-def _segment_primes(t: int) -> array:
-    """The primes <= t, for t <= 2**20."""
-    table = _segment_prime_table()
-    return table[: bisect_right(table, t)]
 
 
 def _factor_range(lo: int, hi_excl: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
     """``(n, factorize(n).factors)`` for lo <= n < hi_excl, in order.
 
-    Every prime p <= top = min(isqrt(hi_excl - 1), 2**20) divides itself
-    out of its multiples in the current segment, in one loop from the
-    index of its first multiple.  For a prime up to the segment length
-    that is -start % p.  A larger prime has at most one multiple, at index
-    size - 1 - last % p when last % p < size (last = the segment's largest
-    n, so the dividend is positive; CPython takes a slower path for a
-    negative one), and is left out otherwise.  A
-    cofactor m > 1 then has no prime factor <= top, so it is prime when
-    m < (top + 1)**2, which always holds below 2**40; a larger one goes to
-    the Miller-Rabin and Brent-rho tail of ``factorize``.
+    Every prime p <= top = min(isqrt(hi_excl - 1), 2**20), a slice of the
+    cached ``arith._prime_table``, divides itself out of its multiples
+    in the current segment, in one loop from the index of its first
+    multiple.  For a prime up to the segment length that is -start % p.  A
+    larger prime has at most one multiple, at index size - 1 - last % p
+    when last % p < size (last = the segment's largest n, so the dividend
+    is positive; CPython takes a slower path for a negative one), and is
+    left out otherwise.  A cofactor m > 1 then has no prime factor <= top,
+    so it is prime when m < (top + 1)**2, which always holds below 2**40;
+    a larger one goes to the Miller-Rabin and Brent-rho tail of ``factorize``.
 
     Each prime costs one division per segment, so the range is cut into
     the fewest equal segments of at most max(512, an eighth as many n as
@@ -163,8 +148,9 @@ def _factor_range(lo: int, hi_excl: int) -> Iterator[tuple[int, tuple[tuple[int,
     if lo == hi_excl:
         return
     _guard(hi_excl - 1)
-    top = min(isqrt(hi_excl - 1), _SEGMENT_PRIME_LIMIT)
-    primes = _segment_primes(top)
+    top = min(isqrt(hi_excl - 1), _TABLE_LIMIT)
+    table = _prime_table(min(1 << top.bit_length(), _TABLE_LIMIT))
+    primes = table[: bisect_right(table, top)]
     proven = (top + 1) ** 2
     total = hi_excl - lo
     count = -(-total // max(_MIN_SEGMENT, len(primes) // 8))

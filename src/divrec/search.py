@@ -8,10 +8,11 @@ solves one quadratic per integer j up to about p^{1/4}/sqrt(2) whose
 discriminant passes a square test by residues, large5 keeps q in
 {isqrt(p^5), isqrt(p^5) + 1} only if p^5 - q^2 divides p - 1; the proofs
 are in the docstrings of ``_s7_candidates`` and ``_l5_candidates``.  One
-loop per span feeds it the primes of ``arith._primes``, which sieves its
-own base primes, so memory stays O(sqrt(p_max)) plus one span; the loop
-runs the exact check, the primality tests and the oracle's fit core,
-``fit._solution``, on the set cut from each hit's known factorization.
+loop per span feeds it the primes of ``arith._primes``, which reads the
+first span of a search, up to 2**20, off a cached table and sieves every
+later one with base primes from it; the loop runs the exact check, the
+primality tests and the oracle's fit core, ``fit._solution``, on the set
+cut from each hit's known factorization.
 Results are deterministic however ``runner.map_spans`` splits the work.
 """
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 from bisect import bisect_left
 from math import isqrt
 
@@ -13,7 +14,9 @@ from divrec.arith import (
     ContractViolation,
     Factorization,
     FactorSieve,
+    _TABLE_LIMIT,
     _primes,
+    _sieve,
     divisors_sorted,
     factorize,
     input_bound,
@@ -23,7 +26,7 @@ from divrec.arith import (
     set_input_bound,
     tau,
 )
-from divrec.harness import _MIN_SEGMENT, _factor_range, _segment_primes
+from divrec.harness import _MIN_SEGMENT, _factor_range
 
 
 def naive_is_prime(n):
@@ -122,19 +125,17 @@ def test_factorize_matches_factor_range_where_the_trial_table_doubles():
     (2**40 + 1, 2**16),
 ])
 def test_factorize_sieves_up_to_the_next_power_of_two_above_the_root(monkeypatch, n, limit):
-    built = []
+    requested = []
+    table = arith._prime_table
+    table(limit)  # cached first: building it calls _prime_table again
 
     def recorded(top):
-        built.append(top)
-        return primes_upto(top)
+        requested.append(top)
+        return table(top)
 
-    monkeypatch.setattr(arith, "primes_upto", recorded)
-    arith._trial_primes.cache_clear()
-    try:
-        assert factorize(n).n == n
-    finally:
-        arith._trial_primes.cache_clear()  # drop the table built while recording
-    assert built == [limit]
+    monkeypatch.setattr(arith, "_prime_table", recorded)
+    assert factorize(n).n == n
+    assert requested == [limit]
 
 
 def test_isqrt_exact_examples():
@@ -220,11 +221,13 @@ def _trial_division_primes(limit):
 
 
 def test_primes_upto_matches_trial_division():
-    # the odd-only sieve at every small limit, odd and even, and around the
-    # trial-prime table (2^16) and the segment-prime table (2^20)
+    # the cached table and the odd-only sieve at every small limit, odd and
+    # even, and about factorize's cap (2^16) and the table's cap (2^20)
     reference = _trial_division_primes(2**20 + 1)
-    for limit in (*range(5001), 2**16, 2**16 + 1, 2**20 + 1):
-        assert primes_upto(limit) == reference[: bisect_left(reference, limit)], limit
+    for limit in (*range(5001), 2**16, 2**16 + 1, 2**20, 2**20 + 1):
+        primes = reference[: bisect_left(reference, limit)]
+        assert primes_upto(limit) == primes, limit
+        assert list(_sieve(2, limit)) == primes, limit
 
 
 def _prime_window(lo, hi):
@@ -234,7 +237,7 @@ def _prime_window(lo, hi):
 @settings(max_examples=500, deadline=None)
 @given(st.integers(0, 3000), st.integers(1, 3000))
 def test_primes_small_windows_match_is_prime(lo, width):
-    assert list(_primes(lo, lo + width)) == _prime_window(lo, lo + width)
+    assert list(_sieve(lo, lo + width)) == _prime_window(lo, lo + width)
 
 
 _P = 999_983  # the largest prime below 10^6: p^2 is near 10^12
@@ -252,7 +255,32 @@ _P = 999_983  # the largest prime below 10^6: p^2 is near 10^12
     (10**12 - 2_000, 10**12 + 2_000), (2**40 - 2_000, 2**40 + 2_000),
 ])
 def test_primes_windows_match_is_prime(lo, hi):
-    assert list(_primes(lo, hi)) == _prime_window(lo, hi)
+    assert list(_sieve(lo, hi)) == _prime_window(lo, hi)
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_table_windows_about_each_power_of_two_match_the_sieve(k):
+    # hi - 1 crossing 2^k switches the table _primes slices
+    for hi in (2**k - 1, 2**k, 2**k + 1, 2**k + 2, 2**k + 100):
+        for lo in (0, 2, 3, 2 ** (k - 1) - 1, 2 ** (k - 1), hi // 2, hi // 2 + 1, hi - 1):
+            assert list(_primes(lo, hi)) == list(_sieve(lo, hi)), (lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (2**20 - 5_000, 2**20 + 5_000), (2**20 - 65_536, 2**20 + 1),
+    (2**19 - 1_000, 2**20 + 1), (2**19 + 1, 2**20 + 1), (2, 2**20 + 1), (2, 2**20 + 2),
+])
+def test_windows_about_the_table_cap_match_the_sieve(lo, hi):
+    assert list(_primes(lo, hi)) == list(_sieve(lo, hi))
+
+
+@pytest.mark.parametrize("lo, hi, from_table", [
+    (0, 2, True), (2, 1_001, True), (500, 1_001, True), (501, 1_001, False),
+    (2**19, 2**20 + 1, True), (2**19 + 1, 2**20 + 1, False), (2, 2**20 + 2, False),
+])
+def test_windows_below_the_cap_from_the_lower_half_read_the_table(lo, hi, from_table):
+    # a search's first span is one; the search benchmark repeats such spans
+    assert isinstance(_primes(lo, hi), array) == from_table
 
 
 def test_factor_sieve_agrees_with_factorize():
@@ -372,4 +400,6 @@ def test_factor_range_edges():
 
 @pytest.mark.parametrize("t", [2, 3, 4, 100, 10**6, 2**20])
 def test_segment_primes_match_primes_upto(t):
-    assert _segment_primes(t).tolist() == primes_upto(t + 1)
+    # _factor_range sieves with the primes <= t <= 2^20: a slice of a table
+    table = arith._prime_table(min(1 << t.bit_length(), _TABLE_LIMIT))
+    assert table[: bisect_left(table, t + 1)].tolist() == list(_sieve(2, t + 1))

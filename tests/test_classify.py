@@ -1,6 +1,7 @@
 import pytest
 
-from divrec.arith import ContractViolation, Factorization, FactorSieve, factorize
+from divrec import classify
+from divrec.arith import ContractViolation, Factorization, FactorSieve, factorize, primes_upto
 from divrec.classify import (
     LARGE,
     SMALL,
@@ -202,6 +203,57 @@ def test_cores_list_form_ids_in_increasing_order():
     # every form but the conditional large form 5 fires in these ranges
     assert seen_small == set(range(1, 11))
     assert seen_large == set(range(1, 10)) - {5}
+
+
+def _l5_window(p):
+    """The primes q with p^2 < q < p^3."""
+    return [q for q in primes_upto(p**3) if q > p * p]
+
+
+def _record_l5_calls(monkeypatch, answer):
+    calls = []
+    monkeypatch.setattr(classify, "_l5_condition",
+                        lambda p, q: calls.append((p, q)) or answer)
+    return calls
+
+
+def test_large_form_5_tests_its_condition_once_inside_its_window(monkeypatch):
+    calls = _record_l5_calls(monkeypatch, False)
+    for p in (2, 3, 5, 7, 11):
+        for q in _l5_window(p):
+            calls.clear()
+            assert [m[0] for m in _large_forms(((p, 4), (q, 1)))] == [], (p, q)
+            assert calls == [(p, q)]
+
+
+def test_large_form_5_never_tests_its_condition_elsewhere(monkeypatch):
+    # every prime q > p up to p^6, as p^k*q and p^k*q^2 for k != 4, and
+    # p^4*q outside p^2 < q < p^3; then one- and three-prime signatures
+    calls = _record_l5_calls(monkeypatch, True)
+    for p in (2, 3, 5, 7):
+        for q in primes_upto(p**6):
+            if q <= p:
+                continue
+            for k in range(1, 9):
+                for b in (1, 2):
+                    if not (k == 4 and b == 1 and p * p < q < p**3):
+                        _large_forms(((p, k), (q, b)))
+        for k in range(1, 9):
+            _large_forms(((p, k),))
+            _large_forms(((p, k), (11, 1), (13, 1)))
+    assert calls == []
+
+
+def test_large_form_5_predicts_the_large_side_in_its_window(monkeypatch):
+    # the set is pure divisor order, true whatever the condition decides
+    _record_l5_calls(monkeypatch, True)
+    for p in (2, 3, 5, 7):
+        for q in _l5_window(p):
+            n = p**4 * q
+            (m,) = [m for m in classify_large(n) if m.form_id == 5]
+            assert m.params == {"p": p, "q": q}
+            assert m.predicted_set == (p * q, p**4, p * p * q, p**3 * q)
+            assert m.predicted_set == profile(n).large_strict, (p, q)
 
 
 def test_soundness_and_predictions_over_range():

@@ -14,6 +14,7 @@ from divrec.arith import (
     ContractViolation,
     FactorSieve,
     _primes,
+    _sieve,
     input_bound,
     is_prime,
     primes_upto,
@@ -303,7 +304,7 @@ def test_hostile_pmax_raises_before_any_table(monkeypatch):
     (65_538, 131_074), (2, 300_000),
 ])
 def test_span_sieve_matches_primes_upto(lo, hi):
-    assert list(_primes(lo, hi)) == _window(primes_upto(hi), lo - 1, hi)
+    assert list(_sieve(lo, hi)) == _window(primes_upto(hi), lo - 1, hi)
 
 
 def test_span_sieve_near_1e12_matches_is_prime():
