@@ -163,23 +163,23 @@ def _small_forms(sig) -> list[Form]:
 
 
 def _s7_solution(p: int, q: int) -> tuple[int, int, int] | None:
-    """(r, a, b) with r = p*q - sqrt(den*(p^2 - q)), den = q^2 - p^3, or None.
+    """(r, a, b) = (p*q - j*den, p*j, p - j*q) if p^2 - q = j^2*den for an
+    integer j, where den = q^2 - p^3 > 0; else None.
 
-    a = p*(p*q - r)/den and b = (r*q - p^4)/den must be integers; the caller
-    checks that r > p^2 is prime.
+    This is r = p*q - sqrt(den*(p^2 - q)) with den | p*q - r, and then
+    a = p*(p*q - r)/den and b = (r*q - p^4)/den: the root is j*den, and
+    r*q - p^4 = den*(p - j*q).  ``search._s7_candidates`` enumerates the
+    same j.  The caller checks that r > p^2 is prime.
     """
     p2 = p * p
     den = q * q - p * p2
-    rad = den * (p2 - q)
-    if den <= 0 or rad <= 0:  # needs p^3 < q^2 and q < p^2
+    if den <= 0 or q >= p2:  # needs p^3 < q^2 and q < p^2
         return None
-    root = isqrt(rad)
-    if root * root != rad:
+    j2, rem = divmod(p2 - q, den)
+    j = isqrt(j2)
+    if rem or j * j != j2:
         return None
-    r = p * q - root
-    if not (_divides(den, p * q - r) and _divides(den, r * q - p2 * p2)):
-        return None
-    return r, p * (p * q - r) // den, (r * q - p2 * p2) // den
+    return p * q - j * den, p * j, p - j * q
 
 
 def _small_form_10(p: int, q: int, r: int) -> Form | None:

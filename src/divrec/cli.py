@@ -177,10 +177,10 @@ def _check_range(args) -> None:
 
 
 def _jobs(args) -> int:
-    """``--jobs``, or the default worker count when it is not given."""
+    """``--jobs``, or every CPU this process may use when it is not given."""
     if args.jobs is None:
-        from .runner import default_jobs
-        return default_jobs()
+        from .runner import _available_cpus
+        return _available_cpus()
     if args.jobs < 1:
         raise ContractViolation("--jobs must be >= 1")
     return args.jobs

@@ -1,33 +1,22 @@
-"""What the range scans, the searches and the CLI share: the worker count,
-``map_spans``, which maps a worker over the spans of a range, on a fork
-pool when one pays, and output files that appear only once complete.
+"""What the range scans, the searches and the CLI share: ``map_spans``,
+which maps a worker over the spans of a range, on a fork pool when one
+pays, and output files that appear only once complete.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from functools import partial
 from itertools import count
 from pathlib import Path
 
 from .arith import ContractViolation
 
-__all__ = ["JOBS_ENV", "default_jobs", "map_spans"]
+__all__ = ["map_spans"]
 
-JOBS_ENV = "DIVREC_JOBS"
 _SPAN_MAX = 65536  # items in a span: one task of a pool, one block of a scan
 _temp_ids = count()  # numbers the temp files of this process
-
-
-def default_jobs() -> int:
-    env = os.environ.get(JOBS_ENV)
-    if env:
-        with suppress(ValueError):  # int() refuses more than 4300 digits
-            if env.strip().isdecimal() and int(env) >= 1:
-                return int(env)
-        raise ContractViolation(f"{JOBS_ENV} must be a positive integer")
-    return _available_cpus()
 
 
 def _available_cpus() -> int:

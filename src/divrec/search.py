@@ -92,9 +92,8 @@ def _s7_candidates(ps: Iterable[int]) -> Iterator[tuple[int, int]]:
     """(p, q) for each p of ``ps`` and each q > 0 for which
     ``_s7_solution(p, q)`` can succeed, and a few more.
 
-    Let den = q^2 - p^3 and root = p*q - r.  ``_s7_solution`` requires
-    den > 0, q < p^2, den | root and root^2 = den*(p^2 - q) > 0.  So
-    root = j*den for an integer j >= 1, and p^2 - q = j^2*den: q is the
+    Let den = q^2 - p^3.  ``_s7_solution`` requires den > 0, q < p^2 and
+    p^2 - q = j^2*den for an integer j, so j >= 1 and q is the
     positive root of j^2*q^2 + q - (j^2*p^3 + p^2) = 0, an integer only
     when D = 1 + 4*j^2*(j^2*p^3 + p^2) is a square whose root t has
     2*j^2 | t - 1, and then q = (t - 1) / (2*j^2).
@@ -206,8 +205,9 @@ _L5_POOL_MIN_PMAX = 479_909  # the 40 000th prime
 
 def _scan_primes(span, p_max: int, jobs: int, pool_min_pmax: int) -> list:
     """Every hit of ``span(lo, hi)`` over the primes p <= p_max, in order of p."""
-    # isqrt(p_max^5) + 1 is the largest large5 q; reject a p_max whose
-    # candidates exceed the input bound before sieving anything.
+    # isqrt(p_max^5) + 1 is the largest large5 q; reject a p_max that puts
+    # it above the input bound before sieving anything.  This does not
+    # bound s7's r < p*q < p^3, which can pass 2^62 once p > 1.66*10^6.
     if p_max < 2:
         raise ContractViolation("p_max must be >= 2")
     _guard(isqrt(p_max**5) + 1)

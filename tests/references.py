@@ -15,7 +15,14 @@ from divrec.check import (
     ValidationRecord,
     canonical_json,
 )
-from divrec.classify import LARGE, SMALL, classify_large, classify_small, verify_prediction
+from divrec.classify import (
+    LARGE,
+    SMALL,
+    _divides,
+    classify_large,
+    classify_small,
+    verify_prediction,
+)
 from divrec.fit import FitKind, FitVerdict, _line, constraints_of
 from divrec.harness import _factor_range
 from divrec.oracle import verdict_for_sequence
@@ -123,6 +130,24 @@ def s7_candidates(p):
         if q > s + 1 and j2 * (q * q - p3) == p2 - q:
             qs.append(q)
     return qs
+
+
+def s7_solution(p, q):
+    """``classify._s7_solution`` as the square-root equation states it:
+    r = p*q - sqrt(den*(p^2 - q)), den = q^2 - p^3, with den | p*q - r and
+    den | r*q - p^4, and then a = p*(p*q - r)/den, b = (r*q - p^4)/den."""
+    p2 = p * p
+    den = q * q - p * p2
+    rad = den * (p2 - q)
+    if den <= 0 or rad <= 0:
+        return None
+    root = isqrt(rad)
+    if root * root != rad:
+        return None
+    r = p * q - root
+    if not (_divides(den, p * q - r) and _divides(den, r * q - p2 * p2)):
+        return None
+    return r, p * (p * q - r) // den, (r * q - p2 * p2) // den
 
 
 def _ext_gcd(a, b):

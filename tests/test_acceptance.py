@@ -14,13 +14,13 @@ from functools import partial
 
 import pytest
 
-from divrec.arith import FactorSieve, factorize
+from divrec.arith import factorize
 from divrec.check import KIND_CLASSIFIER_ONLY, KIND_ORACLE_ONLY, KIND_PREDICTION
 from divrec.classify import classify_large, classify_small
 from divrec.fit import FitKind, brute_force_fit, solve_fit, solutions_in_box, verify_params
 from divrec.harness import profile_sweep_failures, split_errata, validate_range
 from divrec.profiles import profile
-from divrec.runner import default_jobs, map_spans
+from divrec.runner import _available_cpus, map_spans
 from divrec.search import search_large5, search_s7
 from references import large_verdict, profiles_in_range, small_verdict
 
@@ -40,7 +40,7 @@ def criterion(label):
 
 @pytest.fixture(scope="session")
 def jobs():
-    return default_jobs()
+    return _available_cpus()
 
 
 @pytest.fixture(scope="session")

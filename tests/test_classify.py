@@ -1,11 +1,14 @@
 import pytest
 
 from divrec import classify
-from divrec.arith import ContractViolation, Factorization, FactorSieve, factorize, primes_upto
+from divrec.arith import ContractViolation, Factorization, factorize, primes_upto
 from divrec.classify import (
     LARGE,
     SMALL,
+    _l5_condition,
     _large_forms,
+    _s7_solution,
+    _small_form_10,
     _small_forms,
     classify_large,
     classify_small,
@@ -14,7 +17,7 @@ from divrec.classify import (
 from divrec.fit import verify_params
 from divrec.harness import _factor_range
 from divrec.profiles import profile
-from references import large_verdict, small_verdict
+from references import large_verdict, s7_solution, small_verdict
 
 
 def small_ids(n):
@@ -65,6 +68,7 @@ def test_small_form_2_restriction():
     assert small_ids(6) == [2]
     assert small_ids(12) == [2]
     assert small_ids(75) == [2]  # 3 * 5^2
+    assert small_ids(54) == [2]  # 2 * 3^3: form 5 starts at q^4
 
 
 def test_large_form_4_example():
@@ -72,6 +76,7 @@ def test_large_form_4_example():
     assert m.form_id == 4 and m.params["k"] == 4
     assert m.predicted_set == (8, 12, 16, 24)
     assert m.predicted_u == (8, 12, 0, 2)
+    assert large_ids(12) == [3]  # 2^2 * 3 with q < p^2: form 4 starts at p^3
 
 
 def test_large_form_4_odd_k():
@@ -256,11 +261,43 @@ def test_large_form_5_predicts_the_large_side_in_its_window(monkeypatch):
             assert m.predicted_set == profile(n).large_strict, (p, q)
 
 
+def test_l5_condition_holds_on_these_integers_alone():
+    # no prime pair is known to meet it, so the integer points where it
+    # holds pin its arithmetic: 8^5 - 181^2 = 7 divides 8^2 + 181 and 8^3 + 181
+    held = [(p, q) for p in range(-10, 11) for q in range(-200, 201) if _l5_condition(p, q)]
+    assert held == [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
+                    (1, -2), (1, 0), (1, 1), (8, -181)]
+
+
+def test_s7_solution_matches_the_square_root_equation():
+    # primes or not, and q on both sides of every guard: q^2 = p^3, q = p^2
+    found = []
+    for p in range(2, 61):
+        for q in range(1, p * p + 6):
+            sol = _s7_solution(p, q)
+            assert sol == s7_solution(p, q), (p, q)
+            if sol is not None:
+                found.append((p, q, sol))
+    assert found == [(2, 3, (5, 2, -1)), (21, 98, (1715, 21, -77))]
+
+
+def test_small_form_10_needs_the_r_of_the_equation(monkeypatch):
+    # (2, 3) is the only pair known to solve the equation, and its window
+    # p^2 < r < p*q holds only r = 5, so patched solutions stand in for
+    # pairs that would give another r
+    assert _small_form_10(2, 3, 5)[0] == 10
+    monkeypatch.setattr(classify, "_s7_solution", lambda p, q: (7, 2, -1))
+    assert _small_form_10(2, 3, 5) is None
+    assert [m[0] for m in _small_forms(((2, 2), (3, 1), (5, 1)))] == []
+    # and r must lie above p^2 even when the equation gives it
+    monkeypatch.setattr(classify, "_s7_solution", lambda p, q: (11, 5, -2))
+    assert _small_form_10(5, 7, 11) is None
+
+
 def test_soundness_and_predictions_over_range():
-    sieve = FactorSieve(8001)
     allowed_large_gap = []
-    for n in range(2, 8001):
-        f = sieve.factorize(n)
+    for n, sig in _factor_range(2, 8001):
+        f = Factorization(n, sig)
         prof = profile(n, fac=f)
         sm = classify_small(n, fac=f)
         lm = classify_large(n, fac=f)

@@ -201,21 +201,6 @@ def test_oracle_bound_outside_range_exits_one(capsys):
     assert [2, 0] in json.loads(out)["large_grid"]
 
 
-def test_validate_bad_jobs_env_exits_one(capsys, monkeypatch):
-    monkeypatch.setenv("DIVREC_JOBS", "abc")
-    code, out, err = run(capsys, "validate", "--from", "2", "--to", "50")
-    assert code == 1 and out == ""
-    assert "DIVREC_JOBS" in err
-
-
-def test_tau_check_jobs_env_beyond_int_digits_exits_one(capsys, monkeypatch):
-    # int() refuses a decimal string of more than 4300 digits
-    monkeypatch.setenv("DIVREC_JOBS", "9" * 5000)
-    code, out, err = run(capsys, "tau-check", "--from", "2", "--to", "50")
-    assert code == 1 and out == ""
-    assert err == "divrec: error: DIVREC_JOBS must be a positive integer\n"
-
-
 @pytest.mark.parametrize("name, what", [("r.errata.jsonl", "ledger")])
 def test_validate_deeply_nested_json_exits_one(capsys, tmp_path, name, what):
     # json's decoder recurses once per level: this raises RecursionError
@@ -441,6 +426,24 @@ def test_jobs_below_one_names_the_flag(capsys, command, jobs):
     code, out, err = run(capsys, command, *args, "--jobs", jobs)
     assert code == 1 and out == ""
     assert err == "divrec: error: --jobs must be >= 1\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "tau-check", "search-s7", "search-large5"])
+def test_jobs_left_out_asks_one_worker_per_cpu(capsys, monkeypatch, pool_sizes, command):
+    monkeypatch.setattr(harness, "_POOL_MIN", 0)  # a pool on this small range
+    monkeypatch.setattr(search, "_S7_POOL_MIN_PMAX", 0)
+    monkeypatch.setattr(search, "_L5_POOL_MIN_PMAX", 0)
+    if command.startswith("search"):
+        args = ("--pmax", "50")
+    else:
+        args = ("--from", "2", "--to", "50")
+    sizes = pool_sizes(3)
+    code, out, err = run(capsys, command, *args)
+    assert code == 0 and err == ""
+    assert sizes == [3]
+    monkeypatch.setenv("DIVREC_JOBS", "abc")  # the environment sets nothing
+    assert run(capsys, command, *args) == (0, out, "")
+    assert sizes == [3, 3]
 
 
 def _interrupt_validate(tmp_path, monkeypatch, jobs):

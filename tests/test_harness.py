@@ -41,7 +41,7 @@ from divrec.harness import (
     validate_range,
 )
 from divrec.profiles import check_tau_identity, profile
-from divrec.runner import _SPAN_MAX, default_jobs, map_spans
+from divrec.runner import _SPAN_MAX, _available_cpus, map_spans
 from references import evaluate_by_objects, large_verdict, record_line, validation_record_dict
 
 
@@ -504,23 +504,12 @@ def test_profile_sweep_guards_before_cutting_blocks(monkeypatch):
         validate_range(2, 2**63)
 
 
-def test_default_jobs_env_override(monkeypatch):
-    monkeypatch.setenv("DIVREC_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("DIVREC_JOBS", "0")
-    with pytest.raises(ContractViolation):
-        default_jobs()
-    monkeypatch.delenv("DIVREC_JOBS")
-    assert default_jobs() >= 1
-
-
 def test_default_jobs_counts_the_affinity_mask(monkeypatch):
-    monkeypatch.delenv("DIVREC_JOBS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    assert default_jobs() == 1
+    assert _available_cpus() == 1
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert default_jobs() == 64
+    assert _available_cpus() == 64
 
 
 @pytest.mark.parametrize("jobs, tasks, cpus, size", [

@@ -12,7 +12,7 @@ from divrec import runner
 from divrec.arith import (
     CapacityError,
     ContractViolation,
-    FactorSieve,
+    Factorization,
     _primes,
     _sieve,
     input_bound,
@@ -21,6 +21,7 @@ from divrec.arith import (
     set_input_bound,
 )
 from divrec.classify import _divides, _s7_solution, classify_small
+from divrec.harness import _factor_range
 from divrec.oracle import verdict_for_sequence
 from divrec.profiles import profile
 from divrec.search import (
@@ -197,10 +198,9 @@ def test_s7_matches_form_10_classification():
     # and every classified n in range comes from a hit
     hits = search_s7(100)
     hit_ns = {h.n for h in hits}
-    sieve = FactorSieve(100001)
     classified = set()
-    for n in range(2, 100001):
-        f = sieve.factorize(n)
+    for n, sig in _factor_range(2, 100001):
+        f = Factorization(n, sig)
         if len(f.factors) != 3:
             continue
         if any(m.form_id == 10 for m in classify_small(n, fac=f)):
