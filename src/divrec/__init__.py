@@ -15,11 +15,9 @@ from .arith import (
     FactorSieve,
     divisors_sorted,
     factorize,
-    input_bound,
     is_prime,
     isqrt_exact,
     primes_upto,
-    set_input_bound,
     tau,
 )
 from .check import ErrataEntry, ValidationRecord, check_single
@@ -48,9 +46,9 @@ __all__ = [
     "CapacityError", "ContractViolation", "DivisorProfile", "ErrataEntry", "Factorization",
     "FactorSieve", "FitKind", "FitVerdict", "FormMatch", "LARGE", "RecurrenceVerdict", "SMALL",
     "ValidationRecord", "brute_force_fit", "check_single", "check_tau_identity",
-    "classify_large", "classify_small", "divisors_sorted", "factorize", "input_bound",
-    "is_prime", "isqrt_exact", "primes_upto", "profile", "set_input_bound", "solutions_in_box",
-    "solve_fit", "tau", "verify_params", "verify_prediction", *_LAZY,
+    "classify_large", "classify_small", "divisors_sorted", "factorize", "is_prime",
+    "isqrt_exact", "primes_upto", "profile", "solutions_in_box", "solve_fit", "tau",
+    "verify_params", "verify_prediction", *_LAZY,
 ]
 
 

@@ -1,9 +1,10 @@
 """Exact integer primitives: primality, factorization, divisors.
 
-Everything here is exact; no floating point is used anywhere, so results
-are reliable all the way up to the configured input bound (2**62 by
-default, configurable).  Primality is deterministic: a fixed Miller-Rabin
-witness set with a proven range, never a probabilistic verdict.  Primes
+Everything here is exact; no floating point is used anywhere.  Factoring
+and the range scans accept inputs up to ``INPUT_BOUND`` (2**62), which keeps
+factoring tractable.  Primality is deterministic: a fixed Miller-Rabin
+witness set with a proven range, never a probabilistic verdict, so
+``is_prime`` answers up to the witness limit and refuses past it.  Primes
 come from ``_sieve``, the one prime sieve here; below 2**20, ``factorize``,
 the searches and ``harness._factor_range`` read one cached table of it.
 """
@@ -20,24 +21,23 @@ from typing import Iterable, Iterator, NamedTuple
 __all__ = [
     "CapacityError",
     "ContractViolation",
-    "DEFAULT_INPUT_BOUND",
     "Factorization",
     "FactorSieve",
+    "INPUT_BOUND",
     "divisors_sorted",
     "factorize",
-    "input_bound",
     "is_prime",
     "isqrt_exact",
     "primes_upto",
-    "set_input_bound",
     "tau",
 ]
 
-DEFAULT_INPUT_BOUND = 1 << 62
+INPUT_BOUND = 1 << 62  # keeps factoring tractable; ``is_prime`` is not held to it
 
 # Fixed Miller-Rabin witness sets with proven deterministic ranges
-# (Jaeschke; Sorenson & Webster).  The full set is valid for every
-# n < 3_317_044_064_679_887_385_961_981, far beyond the default bound.
+# (Jaeschke; Sorenson & Webster).  Each limit is the least strong pseudoprime
+# to its set, so the set is valid for every n below it: the full set for
+# every n < 3_317_044_064_679_887_385_961_981, far beyond ``INPUT_BOUND``.
 _SMALL_WITNESSES = (2, 3, 5, 7)
 _SMALL_WITNESS_LIMIT = 3_215_031_751
 _FULL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -48,36 +48,16 @@ _TABLE_LIMIT = 1 << 20  # ``_primes`` reads every window below it off a table
 
 
 class CapacityError(Exception):
-    """Input exceeds the configured exact-arithmetic bound."""
+    """Input exceeds an exact-arithmetic bound."""
 
 
 class ContractViolation(ValueError):
     """A caller broke an operation's precondition."""
 
 
-_input_bound: int | None = DEFAULT_INPUT_BOUND
-
-
-def set_input_bound(bound: int | None) -> None:
-    """Set the input cap; ``None`` removes it entirely.
-
-    Intermediates are arbitrary precision regardless, so raising the bound
-    only affects how large an input the operations accept.  Deterministic
-    primality stays capped at the witness-set limit no matter what.
-    """
-    global _input_bound
-    if bound is not None and bound < 2:
-        raise ContractViolation("input bound must be at least 2")
-    _input_bound = bound
-
-
-def input_bound() -> int | None:
-    return _input_bound
-
-
 def _guard(n: int) -> None:
-    if _input_bound is not None and n > _input_bound:
-        raise CapacityError(f"{n} exceeds the input bound {_input_bound}")
+    if n > INPUT_BOUND:
+        raise CapacityError(f"{n} exceeds the input bound {INPUT_BOUND}")
 
 
 class Factorization(NamedTuple):
@@ -92,10 +72,9 @@ class Factorization(NamedTuple):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for 0 <= n within the bound."""
+    """Deterministic primality for 0 <= n < ``_FULL_WITNESS_LIMIT``."""
     if n < 0:
         raise ContractViolation("is_prime requires n >= 0")
-    _guard(n)
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -105,9 +84,9 @@ def is_prime(n: int) -> bool:
             return False
     if n < 41 * 41:
         return True
-    if n > _FULL_WITNESS_LIMIT:
+    if n >= _FULL_WITNESS_LIMIT:
         raise CapacityError(
-            f"no deterministic witness set beyond {_FULL_WITNESS_LIMIT}"
+            f"no deterministic witness set for n >= {_FULL_WITNESS_LIMIT}"
         )
     witnesses = _SMALL_WITNESSES if n < _SMALL_WITNESS_LIMIT else _FULL_WITNESSES
     d = n - 1
@@ -174,8 +153,6 @@ def primes_upto(limit: int) -> list[int]:
 
 def _pollard_brent(n: int) -> int:
     """Nontrivial factor of odd composite n; deterministic retry schedule."""
-    if n % 2 == 0:
-        return 2
     c = 1
     while True:
         y, r, q = 2, 1, 1
@@ -206,8 +183,9 @@ def _pollard_brent(n: int) -> int:
 
 
 def _factor_into(m: int, acc: dict[int, int]) -> None:
-    if m == 1:
-        return
+    """Add the prime factors of m to ``acc``.  m must be odd and above 1, as
+    every cofactor left once 2 is divided out is; rho's factor d has
+    1 < d < m, so both parts stay odd and above 1."""
     if is_prime(m):
         acc[m] = acc.get(m, 0) + 1
         return

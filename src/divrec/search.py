@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .arith import ContractViolation, _guard, _primes, is_prime
+from .arith import _FULL_WITNESS_LIMIT, CapacityError, ContractViolation, _primes, is_prime
 from .classify import _l5_condition, _s7_solution
 from .fit import _EMPTY, _solution
 from .profiles import _strict_sets
@@ -204,13 +204,24 @@ _L5_POOL_MIN_PMAX = 479_909  # the 40 000th prime
 
 
 def _scan_primes(span, p_max: int, jobs: int, pool_min_pmax: int) -> list:
-    """Every hit of ``span(lo, hi)`` over the primes p <= p_max, in order of p."""
-    # isqrt(p_max^5) + 1 is the largest large5 q; reject a p_max that puts
-    # it above the input bound before sieving anything.  This does not
-    # bound s7's r < p*q < p^3, which can pass 2^62 once p > 1.66*10^6.
+    """Every hit of ``span(lo, hi)`` over the primes p <= p_max, in order of p.
+
+    A search factorizes nothing, so its one limit is ``is_prime``'s: p_max
+    is refused before any prime is sieved unless isqrt(p_max^5 + p_max^4),
+    which grows with p, is below it (p_max <= 6 431 325 586).  That bounds
+    every number a span tests:
+    - s7: each candidate has q < p^2 and 0 < q^2 - p^3 | p^2 - q, so
+      (p*q)^2 <= p^2*(p^3 + p^2 - q) < p^5 + p^4, and r = p*q - j*(q^2 - p^3)
+      < p*q;
+    - large5: q <= isqrt(p^5) + 1, whose square is at most
+      p^5 + 2*p^{5/2} + 1 <= p^5 + p^4.
+    """
     if p_max < 2:
         raise ContractViolation("p_max must be >= 2")
-    _guard(isqrt(p_max**5) + 1)
+    if isqrt(p_max**5 + p_max**4) >= _FULL_WITNESS_LIMIT:
+        raise CapacityError(
+            f"p_max {p_max} puts candidates past the primality limit {_FULL_WITNESS_LIMIT}"
+        )
     # [2, p_max] holds p_max - 1 candidates for p: a pool from pool_min_pmax on
     spans = map_spans(span, 2, p_max + 1, jobs, pool_min_pmax - 1)
     return [hit for batch in spans for hit in batch]

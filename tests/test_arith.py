@@ -19,11 +19,9 @@ from divrec.arith import (
     _sieve,
     divisors_sorted,
     factorize,
-    input_bound,
     is_prime,
     isqrt_exact,
     primes_upto,
-    set_input_bound,
     tau,
 )
 from divrec.harness import _MIN_SEGMENT, _factor_range
@@ -139,6 +137,8 @@ def test_factorize_sieves_up_to_the_next_power_of_two_above_the_root(monkeypatch
 
 
 def test_isqrt_exact_examples():
+    with pytest.raises(ContractViolation):
+        isqrt_exact(-1)
     assert isqrt_exact(1) == (1, True)
     assert isqrt_exact((9 - 8) * (4 - 3)) == (1, True)
     assert isqrt_exact(48) == (6, False)
@@ -173,26 +173,22 @@ def test_tau_examples():
     assert tau(factorize(2 * 2 * 3 * 5)) == 12  # p^2*q*r shape
 
 
-def test_capacity_guard():
-    bound = input_bound()
-    assert bound == 1 << 62
-    with pytest.raises(CapacityError):
-        is_prime((1 << 62) + 1)
-    with pytest.raises(CapacityError):
+def test_capacity_guard(monkeypatch):
+    # factoring is held to INPUT_BOUND, primality only to the witness limit
+    assert arith.INPUT_BOUND == 1 << 62
+    with pytest.raises(CapacityError, match="exceeds the input bound"):
         factorize((1 << 62) + 1)
-
-
-def test_bound_is_configurable():
-    try:
-        set_input_bound(None)
-        f = factorize(97**20)
-        assert f.factors == ((97, 20),)
-        # deterministic primality still refuses past the witness limit
-        # (square of a Mersenne prime: odd, no small factors, ~5e36)
-        with pytest.raises(CapacityError):
-            is_prime((2**61 - 1) ** 2)
-    finally:
-        set_input_bound(1 << 62)
+    assert not is_prime((1 << 62) + 1)  # 5 divides it
+    assert is_prime(2**64 - 59)
+    # the least strong pseudoprime to the full witness set (an 11-digit prime
+    # times a 13-digit one), and the square of a Mersenne prime past it
+    limit = arith._FULL_WITNESS_LIMIT
+    assert limit == 1_287_836_182_261 * 2_575_672_364_521
+    for n in (limit, (2**61 - 1) ** 2):
+        with pytest.raises(CapacityError, match="no deterministic witness set"):
+            is_prime(n)
+    monkeypatch.setattr(arith, "INPUT_BOUND", 97**20)
+    assert factorize(97**20).factors == ((97, 20),)
 
 
 def test_primes_upto():

@@ -143,6 +143,9 @@ def test_verify_prediction_examples():
     assert verify_prediction(m48, profile(48))
     corrupted = m._replace(predicted_set=(2, 3, 4))
     assert not verify_prediction(corrupted, p60)
+    # S'(60) = (2, 3, 4, 5, 6) with a = 2, b = -1: a wrong first or second term
+    for u in ((3, 3, 2, -1), (2, 4, 2, -1)):
+        assert not verify_prediction(m._replace(predicted_set=None, predicted_u=u), p60)
     with pytest.raises(ContractViolation):
         verify_prediction(m, profile(61))
     # a hand-built profile's set is checked before anything is compared

@@ -216,12 +216,13 @@ def test_validate_malformed_ledger_exits_one_before_output(capsys, tmp_path):
     ledger = tmp_path / "report.errata.jsonl"
     for text in (
         '{"n": 100, "theorem": "Large"}\n{not json\n',
-        # entries of the wrong type: n a float, a bool or a non-decimal string,
+        # entries of the wrong type: n a float, a bool or a string not of ASCII digits,
         # or a theorem other than Small or Large
         '{"n": 1.5, "theorem": "Large", "kind": "x", "detail": "y"}\n',
         '{"n": true, "theorem": "Small"}\n',
         '{"n": "0x64", "theorem": "Small"}\n',
         '{"n": "1e2", "theorem": "Small"}\n',
+        '{"n": "\\u0661\\u0660\\u0660", "theorem": "Small"}\n',  # Arabic-Indic 100
         '{"n": 100, "theorem": "Medium"}\n',
     ):
         ledger.write_text(text)
@@ -413,7 +414,7 @@ def test_search_out_path_that_is_a_fifo_exits_one_before_work(
 def test_search_large5_hostile_pmax_exits_one(capsys):
     code, out, err = run(capsys, "search-large5", "--pmax", str(10**12))
     assert code == 1 and out == ""
-    assert err.startswith("divrec: error:") and "input bound" in err
+    assert err.startswith("divrec: error:") and "primality limit" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "tau-check", "search-s7", "search-large5"])

@@ -1,5 +1,6 @@
-"""No module of the package reads the environment: ``--jobs`` and the other
-flags are its only inputs besides the files it is given.
+"""No module of the package reads the environment or holds a run-time
+setting: ``--jobs`` and the other flags are its only inputs besides the files
+it is given, and no function rebinds a module global.
 
 This parses every module under ``src/divrec`` without importing it.
 """
@@ -45,3 +46,18 @@ def test_no_module_reads_the_environment():
     assert len(paths) >= 10
     reads = {path.name: _environment_reads(path.read_text(), str(path)) for path in paths}
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def _global_statements(source, filename="<source>"):
+    """The line of each ``global`` statement in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source, filename))
+            if isinstance(node, ast.Global)]
+
+
+def test_no_module_rebinds_a_global():
+    sample = "_bound = 1\n\ndef set_bound(b):\n    global _bound\n    _bound = b\n"
+    assert _global_statements(sample) == [4]
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) >= 10
+    found = {path.name: _global_statements(path.read_text(), str(path)) for path in paths}
+    assert {name: lines for name, lines in found.items() if lines} == {}

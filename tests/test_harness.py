@@ -36,6 +36,7 @@ from divrec.cli import main
 from divrec.fit import FitKind, verify_params
 from divrec.harness import (
     append_ledger,
+    ledger_keys,
     profile_sweep_failures,
     split_errata,
     validate_range,
@@ -83,6 +84,8 @@ def _scan(lo, hi, tmp_path):
 
 
 def test_check_single_60():
+    with pytest.raises(ContractViolation):
+        check_single(1)
     assert check_single(60) == ValidationRecord(
         n=60,
         small_oracle=True,
@@ -213,7 +216,7 @@ def test_blocks_match_the_span_list_in_constant_memory(monkeypatch, pool_sizes):
     ):
         if lo <= hi:
             assert _spans(lo, hi + 1, jobs) == _span_list(lo, hi, jobs), (lo, hi, jobs)
-    # [2, 2**62], the default input bound, has 2**46 spans of _SPAN_MAX n
+    # [2, 2**62], the input bound, has 2**46 spans of _SPAN_MAX n
     sizes = pool_sizes(2)
     tracemalloc.start()
     try:
@@ -384,6 +387,13 @@ def test_append_ledger_dedupes(tmp_path):
     assert append_ledger(path, errata) == 0
     lines = [json.loads(x) for x in path.read_text().splitlines()]
     assert [x["n"] for x in lines] == [100, 196, 484, 676]
+    # an n above 2**53 is written as a string and read back as an int
+    big = [ErrataEntry(2**53 + 1, theorem, KIND_ORACLE_ONLY, "synthetic")
+           for theorem in ("Small", "Large")]
+    assert append_ledger(path, big) == 2
+    assert path.read_text().count('"n":"9007199254740993"') == 2
+    assert {(2**53 + 1, "Small"), (2**53 + 1, "Large")} <= ledger_keys(path)
+    assert append_ledger(path, big) == 0
 
 
 def test_allowlist_default_covers_the_known_family():
@@ -416,7 +426,7 @@ def test_profile_sweep():
     (89_000, 91_000),
     (10**9, 10**9 + 1_000),
     (10**12 - 500, 10**12 + 500),
-    (2**62 - 199, 2**62 + 1),  # up to the default input bound
+    (2**62 - 199, 2**62 + 1),  # up to the input bound
 ])
 def test_profile_sweep_kernel_matches_per_n_paths(lo, hi_excl):
     ns = range(lo, hi_excl)

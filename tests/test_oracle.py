@@ -1,6 +1,7 @@
 import pytest
 
-from divrec.arith import CapacityError, ContractViolation, primes_upto, set_input_bound
+from divrec import arith
+from divrec.arith import CapacityError, ContractViolation, primes_upto
 from divrec.fit import FitKind, FitVerdict, constraints_of, verify_params
 from divrec.oracle import RecurrenceVerdict, canonical_witness, verdict_for_sequence
 from divrec.profiles import profile
@@ -50,22 +51,19 @@ def test_rejects_unit():
         large_verdict(0)
 
 
-def test_prime_powers_always_recurrent():
+def test_prime_powers_always_recurrent(monkeypatch):
     # needs the bound lifted: 97**20 is far beyond 2**62
-    try:
-        set_input_bound(None)
-        for p in primes_upto(98):
-            for k in (1, 2, 3, 5, 9, 14, 20):
-                n = p**k
-                sv = small_verdict(n)
-                lv = large_verdict(n)
-                assert sv.recurrent and lv.recurrent, (p, k)
-                if sv.witness is not None:
-                    assert verify_params(list(profile(n).small_strict), *sv.witness)
-                if lv.witness is not None:
-                    assert verify_params(list(profile(n).large_strict), *lv.witness)
-    finally:
-        set_input_bound(1 << 62)
+    monkeypatch.setattr(arith, "INPUT_BOUND", 97**20)
+    for p in primes_upto(98):
+        for k in (1, 2, 3, 5, 9, 14, 20):
+            n = p**k
+            sv = small_verdict(n)
+            lv = large_verdict(n)
+            assert sv.recurrent and lv.recurrent, (p, k)
+            if sv.witness is not None:
+                assert verify_params(list(profile(n).small_strict), *sv.witness)
+            if lv.witness is not None:
+                assert verify_params(list(profile(n).large_strict), *lv.witness)
 
 
 def test_witnesses_verify_over_range():

@@ -18,7 +18,7 @@ from math import log, prod
 
 import pytest
 
-from divrec.arith import Factorization, input_bound, is_prime, set_input_bound
+from divrec.arith import Factorization, is_prime
 from divrec.check import KIND_ORACLE_ONLY, _evaluate
 from divrec.classify import LARGE
 from divrec.profiles import profile
@@ -71,15 +71,9 @@ def _draw(rng, exps):
 
 @pytest.fixture(scope="module")
 def samples():
-    """The seeded signatures; their primes pass 2**62, so the input bound is
-    lifted while they are drawn and restored after."""
-    bound = input_bound()
-    set_input_bound(None)
-    try:
-        rng = random.Random(SEED)
-        return [_draw(rng, rng.choice(SIGNATURES)) for _ in range(SAMPLES)]
-    finally:
-        set_input_bound(bound)
+    """The seeded signatures."""
+    rng = random.Random(SEED)
+    return [_draw(rng, rng.choice(SIGNATURES)) for _ in range(SAMPLES)]
 
 
 def _near_breakpoint(sig):

@@ -8,17 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from divrec import runner
+from divrec import arith, runner
 from divrec.arith import (
     CapacityError,
     ContractViolation,
     Factorization,
     _primes,
     _sieve,
-    input_bound,
     is_prime,
     primes_upto,
-    set_input_bound,
 )
 from divrec.classify import _divides, _s7_solution, classify_small
 from divrec.harness import _factor_range
@@ -247,6 +245,31 @@ def test_large5_hit_is_confirmed_on_its_large_set(monkeypatch, q, confirmed):
     assert not verdict_for_sequence(profile(n).small_strict).recurrent
 
 
+@pytest.mark.parametrize("q, sol, hits", [
+    (3, (5, 2, -1), [S7Triple(2, 3, 5, 60, 2, -1, True)]),
+    (4, (5, 2, -1), []),  # q not prime
+    (3, (9, 2, -1), []),  # r not prime
+    (3, (3, 2, -1), []),  # r <= p^2
+    (3, None, []),
+])
+def test_s7_span_keeps_only_prime_q_and_r_above_p2(monkeypatch, q, sol, hits):
+    # no s7 candidate below 3*10^6 fails a check after ``_s7_solution``, so
+    # the candidate and its solution are patched in
+    import divrec.search as search
+
+    monkeypatch.setattr(search, "_s7_candidates", lambda ps: ((p, q) for p in ps))
+    monkeypatch.setattr(search, "_s7_solution", lambda p, q: sol)
+    assert search._s7_span(2, 3) == hits
+
+
+def test_large5_span_drops_a_composite_q(monkeypatch):
+    import divrec.search as search
+
+    monkeypatch.setattr(search, "_l5_candidates", lambda ps: ((p, 9) for p in ps))
+    monkeypatch.setattr(search, "_l5_condition", lambda p, q: True)
+    assert search._l5_span(2, 3) == []
+
+
 def test_rejects_tiny_pmax():
     with pytest.raises(ContractViolation):
         search_s7(1)
@@ -281,22 +304,34 @@ def test_large5_fixture_pmax10000_empty():
 
 
 def test_hostile_pmax_raises_before_any_table(monkeypatch):
-    # isqrt(p_max^5) + 1 bounds every q tried; it must pass the input bound
-    # (2^62 by default) before any prime is sieved
+    # isqrt(p_max^5 + p_max^4) bounds every number a search tests for
+    # primality; it must stay below the witness limit before any prime is
+    # sieved
     import divrec.search as search
 
     spans = []
     monkeypatch.setattr(search, "_primes", lambda lo, hi: spans.append((lo, hi)) or [])
     for search_fn in (search_s7, search_large5):
-        for p_max in (10**12, 29_210_830):  # the smallest p_max over 2^62
-            with pytest.raises(CapacityError):
+        for p_max in (10**12, 6_431_325_587):  # the smallest p_max refused
+            with pytest.raises(CapacityError, match="primality limit"):
                 search_fn(p_max)
         assert spans == []
-        assert search_fn(29_210_829) == []
+        assert search_fn(6_431_325_586) == []
         # one sieve per span of at most 2^16 p; the spans tile [2, p_max] in order
-        assert spans[0][0] == 2 and spans[-1][1] == 29_210_830
+        assert spans[0][0] == 2 and spans[-1][1] == 6_431_325_587
         assert all(a[1] == b[0] and b[1] - b[0] <= 2**16 for a, b in zip(spans, spans[1:]))
         spans.clear()
+
+
+def test_every_tested_number_is_within_the_search_bound():
+    # the bound that ``_scan_primes`` holds p_max to covers each candidate:
+    # s7's r < p*q and large5's q
+    ps = range(2, 3000)
+    s7 = list(_s7_candidates(ps))
+    assert s7 == [(2, 3), (21, 98), (52, 375)]  # (21*98)^2 is 99% of 21^5 + 21^4
+    assert all(p * q <= isqrt(p**5 + p**4) for p, q in s7)
+    assert all(q <= isqrt(p**5 + p**4) for p in ps for q in (isqrt(p**5), isqrt(p**5) + 1))
+    assert all(q <= isqrt(p**5 + p**4) for p, q in _l5_candidates(ps))
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -416,11 +451,8 @@ def test_large5_filter_keeps_every_passing_q():
 
 
 @pytest.fixture
-def input_bound_59():
-    old = input_bound()
-    set_input_bound(59)
-    yield
-    set_input_bound(old)
+def input_bound_59(monkeypatch):
+    monkeypatch.setattr(arith, "INPUT_BOUND", 59)
 
 
 def test_hit_above_input_bound_is_reported(input_bound_59):
