@@ -173,7 +173,7 @@ def test_tau_examples():
     assert tau(factorize(2 * 2 * 3 * 5)) == 12  # p^2*q*r shape
 
 
-def test_capacity_guard(monkeypatch):
+def test_capacity_guard():
     # factoring is held to INPUT_BOUND, primality only to the witness limit
     assert arith.INPUT_BOUND == 1 << 62
     with pytest.raises(CapacityError, match="exceeds the input bound"):
@@ -181,14 +181,21 @@ def test_capacity_guard(monkeypatch):
     assert not is_prime((1 << 62) + 1)  # 5 divides it
     assert is_prime(2**64 - 59)
     # the least strong pseudoprime to the full witness set (an 11-digit prime
-    # times a 13-digit one), and the square of a Mersenne prime past it
+    # times a 13-digit one) is where is_prime stops answering
     limit = arith._FULL_WITNESS_LIMIT
     assert limit == 1_287_836_182_261 * 2_575_672_364_521
-    for n in (limit, (2**61 - 1) ** 2):
-        with pytest.raises(CapacityError, match="no deterministic witness set"):
-            is_prime(n)
+    with pytest.raises(CapacityError, match="no deterministic witness set"):
+        is_prime(limit)
+
+
+def test_bound_is_configurable(monkeypatch):
+    # INPUT_BOUND is a module constant: raising it lets factorize go past 2**62
     monkeypatch.setattr(arith, "INPUT_BOUND", 97**20)
     assert factorize(97**20).factors == ((97, 20),)
+    # deterministic primality still refuses past the witness limit
+    # (square of a Mersenne prime: odd, no small factors, ~5e36)
+    with pytest.raises(CapacityError, match="no deterministic witness set"):
+        is_prime((2**61 - 1) ** 2)
 
 
 def test_primes_upto():
