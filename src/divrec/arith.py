@@ -224,10 +224,16 @@ def factorize(n: int) -> Factorization:
 
 
 def _factored(n: int, fac: Factorization | None) -> Factorization:
-    """``factorize(n)``, or ``fac`` once its prime powers multiply to n."""
-    if fac is not None and (fac.n != n or prod(p**e for p, e in fac.factors) != n):
+    """``factorize(n)``, or ``fac`` once it is n's: primes strictly
+    increasing, each exponent at least 1, the prime powers multiplying to n."""
+    if fac is None:
+        return factorize(n)
+    bases = [p for p, _ in fac.factors]
+    if (fac.n != n or any(e < 1 for _, e in fac.factors)
+            or bases != sorted(set(bases)) or prod(p**e for p, e in fac.factors) != n
+            or not all(map(is_prime, bases))):
         raise ContractViolation(f"fac is not a factorization of {n}")
-    return factorize(n) if fac is None else fac
+    return fac
 
 
 def isqrt_exact(n: int) -> tuple[int, bool]:
@@ -244,9 +250,19 @@ def divisors_sorted(f: Factorization) -> list[int]:
 
 
 def _divisors(factors) -> list[int]:
-    """All divisors of the n with prime factorization ``factors``, sorted."""
+    """All divisors of the n with prime factorization ``factors``, sorted.
+
+    A prime of exponent 1, most of them, adds its multiples in one
+    comprehension; one of exponent e >= 2 adds d*p**i block by block.  In
+    CPython 3.11 a comprehension costs about 0.25-0.4 µs per call and the
+    loop machinery about 0.1-0.15 µs per prime, so the loop is kept out of
+    the common case but not replaced by a comprehension over the powers.
+    """
     divs = [1]
     for p, e in factors:
+        if e == 1:
+            divs += [d * p for d in divs]
+            continue
         block = divs
         for _ in range(e):
             block = [d * p for d in block]

@@ -102,7 +102,8 @@ def _with_u(pset: tuple[int, ...], a: int, b: int):
 def classify_small(
     n: int, *, fac: Factorization | None = None
 ) -> list[FormMatch]:
-    """All small-side forms that n satisfies, sorted by form id."""
+    """All small-side forms that n satisfies, sorted by form id; a ``fac``
+    given must be n's factorization, as ``profile`` states."""
     if n < 2:
         raise ContractViolation("classify_small requires n >= 2")
     return [FormMatch(SMALL, i, n, params, pset, u)
@@ -197,7 +198,8 @@ def _small_form_10(p: int, q: int, r: int) -> Form | None:
 def classify_large(
     n: int, *, fac: Factorization | None = None
 ) -> list[FormMatch]:
-    """All large-side forms that n satisfies, sorted by form id."""
+    """All large-side forms that n satisfies, sorted by form id; a ``fac``
+    given must be n's factorization, as ``profile`` states."""
     if n < 2:
         raise ContractViolation("classify_large requires n >= 2")
     return [FormMatch(LARGE, i, n, params, pset, u)

@@ -187,12 +187,12 @@ def _factor_range(lo: int, hi_excl: int) -> Iterator[tuple[int, tuple[tuple[int,
 _SIEVE_SEGMENT = 4096
 # The sieve walks every d <= isqrt(end - 1) once per segment, so a segment
 # is sieved only when that many d stay within this multiple of its length;
-# otherwise each n goes through ``_strict_sets``.  CPU time, best of 15 on a
-# 2-CPU VM, factor sieve included, sieve against per-n in µs per n: 4 096 n
-# at 2.7*10^8 (isqrt/length 4.0) 11.5 vs 13.3, at 4.2*10^8 (5.0) 13.1 vs
-# 13.4, at 6.0*10^8 (6.0) 15.0 vs 14.5, at 10^9 (7.7) 16.9 vs 14.9; 500 n
-# at 4*10^6 (4.0) 8.7 vs 9.9, at 6.25*10^6 (5.0) 10.4 vs 10.2, at 9*10^6
-# (6.0) 11.2 vs 9.7, at 1.6*10^7 (8.0) 13.8 vs 10.3.
+# otherwise each n goes through ``_strict_sets``.  CPU time, best of 61
+# with the two branches interleaved, 2-CPU VM, factor sieve included, sieve
+# against per-n in µs per n: 4 096 n at 2.7*10^8 (isqrt/length 4.0) 3.6 vs
+# 4.2, at 4.2*10^8 (5.0) 4.1 vs 4.2, at 6.0*10^8 (6.0) 4.5 vs 4.3, at 10^9
+# (7.7) 5.2 vs 4.4; 500 n at 4*10^6 (4.0) 3.3 vs 3.6, at 6.25*10^6 (5.0)
+# 3.7 vs 3.6, at 9*10^6 (6.0) 4.1 vs 3.7, at 1.6*10^7 (8.0) 5.0 vs 3.9.
 _SIEVE_MAX_ROOT_RATIO = 5
 
 

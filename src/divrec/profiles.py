@@ -45,7 +45,11 @@ class DivisorProfile(NamedTuple):
 
 
 def profile(n: int, *, fac: Factorization | None = None) -> DivisorProfile:
-    """Full divisor profile of n >= 2 (pass ``fac`` to skip refactoring)."""
+    """Full divisor profile of n >= 2 (pass ``fac`` to skip refactoring).
+
+    ``fac`` must name n and list strictly increasing primes, each with an
+    exponent of at least 1, whose powers multiply to n; anything else raises
+    ``ContractViolation``.  The primes are checked with ``is_prime``."""
     if n < 2:
         raise ContractViolation("profile requires n >= 2")
     f = _factored(n, fac)

@@ -35,6 +35,19 @@ def profiles_in_range(lo, hi):
         yield profile(n, fac=Factorization(n, factors))
 
 
+def divisors_by_blocks(factors):
+    """``arith._divisors`` with the block loop for every prime, exponent 1
+    included: each power p**i multiplies the block of the one before."""
+    divs = [1]
+    for p, e in factors:
+        block = divs
+        for _ in range(e):
+            block = [d * p for d in block]
+            divs += block
+    divs.sort()
+    return divs
+
+
 def small_verdict(n, fac=None):
     return verdict_for_sequence(profile(n, fac=fac).small_strict)
 

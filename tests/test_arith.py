@@ -2,7 +2,7 @@ import itertools
 import random
 from array import array
 from bisect import bisect_left
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,7 @@ from divrec.arith import (
     tau,
 )
 from divrec.harness import _MIN_SEGMENT, _factor_range
+from references import divisors_by_blocks
 
 
 def naive_is_prime(n):
@@ -165,6 +166,42 @@ def test_divisor_count_and_reflection():
         assert len(divs) == tau(f)
         assert all(n % d == 0 for d in divs)
         assert [n // d for d in reversed(divs)] == divs
+        assert divs == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _seeded_factorizations(rng, count):
+    """``count`` factorizations of distinct primes below 2**31, each to an
+    exponent 1-8 (1 half the time, so both branches of ``_divisors`` meet
+    in one n), their product at most 2**62."""
+    for _ in range(count):
+        pairs = {}
+        n = 1
+        for _ in range(rng.randint(1, 9)):
+            p = rng.randrange(2, 1 << rng.randint(2, 31))
+            while not is_prime(p):
+                p += 1
+            e = 1 if rng.random() < 0.5 else rng.randint(2, 8)
+            if p in pairs or p >= 1 << 31 or n * p**e > 1 << 62:
+                continue
+            pairs[p] = e
+            n *= p**e
+        yield Factorization(n, tuple(sorted(pairs.items())))
+
+
+def test_divisors_match_the_block_loop_beyond_the_ranges():
+    # factorizations no range test reaches, passed whole so nothing is factorized
+    first_12 = primes_upto(38)
+    facs = [
+        *_seeded_factorizations(random.Random(35), 400),
+        Factorization(prod(first_12), tuple((p, 1) for p in first_12)),
+        Factorization(2**61, ((2, 61),)),
+        Factorization(3**39, ((3, 39),)),
+    ]
+    assert len(divisors_sorted(facs[-3])) == 4_096
+    for f in facs:
+        divs = divisors_sorted(f)
+        assert divs == divisors_by_blocks(f.factors), f
+        assert len(divs) == tau(f)
 
 
 def test_tau_examples():

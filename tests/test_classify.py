@@ -186,9 +186,20 @@ def test_rejects_unit():
 
 def test_a_factorization_of_another_n_is_refused():
     # trusted, a fac of 18 would give profile(12) L' = (6, 9) and
-    # classify_small(12) form 2; a fac must name n and its prime powers
-    # must multiply to n (the primes themselves are trusted)
-    for fac in (factorize(18), Factorization(12, ((2, 1), (3, 2)))):
+    # classify_small(12) form 2; ((4, 1), (3, 1)) profile(12) S' = (3,) and
+    # tau 4; ((3, 1), (2, 2)) classify_large(12) form 8 with the set (6, 4);
+    # ((12, 1),) classify_small(12) a prime power; ((2, 2), (3, 1), (5, 0))
+    # no form on either side.  A fac must name n, list strictly increasing
+    # primes with exponents >= 1, and multiply to n.
+    for fac in (
+        factorize(18),
+        Factorization(12, ((2, 1), (3, 2))),
+        Factorization(12, ((4, 1), (3, 1))),
+        Factorization(12, ((3, 1), (2, 2))),
+        Factorization(12, ((12, 1),)),
+        Factorization(12, ((2, 1), (2, 1), (3, 1))),
+        Factorization(12, ((2, 2), (3, 1), (5, 0))),
+    ):
         for call in (profile, classify_small, classify_large):
             with pytest.raises(ContractViolation):
                 call(12, fac=fac)

@@ -8,6 +8,7 @@ from divrec.arith import (
     Factorization,
     divisors_sorted,
     factorize,
+    is_prime,
     isqrt_exact,
     primes_upto,
     tau,
@@ -160,3 +161,34 @@ def test_sieved_profiles_match_profile(monkeypatch, lo, length, per_n):
         _tau_identity(tau(Factorization(n, factors)), isqrt_exact(n)[1], small, large)
         for n, factors, small, large in rows
     )
+
+
+def test_large_prime_identity():
+    # n = m*P with P prime and P > m: every divisor d of m has d*d < n < (d*P)**2,
+    # so S'(n) = D(m) \ {1} and L'(n) = P*(D(m) \ {m}), each in order
+    divisors = [[] for _ in range(2_001)]  # D(m) by a divisor sieve
+    for d in range(1, 2_001):
+        for m in range(d, 2_001, d):
+            divisors[m].append(d)
+
+    def expected(m, p):
+        return tuple(divisors[m][1:]), tuple(p * d for d in divisors[m][:-1])
+
+    big = 2**40 + 15  # passed with its factors, never factorized
+    assert is_prime(big)
+    p = 2
+    for m in range(1, 2_001):
+        while p <= m or not is_prime(p):
+            p += 1
+        sig = factorize(m).factors
+        for prime in (p, big):
+            n = m * prime
+            assert profiles._strict_sets(n, sig + ((prime, 1),)) == expected(m, prime), (m, prime)
+
+    found = 0
+    for n, factors, small, large in _profile_range(10**5, 10**5 + 4_096):
+        prime, e = factors[-1]
+        if e == 1 and prime * prime > n:
+            assert (small, large) == expected(n // prime, prime), n
+            found += 1
+    assert found > 4_096 // 2
